@@ -1,17 +1,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
 #include "common/missing.h"
+#include "common/stats.h"
 #include "workloads.h"
 
 namespace repobench {
 
 const std::vector<MetricSpec>& EndToEndMetrics() {
   static const std::vector<MetricSpec> specs = {
-      {"setup_s", "s"}, {"cpu_us_per_query", "us"}, {"ape_m", "m"},
-      {"rss_mb", "MB"}};
+      {"setup_s", "s"}, {"ape_m", "m"}, {"rss_mb", "MB"}};
   return specs;
 }
 
@@ -48,7 +47,6 @@ const std::vector<MetricSpec>& PerLayerMetrics() {
       {"imputers.rebuild_impute_ms", "ms"},
       {"serving.snapshot.fit_ms", "ms"},
       {"serving.snapshot.publish_us", "us"},
-      {"store.persist_ms", "ms"},
       {"serving.map_updater.trigger_delay_ms", "ms"},
       {"serving.map_updater.failures", "count"},
       {"refresh_p50_ms", "ms"},
@@ -64,6 +62,8 @@ const std::vector<MetricSpec>& PerLayerMetrics() {
       {"env.steal_share", "ratio"},
       {"trace.overhead_share", "ratio"},
       {"trace.ledger_coverage", "ratio"},
+      {"setup_wall_s", "s"},
+      {"cpu_us_per_query", "us"},
   };
   return specs;
 }
@@ -115,34 +115,20 @@ std::vector<int64_t> BurstArrivalsNs(double mean_rate, double seconds,
   return out;
 }
 
-namespace {
-
-/// Mean of the values between the lower and upper quartile.
-double InterquartileMean(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const size_t lo = v.size() / 4, hi = v.size() - v.size() / 4;
-  double sum = 0.0;
-  for (size_t i = lo; i < hi; ++i) sum += v[i];
-  return sum / static_cast<double>(hi - lo);
-}
-
-}  // namespace
-
 LatencySummary Summarize(const std::vector<Timing>& timings,
                          const std::vector<int64_t>& prev_end_ns,
                          double window_s, double trial_s) {
   LatencySummary s;
+  if (timings.empty()) return s;
   const size_t trials =
       std::max<size_t>(1, static_cast<size_t>(std::floor(window_s / trial_s)));
   std::vector<std::vector<double>> per_trial(trials);
   std::vector<double> all, service_us, lateness_ms;
   all.reserve(timings.size());
+  lateness_ms.reserve(timings.size());
   for (size_t i = 0; i < timings.size(); ++i) {
     const Timing& t = timings[i];
-    const double latency_ms =
-        t.ok ? (t.end_ns - t.due_ns) * 1e-6
-             : std::numeric_limits<double>::infinity();
+    const double latency_ms = t.ok ? (t.end_ns - t.due_ns) * 1e-6 : kFailedLatencyMs;
     const size_t trial = std::min(
         trials - 1, static_cast<size_t>(t.due_ns * 1e-9 / trial_s));
     per_trial[trial].push_back(latency_ms);
@@ -156,28 +142,21 @@ LatencySummary Summarize(const std::vector<Timing>& timings,
       ++s.failed;
     }
   }
-  std::vector<double> p50s, p99s;
   for (const std::vector<double>& v : per_trial) {
-    if (v.empty()) continue;
-    p50s.push_back(Percentile(v, 50.0));
-    p99s.push_back(Percentile(v, 99.0));
+    if (!v.empty()) s.trial_p99_ms.push_back(rmi::Percentile(v, 99.0));
   }
-  s.trials = p50s.size();
-  s.trial_p50_ms = p50s;
-  s.trial_p99_ms = p99s;
-  s.p50_ms = InterquartileMean(p50s);
-  s.p99_ms = Percentile(p99s, 25.0);
-  s.median_trial_p99_ms = Median(p99s);
-  s.pooled_p99_ms = Percentile(all, 99.0);
-  s.mean_service_us = Mean(service_us);
-  s.lateness_p99_ms = Percentile(lateness_ms, 99.0);
+  s.p50_ms = rmi::Percentile(all, 50.0);
+  s.p99_ms = rmi::Percentile(all, 99.0);
+  s.median_trial_p99_ms = rmi::Percentile(s.trial_p99_ms, 50.0);
+  s.mean_service_us = rmi::Mean(service_us);
+  s.lateness_p99_ms = rmi::Percentile(lateness_ms, 99.0);
   return s;
 }
 
 double KneeQps(const std::vector<Rung>& rungs, double slo_ms) {
   if (rungs.empty()) return 0.0;
-  // A failed request reads as infinite latency; cap it so the log-space
-  // interpolation stays finite.
+  // A failed request reads as kFailedLatencyMs; cap it so one failure
+  // does not flatten the log-space interpolation.
   auto capped = [&](double p99) { return std::min(p99, 100.0 * slo_ms); };
   size_t first_fail = rungs.size();
   for (size_t i = 0; i < rungs.size(); ++i) {
@@ -210,14 +189,14 @@ void SetKnee(Report* report, const std::vector<Rung>& rungs, double slo_ms) {
 }
 
 void NoteTrials(Report* report, const LatencySummary& lat) {
-  report->Note("p99: lower quartile of trial p99s " + std::to_string(lat.p99_ms) +
-               " ms, median trial " + std::to_string(lat.median_trial_p99_ms) +
-               " ms, pooled " + std::to_string(lat.pooled_p99_ms) + " ms");
-  std::string p50s = "per-trial p50 ms:", p99s = "per-trial p99 ms:";
-  for (double v : lat.trial_p50_ms) p50s += " " + std::to_string(v);
-  for (double v : lat.trial_p99_ms) p99s += " " + std::to_string(v);
-  report->Note(p50s);
-  report->Note(p99s);
+  if (lat.trial_p99_ms.empty()) return;
+  // Host stalls hit random trials and only ever add latency, so the lower
+  // quartile shows the tail of the quieter trials beside the pooled p99.
+  std::string note = "per-trial p99 ms (lower quartile " +
+                     std::to_string(rmi::Percentile(lat.trial_p99_ms, 25.0)) +
+                     "):";
+  for (double v : lat.trial_p99_ms) note += " " + std::to_string(v);
+  report->Note(note);
 }
 
 bool SamePoint(const rmi::geom::Point& a, const rmi::geom::Point& b) {

@@ -1,16 +1,15 @@
 #include "harness.h"
 
+#include <malloc.h>
 #include <sched.h>
 #include <sys/prctl.h>
 #include <sys/resource.h>
 #include <time.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <numeric>
 #include <sstream>
 #include <vector>
 
@@ -37,6 +36,12 @@ int64_t NowNs() {
 int64_t ThreadCpuNs() {
   timespec ts;
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
+}
+
+int64_t ProcessCpuNs() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
   return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
 }
 
@@ -95,27 +100,6 @@ void Pacer::WaitUntil(int64_t due_ns) {
   }
 }
 
-double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  const double rank = std::ceil(p / 100.0 * static_cast<double>(v.size()));
-  const size_t idx =
-      std::min(v.size() - 1, static_cast<size_t>(std::max(1.0, rank)) - 1);
-  std::nth_element(v.begin(), v.begin() + static_cast<long>(idx), v.end());
-  return v[idx];
-}
-
-double Median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
-double Mean(const std::vector<double>& v) {
-  if (v.empty()) return 0.0;
-  return std::accumulate(v.begin(), v.end(), 0.0) / static_cast<double>(v.size());
-}
-
 ProcessSample ProcessSample::Take() {
   ProcessSample s;
   timespec ts;
@@ -141,12 +125,14 @@ ProcessSample ProcessSample::Take() {
   return s;
 }
 
-double CurrentRssMb() {
+double TrimmedRssMb() {
+  malloc_trim(0);
+  // statm: size, resident, shared (file-backed and shmem resident), ...
   std::ifstream statm("/proc/self/statm");
-  double size_pages = 0.0, resident_pages = 0.0;
-  statm >> size_pages >> resident_pages;
-  return resident_pages * static_cast<double>(sysconf(_SC_PAGESIZE)) /
-         (1024.0 * 1024.0);
+  double size_pages = 0.0, resident_pages = 0.0, shared_pages = 0.0;
+  statm >> size_pages >> resident_pages >> shared_pages;
+  return (resident_pages - shared_pages) *
+         static_cast<double>(sysconf(_SC_PAGESIZE)) / (1024.0 * 1024.0);
 }
 
 ProcessWindow ProcessWindow::Between(const ProcessSample& a,

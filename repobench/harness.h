@@ -16,6 +16,8 @@ namespace repobench {
 int64_t NowNs();
 /// CPU time of the calling thread, nanoseconds.
 int64_t ThreadCpuNs();
+/// CPU time of the whole process (every thread), nanoseconds.
+int64_t ProcessCpuNs();
 
 /// Splits the allowed CPUs: the last `count` are reserved for the
 /// benchmark's own threads (generators, feeder), and the calling thread —
@@ -59,11 +61,6 @@ class OverheadMeter {
   int64_t work_ns_ = 0;
 };
 
-/// Percentile (0..100) of `v` by nearest rank on a sorted copy; 0 if empty.
-double Percentile(std::vector<double> v, double p);
-double Median(std::vector<double> v);
-double Mean(const std::vector<double>& v);
-
 /// Process resource usage (getrusage) plus the machine-wide steal and total
 /// jiffies from /proc/stat, sampled at one instant.
 struct ProcessSample {
@@ -79,8 +76,14 @@ struct ProcessSample {
   static ProcessSample Take();
 };
 
-/// Current resident set, MB (/proc/self/statm).
-double CurrentRssMb();
+/// Hands the heap's free pages back to the OS (malloc_trim), then returns
+/// the anonymous resident set, MB: live data, without what the allocator
+/// happens to retain and without file-backed pages (the binary and shared
+/// libraries), which fault-around maps according to the page cache, not
+/// the program. rss_mb is this at the end of the window minus this before
+/// set-up, once the benchmark's inputs and result buffers exist, so what
+/// it counts belongs to the program.
+double TrimmedRssMb();
 
 /// Deltas of two samples over a measured window.
 struct ProcessWindow {

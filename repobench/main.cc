@@ -1,7 +1,7 @@
 // The repo benchmark's program:
 //
 //   repobench --workload <venue_walk|mall_burst|venue_refresh> --seed <n>
-//             --seconds <s> --trace <0|1> --work-dir <dir>
+//             --seconds <s> --trace <0|1>
 //
 // Prints a table of every metric and, as its last line, one JSON object:
 // the end-to-end metrics with --trace 0, the per-layer metrics with
@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 
 #include "workloads.h"
@@ -27,18 +26,15 @@ int main(int argc, char** argv) {
       args.seconds = std::atof(value);
     } else if (flag == "--trace") {
       args.trace = std::strcmp(value, "0") != 0;
-    } else if (flag == "--work-dir") {
-      args.work_dir = value;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
       return 2;
     }
   }
-  if (args.seconds <= 0.0 || args.work_dir.empty()) {
-    std::fprintf(stderr, "need --seconds > 0 and --work-dir\n");
+  if (args.seconds <= 0.0) {
+    std::fprintf(stderr, "need --seconds > 0\n");
     return 2;
   }
-  std::filesystem::create_directories(args.work_dir);
   // One CPU for the generator, one for venue_refresh's feeder.
   repobench::ReserveCpus(2);
   int code = 2;
@@ -51,6 +47,5 @@ int main(int argc, char** argv) {
   } else {
     std::fprintf(stderr, "unknown workload '%s'\n", args.workload.c_str());
   }
-  std::filesystem::remove_all(args.work_dir);
   return code;
 }

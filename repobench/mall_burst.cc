@@ -14,6 +14,7 @@
 #include "bisim/bisim.h"
 #include "common/hash.h"
 #include "common/missing.h"
+#include "common/stats.h"
 #include "eval/factories.h"
 #include "imputers/imputer.h"
 #include "la/quant.h"
@@ -55,21 +56,23 @@ constexpr size_t kCheckEvery = 61;
 
 const std::vector<double>& LadderQps() {
   static const std::vector<double> rungs = {
-      16000,  32000,  48000,  60000,  70000,  80000,  90000, 100000,
-      110000, 120000, 135000, 150000, 170000, 190000};
+      16000,  32000,  48000,  60000,  70000,  80000,  90000,  100000,
+      110000, 120000, 135000, 150000, 170000, 190000, 215000, 240000,
+      270000, 300000};
   return rungs;
 }
 
 struct Pipeline {
   std::unique_ptr<serving::MapSnapshotStore> store;
   std::unique_ptr<serving::LocalizationServer> server;  ///< reads store
-  double setup_s = 0.0;
+  double setup_cpu_s = 0.0;  ///< process CPU time, every thread
+  double setup_wall_s = 0.0;
   double differentiate_s = 0.0, fill_ms = 0.0, impute_s = 0.0, build_ms = 0.0;
   size_t sequences = 0;
 };
 
-/// The set-up under test, timed as `setup_s`: paper pipeline, snapshot,
-/// server start.
+/// The set-up under test: paper pipeline, snapshot, server start. Its
+/// process CPU time is `setup_s`.
 void BuildPipeline(const rmi::survey::SurveyDataset& ds, Pipeline* p) {
   p->server.reset();
   p->store.reset();
@@ -83,6 +86,7 @@ void BuildPipeline(const rmi::survey::SurveyDataset& ds, Pipeline* p) {
   const rmi::bisim::BiSimImputer imputer(config);
   rmi::Rng rng(kPipelineSeed);
 
+  const int64_t cpu0 = ProcessCpuNs();
   const int64_t start = NowNs();
   int64_t t = start;
   rmi::rmap::MaskMatrix mask = differentiator->Differentiate(ds.map, rng);
@@ -105,7 +109,8 @@ void BuildPipeline(const rmi::survey::SurveyDataset& ds, Pipeline* p) {
   options.max_wait_us = 200.0;
   options.num_workers = 2;
   p->server = std::make_unique<serving::LocalizationServer>(p->store.get(), options);
-  p->setup_s = (NowNs() - start) * 1e-9;
+  p->setup_cpu_s = (ProcessCpuNs() - cpu0) * 1e-9;
+  p->setup_wall_s = (NowNs() - start) * 1e-9;
   // BiSIM's work count, outside the timed set-up.
   p->sequences = rmi::bisim::BuildSequences(working, mask, config).size();
 }
@@ -130,61 +135,74 @@ struct PhaseResult {
   std::vector<int64_t> prev_end;  ///< previous Submit's return, per request
   std::vector<Point> answers;
   std::vector<int64_t> submit_end;
+  std::vector<std::future<Point>> futures;
+  std::vector<uint8_t> stamped;  ///< answer collected
   size_t failed = 0;
   double overhead_cpu_s = 0.0;  ///< generators' CPU outside Submit
 };
 
-/// Two generator threads split the schedule (request i goes to thread
-/// i % 2); each submits on time and, while it waits for its next due time,
-/// polls its outstanding futures, stamping each answer as it becomes ready.
-/// A thread sleeps only through idle gaps longer than 2 ms with nothing
-/// outstanding, so an answer is never stamped late by a wake-up.
-PhaseResult RunPhase(serving::LocalizationServer* server, const ScanPool& scans,
-                     const Phase& phase) {
-  constexpr size_t kThreads = 2;
-  constexpr size_t kPollWindow = 256;  // outstanding futures polled per sweep
-  const size_t n = phase.due.size();
+/// The per-request buffers of a phase of `n` requests, made before set-up
+/// so that rss_mb leaves them out.
+PhaseResult Buffers(size_t n) {
   PhaseResult out;
   out.timings.resize(n);
   out.prev_end.resize(n);
   out.answers.resize(n);
   out.submit_end.resize(n);
-  std::vector<std::future<Point>> futures(n);
+  out.futures.resize(n);
+  out.stamped.resize(n);
+  return out;
+}
+
+/// Two generator threads split the schedule (request i goes to thread
+/// i % 2); each submits on time and, while it waits for its next due time,
+/// polls its outstanding futures, stamping each answer as it becomes ready.
+/// A thread sleeps only through idle gaps longer than 2 ms with nothing
+/// outstanding, so an answer is never stamped late by a wake-up. `out`
+/// comes from Buffers.
+void RunPhase(serving::LocalizationServer* server, const ScanPool& scans,
+              const Phase& phase, PhaseResult* out) {
+  constexpr size_t kThreads = 2;
+  constexpr size_t kPollWindow = 256;  // outstanding futures polled per sweep
+  const size_t n = phase.due.size();
   std::vector<double> overhead(kThreads, 0.0);
   const int64_t origin = NowNs() + 2000000;
 
   auto generate = [&](size_t k) {
     PinToCpu(k);
-    std::vector<size_t> mine;
-    for (size_t i = k; i < n; i += kThreads) mine.push_back(i);
-    std::vector<uint8_t> stamped(mine.size(), 0);
-    size_t collected = 0;  // every request of `mine` below this is stamped
+    // This thread's requests are k, k + kThreads, ...: the m-th is
+    // k + m * kThreads.
+    const size_t count = (n + kThreads - 1 - k) / kThreads;
+    size_t collected = 0;  // every request of this thread below this is stamped
     size_t issued = 0;
     auto collect = [&] {
       const size_t end = std::min(issued, collected + kPollWindow);
       for (size_t m = collected; m < end; ++m) {
-        const size_t i = mine[m];
-        if (stamped[m] != 0 || futures[i].wait_for(std::chrono::seconds(0)) !=
-                                   std::future_status::ready) {
+        const size_t i = k + m * kThreads;
+        if (out->stamped[i] != 0 ||
+            out->futures[i].wait_for(std::chrono::seconds(0)) !=
+                std::future_status::ready) {
           continue;
         }
-        out.timings[i].end_ns = NowNs() - origin;
+        out->timings[i].end_ns = NowNs() - origin;
         try {
-          out.answers[i] = futures[i].get();
-          out.timings[i].ok = true;
+          out->answers[i] = out->futures[i].get();
+          out->timings[i].ok = true;
         } catch (const std::runtime_error&) {
-          out.timings[i].ok = false;
+          out->timings[i].ok = false;
         }
-        stamped[m] = 1;
+        out->stamped[i] = 1;
       }
-      while (collected < issued && stamped[collected] != 0) ++collected;
+      while (collected < issued && out->stamped[k + collected * kThreads] != 0) {
+        ++collected;
+      }
     };
 
     OverheadMeter meter;
     Pacer pacer;
     int64_t prev_end = origin;
-    for (size_t m = 0; m < mine.size(); ++m) {
-      const size_t i = mine[m];
+    for (size_t m = 0; m < count; ++m) {
+      const size_t i = k + m * kThreads;
       std::vector<double> fp;
       scans.Expand(phase.scan[i], &fp);
       const int64_t due = origin + phase.due[i];
@@ -192,26 +210,25 @@ PhaseResult RunPhase(serving::LocalizationServer* server, const ScanPool& scans,
       while (NowNs() < due) collect();
       meter.BeginCall();
       const int64_t start = NowNs();
-      futures[i] = server->Submit(std::move(fp));
+      out->futures[i] = server->Submit(std::move(fp));
       const int64_t end = NowNs();
       meter.EndCall();
-      out.timings[i].due_ns = phase.due[i];
-      out.timings[i].start_ns = start - origin;
-      out.submit_end[i] = end - origin;
-      out.prev_end[i] = prev_end - origin;
+      out->timings[i].due_ns = phase.due[i];
+      out->timings[i].start_ns = start - origin;
+      out->submit_end[i] = end - origin;
+      out->prev_end[i] = prev_end - origin;
       prev_end = end;
       issued = m + 1;
       collect();
     }
-    while (collected < mine.size()) collect();
+    while (collected < count) collect();
     overhead[k] = meter.OverheadSeconds();
   };
   std::vector<std::thread> threads;
   for (size_t k = 0; k < kThreads; ++k) threads.emplace_back(generate, k);
   for (std::thread& t : threads) t.join();
-  for (double o : overhead) out.overhead_cpu_s += o;
-  for (const Timing& t : out.timings) out.failed += t.ok ? 0 : 1;
-  return out;
+  for (double o : overhead) out->overhead_cpu_s += o;
+  for (const Timing& t : out->timings) out->failed += t.ok ? 0 : 1;
 }
 
 /// Times `body` over repeated calls for at least `min_s`; mean seconds/call.
@@ -260,27 +277,28 @@ int RunMallBurst(const Args& args) {
   Rng arrival_rng(rmi::SplitMix64Combine(args.seed, 0xa7));
   const Phase warmup = MakePhase(kRateQps, kWarmupS, scans.size(), true, arrival_rng);
   const Phase window = MakePhase(kRateQps, window_s, scans.size(), true, arrival_rng);
-  std::vector<Phase> rungs;
-  for (double rate : LadderQps()) {
-    rungs.push_back(MakePhase(rate, kRungS, scans.size(), true, arrival_rng));
-  }
+  PhaseResult warmup_result = Buffers(warmup.due.size());
+  PhaseResult win = Buffers(window.due.size());
+  const double rss0_mb = TrimmedRssMb();
 
   // ---- Set-up: paper pipeline through server start, repeated ----
   const size_t repeats = args.trace ? 1 : kSetupRepeats;
-  std::vector<double> setup_s;
+  std::vector<double> setup_cpu_s, setup_wall_s;
   Pipeline pipeline;
   for (size_t rep = 0; rep < repeats; ++rep) {
     BuildPipeline(ds, &pipeline);
-    setup_s.push_back(pipeline.setup_s);
+    setup_cpu_s.push_back(pipeline.setup_cpu_s);
+    setup_wall_s.push_back(pipeline.setup_wall_s);
   }
-  report.Set("setup_s", Median(setup_s), "s");
-  report.Note("setup_s is the median of " + std::to_string(repeats) +
+  report.Set("setup_s", rmi::Percentile(setup_cpu_s, 50.0), "s");
+  report.Note("setup_s: median process CPU time of " + std::to_string(repeats) +
               " paper pipelines (DasaKM -> FillMnar -> D-BiSIM -> WKNN snapshot "
-              "-> server start)");
+              "-> server start); median wall time " +
+              std::to_string(rmi::Percentile(setup_wall_s, 50.0)) + " s");
   serving::LocalizationServer* server = pipeline.server.get();
 
   // ---- Serve ----
-  RunPhase(server, scans, warmup);
+  RunPhase(server, scans, warmup, &warmup_result);
   // The server's own stage histograms (process-wide obs registry).
   rmi::obs::Histogram& queue_hist = rmi::obs::GetHistogram("rmi_server_stage_queue_us", "");
   rmi::obs::Histogram& rank_hist = rmi::obs::GetHistogram("rmi_server_stage_rank_us", "");
@@ -291,7 +309,7 @@ int RunMallBurst(const Args& args) {
   const uint64_t fulfill_n0 = fulfill_hist.Count();
   const serving::ServerStats stats0 = server->Stats();
   const ProcessSample before = ProcessSample::Take();
-  const PhaseResult win = RunPhase(server, scans, window);
+  RunPhase(server, scans, window, &win);
   const ProcessSample after = ProcessSample::Take();
   const serving::ServerStats stats1 = server->Stats();
   const double queue_us = (queue_hist.Sum() - queue_sum0) /
@@ -301,7 +319,7 @@ int RunMallBurst(const Args& args) {
   const double fulfill_us =
       (fulfill_hist.Sum() - fulfill_sum0) /
       static_cast<double>(std::max<uint64_t>(1, fulfill_hist.Count() - fulfill_n0));
-  const double rss_mb = CurrentRssMb();
+  const double rss_mb = TrimmedRssMb() - rss0_mb;
   const ProcessWindow pw = ProcessWindow::Between(before, after);
   const LatencySummary lat = Summarize(win.timings, win.prev_end, window_s, kTrialS);
 
@@ -324,10 +342,15 @@ int RunMallBurst(const Args& args) {
   report.Note("cpu_us_per_query excludes " + std::to_string(win.overhead_cpu_s) +
               " s of benchmark CPU (pacing, scan expansion, future polling)");
   report.Set("rss_mb", rss_mb, "MB");
+  report.Note("rss_mb excludes the " + std::to_string(rss0_mb) +
+              " MB resident before set-up (inputs and result buffers)");
   report.Note("query latency: open loop, ON/OFF bursts averaging " +
               std::to_string(kRateQps) + " qps, from each request's due time, "
-              "interquartile mean over " + std::to_string(lat.trials) + " half-second trials, " +
-              std::to_string(window.due.size()) + " requests");
+              "pooled over " + std::to_string(window.due.size()) + " requests");
+  report.Note("mean service " + std::to_string(lat.mean_service_us) +
+              " us, pacing lateness p99 " + std::to_string(lat.lateness_p99_ms) +
+              " ms, steal " + std::to_string(pw.steal_share) + ", CPU user " +
+              std::to_string(pw.user_s) + " s sys " + std::to_string(pw.sys_s) + " s");
 
   NoteTrials(&report, lat);
 
@@ -351,17 +374,27 @@ int RunMallBurst(const Args& args) {
     if (checks == 0) report.Fail("no answer was checked");
   }
 
+  if (!args.trace) {
+    return report.Print("mall_burst", EndToEndMetrics(), false, window.due.size(),
+                        lat.failed)
+               ? 0
+               : 1;
+  }
+
+  // ---- Saturation ladder (traced run only) ----
   std::vector<Rung> ladder;
   size_t ladder_sent = 0, ladder_failed = 0;
   double submit_lag_p99_ms = 0.0;
-  for (size_t k = 0; k < rungs.size(); ++k) {
-    const PhaseResult r = RunPhase(server, scans, rungs[k]);
+  for (double rate : LadderQps()) {
+    const Phase phase = MakePhase(rate, kRungS, scans.size(), true, arrival_rng);
+    PhaseResult r = Buffers(phase.due.size());
+    RunPhase(server, scans, phase, &r);
     // A rung's p99 is the median over its quarters (see the router ladder).
     const LatencySummary rl = Summarize(r.timings, r.prev_end, kRungS, kRungS / 4.0);
     std::vector<double> lag;
     for (const Timing& t : r.timings) lag.push_back((t.start_ns - t.due_ns) * 1e-6);
-    submit_lag_p99_ms = Percentile(lag, 99.0);
-    ladder.push_back(Rung{LadderQps()[k], rl.median_trial_p99_ms});
+    if (!lag.empty()) submit_lag_p99_ms = rmi::Percentile(lag, 99.0);
+    ladder.push_back(Rung{rate, rl.median_trial_p99_ms});
     ladder_sent += r.timings.size();
     ladder_failed += r.failed;
     if (!(rl.median_trial_p99_ms <= kSloMs)) break;
@@ -372,12 +405,6 @@ int RunMallBurst(const Args& args) {
   // plus the clients, not the dispatchers alone.
   report.Note("submit lag p99 at the last rung " + std::to_string(submit_lag_p99_ms) +
               " ms");
-  if (!args.trace) {
-    return report.Print("mall_burst", EndToEndMetrics(), false,
-                        window.due.size() + ladder_sent, lat.failed + ladder_failed)
-               ? 0
-               : 1;
-  }
 
   // ---- Per-layer metrics ----
   // Every request of this workload is already timed at its only boundary
@@ -389,8 +416,8 @@ int RunMallBurst(const Args& args) {
     submit_us.push_back((win.submit_end[i] - win.timings[i].start_ns) * 1e-3);
     sojourn_us.push_back((win.timings[i].end_ns - win.timings[i].start_ns) * 1e-3);
   }
-  const double submit = Mean(submit_us);
-  const double sojourn = Mean(sojourn_us);
+  const double submit = rmi::Mean(submit_us);
+  const double sojourn = rmi::Mean(sojourn_us);
   const double batches = static_cast<double>(stats1.batches - stats0.batches);
   const double batched =
       stats1.mean_batch_size * static_cast<double>(stats1.batches) -
@@ -447,6 +474,7 @@ int RunMallBurst(const Args& args) {
   report.Set("bisim.impute_s", pipeline.impute_s, "s");
   report.Set("bisim.sequences", static_cast<double>(pipeline.sequences), "count");
   report.Set("serving.snapshot.build_ms", pipeline.build_ms, "ms");
+  report.Set("setup_wall_s", rmi::Percentile(setup_wall_s, 50.0), "s");
   report.Set("generator.lateness_p99_ms", lat.lateness_p99_ms, "ms");
   SetProcessMetrics(&report, pw, after.max_rss_mb);
   report.Set("trace.overhead_share", 0.0, "ratio");
@@ -463,8 +491,8 @@ int RunMallBurst(const Args& args) {
               " us (mean batch " + std::to_string(batch_mean) + ") vs sojourn " +
               std::to_string(sojourn) + " us");
   if (coverage < 0.9) report.Fail("layer spans explain less than 90% of the request");
-  return report.Print("mall_burst", PerLayerMetrics(), true, win.timings.size(),
-                      lat.failed)
+  return report.Print("mall_burst", PerLayerMetrics(), true,
+                      win.timings.size() + ladder_sent, lat.failed + ladder_failed)
              ? 0
              : 1;
 }

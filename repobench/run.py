@@ -3,8 +3,9 @@
 
     python3 repobench/run.py --workload venue_walk --seed 1 --seconds 10 --trace 0
 
-Builds the library from src/ plus the benchmark program in repobench/ into
-.bench_build/repobench (CMake, Release), then runs one workload. The
+Builds the benchmark program in repobench/ against the repository's rmi
+library target into .bench_build/repobench (CMake, Release), then runs one
+workload. The
 program's last stdout line is the JSON result; its exit code is passed
 through. Exits 2 without a result when the sources or the toolchain are
 missing.
@@ -26,10 +27,6 @@ def fail(message):
 def build(root, build_dir, env):
     """Configures once, then builds incrementally; logs go to stderr."""
     source_dir = os.path.join(root, "repobench")
-    if not os.path.isfile(os.path.join(root, "src", "la", "quant.cc")):
-        fail("no library sources under src/ (run from the repository root)")
-    if shutil.which("cmake") is None:
-        fail("cmake not found")
     os.makedirs(build_dir, exist_ok=True)
     steps = []
     if not os.path.isfile(os.path.join(build_dir, "CMakeCache.txt")):
@@ -56,20 +53,27 @@ def main():
     args = parser.parse_args()
 
     root = os.getcwd()
+    if not (os.path.isfile(os.path.join(root, "CMakeLists.txt")) and
+            os.path.isfile(os.path.join(root, "src", "la", "quant.cc"))):
+        fail("no library build under the current directory"
+             " (run from the repository root)")
+    if shutil.which("cmake") is None:
+        fail("cmake not found")
     build_dir = os.path.join(root, ".bench_build", "repobench")
-    work_dir = os.path.join(root, ".bench_build", "work-%d" % os.getpid())
-    # Compiler temporaries and everything the run writes stay in the checkout.
-    env = dict(os.environ, TMPDIR=os.path.join(work_dir, "tmp"))
-    os.makedirs(env["TMPDIR"], exist_ok=True)
+    tmp_dir = os.path.join(root, ".bench_build", "tmp-%d" % os.getpid())
+    # Compiler temporaries stay in the checkout; the run itself writes no
+    # file.
+    env = dict(os.environ, TMPDIR=tmp_dir)
+    os.makedirs(tmp_dir, exist_ok=True)
     try:
         binary = build(root, build_dir, env)
         sys.stdout.flush()
         result = subprocess.run([
             binary, "--workload", args.workload, "--seed", str(args.seed),
-            "--seconds", str(args.seconds), "--trace", str(args.trace),
-            "--work-dir", work_dir], env=env)
+            "--seconds", str(args.seconds), "--trace", str(args.trace)],
+            env=env)
     finally:
-        shutil.rmtree(work_dir, ignore_errors=True)
+        shutil.rmtree(tmp_dir, ignore_errors=True)
     sys.exit(result.returncode)
 
 

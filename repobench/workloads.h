@@ -22,8 +22,6 @@ struct Args {
   uint64_t seed = 1;
   double seconds = 10.0;
   bool trace = false;
-  /// Scratch directory inside the checkout (persistence files).
-  std::string work_dir;
 };
 
 /// Each returns the process exit code after printing the report.
@@ -71,31 +69,29 @@ struct Timing {
   bool ok = false;
 };
 
-/// Open-loop latency of a measured window, split into consecutive trials of
-/// `trial_s` by due time. p50 is the interquartile mean of the per-trial
-/// p50s: the host's speed drifts within a run, and this averages the middle
-/// half instead of jumping between states. p99 is the lower quartile of the
-/// per-trial p99s: host stalls (steal, a halted vCPU waking late) hit random
-/// trials and only ever add latency, so the quieter trials carry the
-/// program's own tail. The median and pooled p99 are kept beside it.
+/// A failed request counts as this late, beyond any latency limit (a
+/// finite stand-in for "never answered", so percentiles stay finite).
+constexpr double kFailedLatencyMs = 1e6;
+
+/// Open-loop latency of a phase: every request from its due time to its
+/// answer, pooled. The phase is also split into consecutive trials of
+/// `trial_s` by due time, for the ladder's per-rung statistic and the
+/// notes.
 struct LatencySummary {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
+  std::vector<double> trial_p99_ms;
   double median_trial_p99_ms = 0.0;
-  double pooled_p99_ms = 0.0;
   double mean_service_us = 0.0;  ///< send -> answer, answered requests
   double lateness_p99_ms = 0.0;  ///< pacing error, see Summarize
-  size_t trials = 0;
-  std::vector<double> trial_p50_ms;
-  std::vector<double> trial_p99_ms;
   size_t answered = 0;
   size_t failed = 0;
 };
 
-/// `timings` may come in any order. Failed requests count as infinitely
-/// late. Pacing lateness is the send instant minus max(due, the same
-/// thread's previous answer): the part of the wait the generator, not the
-/// queue, caused (`prev_end_ns` parallels `timings`).
+/// `timings` may come in any order. Pacing lateness is the send instant
+/// minus max(due, the same thread's previous answer): the part of the wait
+/// the generator, not the queue, caused (`prev_end_ns` parallels
+/// `timings`).
 LatencySummary Summarize(const std::vector<Timing>& timings,
                          const std::vector<int64_t>& prev_end_ns,
                          double window_s, double trial_s);
@@ -114,7 +110,7 @@ double KneeQps(const std::vector<Rung>& rungs, double slo_ms);
 /// Sets max_qps_at_slo from the ladder and notes every rung's p99.
 void SetKnee(Report* report, const std::vector<Rung>& rungs, double slo_ms);
 
-/// Notes the p99 variants and the per-trial p50s and p99s of a window.
+/// Notes the per-trial p99s of a window and their lower quartile.
 void NoteTrials(Report* report, const LatencySummary& lat);
 
 /// Bitwise equality: the answer checks demand identical doubles.
