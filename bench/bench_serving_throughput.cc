@@ -5,14 +5,10 @@
 //   ./bench_serving_throughput            # full sizes, console table
 //   ./bench_serving_throughput --smoke    # CI sizes + BENCH_serving.json
 //   ./bench_serving_throughput --json=out.json
-//   ./bench_serving_throughput --kernel=quant   # sweep one ranking kernel
 //
-// The headline number: EstimateBatch (one ranking pass over the reference
-// matrix + exact rescore of the top candidates) vs per-query Estimate on a
-// 2k-RP map at batch size 64. By default all three ranking kernels
-// (gemm / fastnn / quant) are swept and their qps recorded side by side in
-// the JSON, so the kernel trajectory stays comparable across PRs;
-// --kernel=NAME restricts the sweep.
+// The headline number: EstimateBatch (one int8 ranking pass over the
+// reference matrix + exact rescore of the top candidates) vs per-query
+// Estimate on a 2k-RP map at batch size 64.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -42,22 +38,12 @@ using serving::MatrixRow;
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string json_path;
-  std::string kernel_filter;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
       if (json_path.empty()) json_path = "BENCH_serving.json";
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
-    } else if (std::strncmp(argv[i], "--kernel=", 9) == 0) {
-      kernel_filter = argv[i] + 9;
-      if (kernel_filter != "gemm" && kernel_filter != "fastnn" &&
-          kernel_filter != "quant") {
-        std::fprintf(stderr,
-                     "unknown --kernel=%s (expected gemm|fastnn|quant)\n",
-                     kernel_filter.c_str());
-        return 2;
-      }
     }
   }
 
@@ -77,7 +63,7 @@ int main(int argc, char** argv) {
   const la::Matrix queries = MakeSyntheticQueries(map, num_queries, 0.0, 21);
   const la::Matrix partial_queries = MakeSyntheticQueries(map, num_queries, 0.3, 22);
 
-  // --- scalar loop vs batched ranking kernels ---------------------------
+  // --- scalar loop vs batched ranking -----------------------------------
   double scalar_qps = 0.0, batch_qps = 0.0, partial_batch_qps = 0.0;
   {
     std::vector<double> q(num_aps);
@@ -92,63 +78,24 @@ int main(int argc, char** argv) {
     std::printf("scalar Estimate loop:        %10.0f qps   (sink %.3f)\n",
                 scalar_qps, sink.x);
   }
-  // Kernel sweep on a private estimator (the snapshot's stays on the
-  // serving default). Every kernel returns bit-identical answers — the
-  // sink printout is the cheap cross-check.
-  struct KernelRun {
-    const char* name;
-    positioning::RankingKernel kernel;
-    double qps = 0.0;
-    bool ran = false;
-  };
-  KernelRun sweep[] = {
-      {"gemm", positioning::RankingKernel::kGemm, 0.0, false},
-      {"fastnn", positioning::RankingKernel::kFastNN, 0.0, false},
-      {"quant", positioning::RankingKernel::kQuant, 0.0, false},
-  };
-  positioning::KnnEstimator sweep_knn(knn->k(), knn->weighted());
   {
-    Rng fit_rng(7);
-    sweep_knn.Fit(map, fit_rng);
-  }
-  for (KernelRun& run : sweep) {
-    if (!kernel_filter.empty() && kernel_filter != run.name) continue;
-    sweep_knn.set_ranking_kernel(run.kernel);
     Timer t;
     geom::Point sink;
     for (size_t off = 0; off < num_queries; off += batch_size) {
       const la::Matrix block =
           queries.SliceRows(off, std::min(off + batch_size, num_queries));
-      for (const geom::Point& p : sweep_knn.EstimateBatch(block)) {
-        sink = sink + p;
-      }
+      for (const geom::Point& p : knn->EstimateBatch(block)) sink = sink + p;
     }
-    run.qps = double(num_queries) / t.ElapsedSeconds();
-    run.ran = true;
-    std::printf("EstimateBatch (%-6s):      %10.0f qps   (sink %.3f)\n",
-                run.name, run.qps, sink.x);
-    // The trajectory key tracks the serving default path (quant), or the
-    // one swept kernel when --kernel narrows the run.
-    if (run.kernel == positioning::RankingKernel::kQuant ||
-        !kernel_filter.empty()) {
-      batch_qps = run.qps;
-    }
+    batch_qps = double(num_queries) / t.ElapsedSeconds();
+    std::printf("EstimateBatch:               %10.0f qps   (sink %.3f)\n",
+                batch_qps, sink.x);
   }
   {
-    // The partial-null measurement uses the same kernel as batch_qps (the
-    // serving default, or the one --kernel selected), so the JSON never
-    // mixes kernels between the two fields.
-    positioning::RankingKernel partial_kernel =
-        positioning::RankingKernel::kQuant;
-    for (const KernelRun& run : sweep) {
-      if (run.ran && kernel_filter == run.name) partial_kernel = run.kernel;
-    }
-    sweep_knn.set_ranking_kernel(partial_kernel);
     Timer t;
     for (size_t off = 0; off < num_queries; off += batch_size) {
       const la::Matrix block = partial_queries.SliceRows(
           off, std::min(off + batch_size, num_queries));
-      sweep_knn.EstimateBatch(block);
+      knn->EstimateBatch(block);
     }
     partial_batch_qps = double(num_queries) / t.ElapsedSeconds();
     std::printf("EstimateBatch (30%% nulls):   %10.0f qps\n",
@@ -247,15 +194,6 @@ int main(int argc, char** argv) {
         "  \"partial_batch_qps\": %.1f,\n",
         nx * ny, num_aps, batch_size, scalar_qps, batch_qps, speedup,
         partial_batch_qps);
-    std::fprintf(f, "  \"kernels\": {");
-    bool first = true;
-    for (const KernelRun& run : sweep) {
-      if (!run.ran) continue;
-      std::fprintf(f, "%s\"%s\": %.1f", first ? "" : ", ", run.name,
-                   run.qps);
-      first = false;
-    }
-    std::fprintf(f, "},\n");
     std::fprintf(
         f,
         "  \"index_pruned_qps\": %.1f,\n"

@@ -56,8 +56,8 @@ struct IncrementalContext {
   double max_dirty_fraction = 0.6;
   /// When non-null, receives the merged-map row indices whose imputed
   /// values may differ from the previous imputation (ascending, deltas
-  /// included). Downstream warm paths — the incremental spatial-index
-  /// build, estimator warm-starts — rebuild only what these rows touch.
+  /// included). Downstream, the incremental spatial-index build
+  /// re-summarizes only what these rows touch.
   /// Conservative by construction: a cold-path fallback reports *every*
   /// row, and an exact no-op republish reports none.
   std::vector<size_t>* dirty_rows_out = nullptr;

@@ -12,7 +12,7 @@ namespace rmi::la::internal {
 
 namespace {
 
-// Multi-ISA dispatch (same guard as la/kernels.cc's GemmFastNN): on
+// Multi-ISA dispatch (same guard as la/quant.cc's GemmQuantNN): on
 // x86-64/GCC the loader resolves the widest compiled clone at runtime;
 // elsewhere the plain build is used.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
@@ -23,8 +23,7 @@ namespace {
 #endif
 
 /// B panels are tiled so a k x kJTile strip stays cache resident across the
-/// i loop (matches GemmFastNN's tiling; tiling never changes the
-/// per-element k order).
+/// i loop (tiling never changes the per-element k order).
 constexpr size_t kJTile = 512;
 
 RMI_GEMM_CLONES

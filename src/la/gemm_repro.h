@@ -2,14 +2,13 @@
 // *reproducible* float path (la::Gemm), used by autodiff training and the
 // live-rebuild re-fit.
 //
-// Unlike GemmFastNN/GemmQuantNN (relaxed rounding, FMA allowed), these
-// kernels promise the exact summation order of the naive streaming loops:
-// every C(i, j) accumulates alpha*A(i,k)*B(k,j) terms with k ascending, one
-// rounding per multiply and one per add. The translation unit is compiled
-// with -ffp-contract=off (see CMakeLists.txt), so the AVX2/AVX-512
-// target_clones produce bit-identical results to the baseline clone and to
-// the scalar reference loop — seed-determinism tests hold on any ISA the
-// loader picks.
+// These kernels promise the exact summation order of the naive streaming
+// loops: every C(i, j) accumulates alpha*A(i,k)*B(k,j) terms with k
+// ascending, one rounding per multiply and one per add. The translation
+// unit is compiled with -ffp-contract=off (see CMakeLists.txt), so the
+// AVX2/AVX-512 target_clones produce bit-identical results to the baseline
+// clone and to the scalar reference loop — seed-determinism tests hold on
+// any ISA the loader picks.
 #ifndef RMI_LA_GEMM_REPRO_H_
 #define RMI_LA_GEMM_REPRO_H_
 

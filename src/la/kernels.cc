@@ -54,45 +54,6 @@ void GemmNT(double alpha, const Matrix& a, const Matrix& b, Matrix* c) {
   }
 }
 
-// Multi-ISA dispatch for the relaxed-rounding kernel: on x86-64/GCC the
-// loader picks the widest compiled clone (AVX2+FMA, AVX-512) at runtime;
-// elsewhere the plain build is used. FP contraction is *allowed* here —
-// this kernel is only for callers that tolerate ~1 ulp/term drift.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-__attribute__((target_clones("default,arch=haswell,arch=x86-64-v4")))
-#endif
-/// C = A * B, j strip-mined by 8: eight independent accumulator lanes per
-/// strip (vectorizable without reassociation), k innermost, C written once
-/// — no read-modify-write traffic. B panels are tiled so they stay cache
-/// resident across the i loop.
-void GemmFastNNKernel(const double* pa, const double* pb, double* pc,
-                      size_t m, size_t k, size_t n) {
-  constexpr size_t kJTile = 512;
-  for (size_t jj = 0; jj < n; jj += kJTile) {
-    const size_t jend = std::min(jj + kJTile, n);
-    for (size_t i = 0; i < m; ++i) {
-      const double* arow = pa + i * k;
-      double* crow = pc + i * n;
-      size_t j = jj;
-      for (; j + 8 <= jend; j += 8) {
-        double acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-        const double* bp = pb + j;
-        for (size_t kx = 0; kx < k; ++kx) {
-          const double a = arow[kx];
-          const double* b = bp + kx * n;
-          for (int t = 0; t < 8; ++t) acc[t] += a * b[t];
-        }
-        for (int t = 0; t < 8; ++t) crow[j + t] = acc[t];
-      }
-      for (; j < jend; ++j) {
-        double acc = 0.0;
-        for (size_t kx = 0; kx < k; ++kx) acc += arow[kx] * pb[kx * n + j];
-        crow[j] = acc;
-      }
-    }
-  }
-}
-
 /// C += alpha * A^T * B^T.
 void GemmTT(double alpha, const Matrix& a, const Matrix& b, Matrix* c) {
   const size_t m = a.cols(), k = a.rows(), n = b.rows();
@@ -233,14 +194,6 @@ double RowSquaredDistance(const Matrix& a, size_t ra, const Matrix& b,
   return s;
 }
 
-void GemmFastNN(const Matrix& a, const Matrix& b, Matrix* c) {
-  RMI_CHECK_EQ(a.cols(), b.rows());
-  ResizeTo(c, a.rows(), b.cols());
-  if (c->size() == 0) return;
-  GemmFastNNKernel(a.data().data(), b.data().data(), c->data().data(),
-                   a.rows(), a.cols(), b.cols());
-}
-
 double QuerySquaredDistanceRow(const double* query, const double* ref_row,
                                size_t d) {
   double s = 0.0;
@@ -257,19 +210,6 @@ double QuerySquaredDistance(const double* query, const Matrix& refs,
   RMI_CHECK_LT(row, refs.rows());
   return QuerySquaredDistanceRow(query, refs.data().data() + row * refs.cols(),
                                  refs.cols());
-}
-
-void RowSquaredNorms(const Matrix& a, Matrix* out) {
-  ResizeTo(out, a.rows(), 1);
-  const double* pa = a.data().data();
-  double* po = out->data().data();
-  const size_t cols = a.cols();
-  for (size_t i = 0; i < a.rows(); ++i) {
-    const double* row = pa + i * cols;
-    double s = 0.0;
-    for (size_t j = 0; j < cols; ++j) s += row[j] * row[j];
-    po[i] = s;
-  }
 }
 
 }  // namespace rmi::la

@@ -37,15 +37,6 @@ inline void ResizeTo(Matrix* out, size_t rows, size_t cols) {
 void Gemm(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
           bool trans_b, double beta, Matrix* c);
 
-/// C = A * B (the Gemm(1, A, false, B, false, 0, C) product) with *relaxed
-/// rounding*: per-lane register accumulators, FMA contraction, and the
-/// widest vector ISA available at runtime (GCC target_clones on x86-64).
-/// Results can differ from Gemm by ~1 ulp per k-term, so callers must
-/// tolerate rounding — it exists for ranking workloads (the batched-KNN
-/// cross term) where a downstream exact rescore absorbs it. Everything
-/// that needs reproducible-to-the-bit accumulation keeps using Gemm.
-void GemmFastNN(const Matrix& a, const Matrix& b, Matrix* c);
-
 /// y += alpha * x (same shape).
 void Axpy(double alpha, const Matrix& x, Matrix* y);
 
@@ -89,10 +80,6 @@ void SliceColsInto(const Matrix& x, size_t c0, size_t c1, Matrix* out);
 /// (equal column counts) — no row extraction, no temporaries.
 double RowSquaredDistance(const Matrix& a, size_t ra, const Matrix& b,
                           size_t rb);
-
-/// out(i, 0) = ||row i of a||^2 — the per-row norms of the batched
-/// distance expansion ||q - f||^2 = ||q||^2 + ||f||^2 - 2 q.f.
-void RowSquaredNorms(const Matrix& a, Matrix* out);
 
 /// Squared L2 distance between `query` (length d; NaN entries are skipped)
 /// and the reference row at `ref_row` — distance over the query's observed

@@ -96,7 +96,7 @@ int32_t QuantizeQueryRow(const QuantizedRefsSpan& refs, const double* query,
 
 namespace {
 
-// Multi-ISA dispatch mirrors GemmFastNN: the loader picks the widest
+// Multi-ISA dispatch mirrors la/gemm_repro.cc: the loader picks the widest
 // compiled clone at runtime on x86-64/GCC; elsewhere the portable scalar
 // build runs. Integer arithmetic, so every clone computes the same bits.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)

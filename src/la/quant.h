@@ -1,7 +1,7 @@
 // Int8 quantization substrate for the ranking hot path.
 //
 // RSSI fingerprints are dBm values in [-100, 0] — inherently int8-scale
-// data that the float ranking path streams at 8 bytes per cell. This layer
+// data that a double matrix holds at 8 bytes per cell. This layer
 // freezes a reference matrix into an int8 copy (per-AP affine scale /
 // zero-point, SoA layout padded for vector lanes) plus the integer side
 // tables the quantized KNN ranking needs, and provides the int8xint8→int32
@@ -9,7 +9,7 @@
 // callers re-score candidates against the float master matrix, and the
 // per-query reconstruction-error bound returned by QuantizeQueryRow lets
 // them widen the candidate band so quantization can never evict a true
-// neighbor (the same contract GemmFastNN honors for rounding drift).
+// neighbor.
 #ifndef RMI_LA_QUANT_H_
 #define RMI_LA_QUANT_H_
 
@@ -140,11 +140,11 @@ inline int32_t QuantizeQueryRow(const QuantizedRefs& refs, const double* query,
 /// ranking cross term. A is m x k row-major int8 (quantized queries), B is
 /// k x n row-major int8 (QuantizedRefs::values: k = D APs, n = padded
 /// reference count), C is m x n int32. Integer arithmetic is exact, so
-/// unlike GemmFastNN there is no rounding caveat — only the quantization
-/// itself loses information. Runtime AVX2/AVX-512 dispatch via
-/// target_clones, portable scalar fallback elsewhere. Accumulators are
-/// int32: callers must keep k * 127^2 within int32 (checked by
-/// QuantizeRefs for the serving shapes).
+/// there is no rounding caveat — only the quantization itself loses
+/// information. Runtime AVX2/AVX-512 dispatch via target_clones, portable
+/// scalar fallback elsewhere. Accumulators are int32: callers must keep
+/// k * 127^2 within int32 (checked by QuantizeRefs for the serving
+/// shapes).
 void GemmQuantNN(const int8_t* a, const int8_t* b, int32_t* c, size_t m,
                  size_t k, size_t n);
 

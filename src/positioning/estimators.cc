@@ -16,12 +16,11 @@ namespace rmi::positioning {
 namespace {
 
 /// Per-batch stage histograms of the batched KNN path (one timer pair per
-/// batch — 4 clock reads total, nothing per row). Shared by the float and
-/// quantized kernels.
+/// batch — 4 clock reads total, nothing per row).
 struct EstimatorMetrics {
   obs::Histogram& rank_us = obs::GetHistogram(
       "rmi_estimator_stage_rank_us",
-      "Cross-term ranking (Gemm family) per batch, microseconds");
+      "Int8 cross-term ranking per batch, microseconds");
   obs::Histogram& rescore_us = obs::GetHistogram(
       "rmi_estimator_stage_rescore_us",
       "Top-c selection + exact rescore per batch, microseconds");
@@ -87,12 +86,6 @@ void ExtractLabeledRows(const rmap::RadioMap& map, la::Matrix* fingerprints,
   }
 }
 
-void LocationEstimator::FitWarm(const rmap::RadioMap& map, Rng& rng,
-                                const LocationEstimator* /*previous*/,
-                                const std::vector<size_t>& /*changed_rows*/) {
-  Fit(map, rng);
-}
-
 std::vector<geom::Point> LocationEstimator::EstimateBatch(
     const la::Matrix& fingerprints) const {
   std::vector<geom::Point> out(fingerprints.rows());
@@ -107,13 +100,6 @@ std::vector<geom::Point> LocationEstimator::EstimateBatch(
 
 void KnnEstimator::Fit(const rmap::RadioMap& map, Rng&) {
   ExtractLabeledRows(map, &features_mat_, &labels_);
-  features_t_ = features_mat_.Transpose();
-  la::CwiseUnaryInto(features_t_, &features_sq_t_,
-                     [](double v) { return v * v; });
-  la::RowSquaredNorms(features_mat_, &feature_norms_);
-  // Int8 ranking copy for the kQuant kernel; the float members above stay
-  // the exact-rescore master. Built unconditionally — it is 1/8th the size
-  // of the float matrix and the kernel choice may change per batch.
   quant_ = la::QuantizeRefs(features_mat_);
 }
 
@@ -154,104 +140,6 @@ geom::Point KnnEstimator::Estimate(
                       i);
   }
   return EstimateFromCandidates(std::move(dist));
-}
-
-std::vector<geom::Point> KnnEstimator::EstimateBatch(
-    const la::Matrix& fingerprints) const {
-  RMI_CHECK(!labels_.empty());
-  const size_t b = fingerprints.rows();
-  if (b == 0) return {};
-  const size_t d = features_mat_.cols();
-  const size_t r = labels_.size();
-  RMI_CHECK_EQ(fingerprints.cols(), d);
-  if (kernel_ == RankingKernel::kQuant) {
-    return EstimateBatchQuant(fingerprints);
-  }
-
-  // Which rows are partial? The masked path needs two extra operands
-  // (null-zeroed queries and the 0/1 observation mask) and a second Gemm.
-  std::vector<uint8_t> partial(b, 0);
-  bool any_partial = false;
-  for (size_t i = 0; i < b; ++i) {
-    const double* row = fingerprints.data().data() + i * d;
-    RMI_CHECK(HasObserved(row, d));
-    partial[i] = HasNull(row, d);
-    any_partial |= partial[i] != 0;
-  }
-
-  // Cross term: one Gemm computes every query.reference dot product. With
-  // partial rows, nulls contribute 0 — exactly the masked cross term.
-  // kGemm keeps the reproducible blocked kernel; kFastNN trades ~1 ulp per
-  // k-term of rounding for the register-lane SIMD kernel — either way the
-  // exact rescore below absorbs the drift.
-  const bool fast = kernel_ == RankingKernel::kFastNN;
-  la::Matrix cross;  // b x r
-  la::Matrix zeroed, mask, masked_norms;
-  const la::Matrix* queries = &fingerprints;
-  {
-    obs::ScopedStageTimer rank_timer(EstimatorMetrics::Get().rank_us);
-    if (any_partial) {
-      la::CwiseUnaryInto(fingerprints, &zeroed,
-                         [](double v) { return IsNull(v) ? 0.0 : v; });
-      la::CwiseUnaryInto(fingerprints, &mask,
-                         [](double v) { return IsNull(v) ? 0.0 : 1.0; });
-      queries = &zeroed;
-      // Masked reference norms: sum_j m_ij * f_kj^2 = (M x (F o F)^T)_ik.
-      if (fast) {
-        la::GemmFastNN(mask, features_sq_t_, &masked_norms);
-      } else {
-        la::Gemm(1.0, mask, false, features_sq_t_, false, 0.0, &masked_norms);
-      }
-    }
-    if (fast) {
-      la::GemmFastNN(*queries, features_t_, &cross);
-    } else {
-      la::Gemm(1.0, *queries, false, features_t_, false, 0.0, &cross);
-    }
-  }
-
-  // Per row: rank by (reference norm - 2 cross) — the query norm is
-  // constant within a row — then re-score the top candidates exactly so the
-  // result matches the scalar path bit-for-bit. The expanded form carries
-  // cancellation error ~1e-10 relative on dBm-scale norms, so the rescore
-  // takes every reference within a margin far above that error of the
-  // c-th-smallest key: Gemm rounding can never evict a true top-k neighbor.
-  //
-  // Selection is two streaming passes (a branchless top-c buffer finds the
-  // threshold, then a gather) — no per-row (key, index) array and no
-  // nth_element over all references, which would cost more than the Gemm.
-  const size_t num_candidates = std::min(r, k_ + std::max<size_t>(k_, 8));
-  std::vector<geom::Point> out(b);
-  std::vector<double> keys(r);
-  std::vector<std::pair<double, size_t>> exact;
-  StreamingTopC<double> top(num_candidates,
-                            std::numeric_limits<double>::infinity());
-  obs::ScopedStageTimer rescore_timer(EstimatorMetrics::Get().rescore_us);
-  for (size_t i = 0; i < b; ++i) {
-    const double* crow = cross.data().data() + i * r;
-    const double* norms = partial[i] ? masked_norms.data().data() + i * r
-                                     : feature_norms_.data().data();
-    top.Reset();
-    for (size_t j = 0; j < r; ++j) {
-      const double key = norms[j] - 2.0 * crow[j];
-      keys[j] = key;
-      top.Push(key);
-    }
-    // With fewer pushes than capacity the boundary stays +inf and every
-    // reference is re-scored — the vacuous (and correct) small-r case.
-    const double boundary = top.worst();
-    const double threshold = boundary + 1e-6 * (1.0 + std::fabs(boundary));
-    const double* src = fingerprints.data().data() + i * d;
-    exact.clear();
-    for (size_t j = 0; j < r; ++j) {
-      if (keys[j] <= threshold) {
-        exact.emplace_back(la::QuerySquaredDistance(src, features_mat_, j),
-                           j);
-      }
-    }
-    out[i] = EstimateFromCandidates(exact);
-  }
-  return out;
 }
 
 void KnnQuantEstimateBatch(const la::QuantizedRefsSpan& quant,
@@ -349,9 +237,11 @@ void KnnQuantEstimateBatch(const la::QuantizedRefsSpan& quant,
   }
 }
 
-std::vector<geom::Point> KnnEstimator::EstimateBatchQuant(
+std::vector<geom::Point> KnnEstimator::EstimateBatch(
     const la::Matrix& fingerprints) const {
+  RMI_CHECK(!labels_.empty());
   std::vector<geom::Point> out(fingerprints.rows());
+  if (out.empty()) return out;
   KnnQuantEstimateBatch(quant_.span(), features_mat_.data().data(),
                         labels_.data(), labels_.size(), features_mat_.cols(),
                         k_, weighted_, fingerprints, out.data());
@@ -361,7 +251,6 @@ std::vector<geom::Point> KnnEstimator::EstimateBatchQuant(
 void RandomForestEstimator::Fit(const rmap::RadioMap& map, Rng& rng) {
   ExtractTrainingData(map, &features_, &labels_);
   RMI_CHECK(!features_.empty());
-  warm_generation_ = 0;
   trees_.clear();
   const size_t n = features_.size();
   for (size_t t = 0; t < params_.num_trees; ++t) {
@@ -371,44 +260,6 @@ void RandomForestEstimator::Fit(const rmap::RadioMap& map, Rng& rng) {
     Tree tree;
     BuildNode(&tree, rows, 0, rng);
     trees_.push_back(std::move(tree));
-  }
-}
-
-void RandomForestEstimator::FitWarm(const rmap::RadioMap& map, Rng& rng,
-                                    const LocationEstimator* previous,
-                                    const std::vector<size_t>& changed_rows) {
-  ExtractTrainingData(map, &features_, &labels_);
-  RMI_CHECK(!features_.empty());
-  const auto* prev = dynamic_cast<const RandomForestEstimator*>(previous);
-  // Tree reuse is only sound against a same-shaped forest on the same
-  // venue whose training data mostly survived: a carried tree must at
-  // least pose valid feature-index questions, and refreshing a quarter of
-  // the forest only approximates well when the data drift is small.
-  const bool reusable =
-      prev != nullptr && prev->trees_.size() == params_.num_trees &&
-      params_.num_trees > 1 && !prev->features_.empty() &&
-      prev->features_[0].size() == features_[0].size() &&
-      changed_rows.size() * 2 <= features_.size();
-  if (!reusable) {
-    Fit(map, rng);
-    return;
-  }
-  trees_ = prev->trees_;
-  warm_generation_ = prev->warm_generation_ + 1;
-  const size_t total = params_.num_trees;
-  const size_t refresh = std::max<size_t>(1, total / 4);
-  const size_t n = features_.size();
-  for (size_t t = 0; t < refresh; ++t) {
-    // Rotating block: generation g re-grows trees [g*refresh, (g+1)*refresh)
-    // mod total, so every tree is rebuilt within ceil(total/refresh)
-    // consecutive warm rebuilds and no tree's staleness is unbounded.
-    const size_t idx =
-        (static_cast<size_t>(warm_generation_) * refresh + t) % total;
-    std::vector<size_t> rows(n);
-    for (size_t i = 0; i < n; ++i) rows[i] = rng.Index(n);
-    Tree tree;
-    BuildNode(&tree, rows, 0, rng);
-    trees_[idx] = std::move(tree);
   }
 }
 

@@ -24,17 +24,6 @@
 
 namespace rmi::positioning {
 
-/// Which kernel ranks candidates inside KnnEstimator::EstimateBatch. All
-/// three return bit-identical estimates (every path ends in the same exact
-/// rescore over a candidate superset); they trade ranking throughput:
-///  * kGemm   — the reproducible blocked double kernel (reference path);
-///  * kFastNN — relaxed-rounding double kernel, AVX2/AVX-512 dispatch;
-///  * kQuant  — int8 fingerprints, int32 accumulation, analytic
-///              quantization bound widening the rescore band (default:
-///              the fastest — the reference matrix shrinks 8x and ranking
-///              arithmetic is exact integer).
-enum class RankingKernel { kGemm, kFastNN, kQuant };
-
 /// Extracts the labeled (has_rp) rows of an imputed map, in map order:
 /// fingerprints as an R x D matrix plus index-aligned RP labels. Every row
 /// must be complete (asserted). The single extraction rule shared by
@@ -87,25 +76,13 @@ class LocationEstimator {
   /// Builds the estimator from an imputed radio map.
   virtual void Fit(const rmap::RadioMap& map, Rng& rng) = 0;
 
-  /// Warm re-fit for the live-update loop: fit from `map`, reusing as much
-  /// of `previous`'s fitted state as the estimator can justify.
-  /// `changed_rows` lists the map rows whose values differ from the map
-  /// `previous` was fitted on (appended deltas included). `previous` may
-  /// be any estimator (or null) — implementations type-check and fall back
-  /// to a cold Fit, which is also the base behavior (cheap fits — KNN's
-  /// copy+quantize — gain nothing from reuse). RandomForestEstimator
-  /// overrides this with a rotating-tree refresh.
-  virtual void FitWarm(const rmap::RadioMap& map, Rng& rng,
-                       const LocationEstimator* previous,
-                       const std::vector<size_t>& changed_rows);
-
   /// Estimates the location of one online fingerprint (length D; kNull
   /// entries allowed where the estimator supports partial fingerprints).
   virtual geom::Point Estimate(const std::vector<double>& fingerprint) const = 0;
 
   /// Estimates every row of `fingerprints` (B x D) in one call — the
   /// serving hot path. The base implementation is the scalar loop over
-  /// Estimate; KnnEstimator overrides it with a single-Gemm distance pass.
+  /// Estimate; KnnEstimator overrides it with the int8 ranking pass.
   /// Must be thread-safe on a fitted estimator (const, no shared scratch).
   virtual std::vector<geom::Point> EstimateBatch(
       const la::Matrix& fingerprints) const;
@@ -134,16 +111,15 @@ class KnnEstimator : public LocationEstimator {
   /// scan has no distance signal and would silently decay to the first k
   /// reference rows.
   geom::Point Estimate(const std::vector<double>& fingerprint) const override;
-  /// Batched KNN: all query-to-reference distances in one Gemm via
-  /// ||q - f||^2 = ||q||^2 + ||f||^2 - 2 q.f (a masked variant covers
-  /// partial fingerprints: the cross term zeroes nulls, the reference-norm
-  /// term becomes mask x (F o F)^T — a second Gemm). The Gemm pass only
-  /// *ranks*; the top candidates — plus every reference within an error
-  /// margin above the selection boundary, so Gemm rounding (or, on the
-  /// kQuant kernel, the analytic quantization bound) can never evict a
-  /// true neighbor — are re-scored with the exact scalar distance, and
-  /// results match per-record Estimate bit-for-bit on every
-  /// RankingKernel.
+  /// Batched KNN (KnnQuantEstimateBatch over the fitted storage): every
+  /// query is ranked against the int8 copy in one integer Gemm via
+  /// ||q - f||^2 = ||q||^2 + ||f||^2 - 2 q.f (partial fingerprints zero
+  /// their nulls and take a masked reference norm). The integer pass only
+  /// *ranks*; the top candidates — plus every reference inside the band the
+  /// analytic quantization bound opens above the selection boundary, so
+  /// quantization can never evict a true neighbor — are re-scored with the
+  /// exact scalar distance, and results match per-record Estimate
+  /// bit-for-bit.
   std::vector<geom::Point> EstimateBatch(
       const la::Matrix& fingerprints) const override;
   /// Distances over observed dimensions only — partial scans are native.
@@ -155,11 +131,6 @@ class KnnEstimator : public LocationEstimator {
 
   size_t k() const { return k_; }
   bool weighted() const { return weighted_; }
-  /// Ranking-kernel selection for EstimateBatch (answers are bit-identical
-  /// across kernels; see RankingKernel). May be changed between batches on
-  /// a fitted estimator, but not concurrently with queries.
-  void set_ranking_kernel(RankingKernel kernel) { kernel_ = kernel; }
-  RankingKernel ranking_kernel() const { return kernel_; }
   /// The int8 ranking copy built by Fit — the serving snapshot exposes it
   /// as the quantized fingerprint view.
   const la::QuantizedRefs& quantized() const { return quant_; }
@@ -176,27 +147,13 @@ class KnnEstimator : public LocationEstimator {
       std::vector<std::pair<double, size_t>> candidates) const;
 
  private:
-  /// The int8 ranking path: integer cross Gemm (+ masked-norm Gemm for
-  /// partial rows), integer keys, branchless top-c, then the candidate
-  /// band widened by the analytic quantization bound and re-scored
-  /// exactly — see EstimateBatch's contract.
-  std::vector<geom::Point> EstimateBatchQuant(
-      const la::Matrix& fingerprints) const;
-
   size_t k_;
   bool weighted_;
-  RankingKernel kernel_ = RankingKernel::kQuant;
   std::vector<geom::Point> labels_;
-  /// Fitted reference state. The transposed copies let the batched path
-  /// run its two Gemms through the no-transpose kernel (cache-blocked and
-  /// auto-vectorizable — the A*B^T row-dot variant is a serial reduction);
-  /// accumulation order is identical, so keys don't change.
-  la::Matrix features_mat_;    ///< R x D
-  la::Matrix features_t_;      ///< D x R
-  la::Matrix features_sq_t_;   ///< D x R, elementwise squared
-  la::Matrix feature_norms_;   ///< R x 1 row norms
-  /// Int8 ranking copy (per-AP scale/zero-point, SoA, padded) for the
-  /// kQuant kernel; the float members above stay the rescore master.
+  /// Fitted reference state: the R x D float master every estimate is
+  /// re-scored against, and the int8 ranking copy (per-AP scale/zero-point,
+  /// SoA, padded) EstimateBatch ranks with.
+  la::Matrix features_mat_;
   la::QuantizedRefs quant_;
 };
 
@@ -219,18 +176,6 @@ class RandomForestEstimator : public LocationEstimator {
   explicit RandomForestEstimator(const Params& params) : params_(params) {}
 
   void Fit(const rmap::RadioMap& map, Rng& rng) override;
-  /// Rotating-tree warm start: against a previous forest of identical
-  /// shape (same tree count, same feature width) on mostly-unchanged data,
-  /// only a deterministic quarter of the trees (at least one) is re-grown
-  /// on the fresh map per rebuild; the rest are carried over. Carried
-  /// trees predict from slightly stale leaves — the approximation the
-  /// incremental-update accuracy tests bound — and every tree is refreshed
-  /// within four consecutive warm rebuilds. Falls back to a cold Fit when
-  /// `previous` is not a same-shaped forest or the changed set covers more
-  /// than half the training rows.
-  void FitWarm(const rmap::RadioMap& map, Rng& rng,
-               const LocationEstimator* previous,
-               const std::vector<size_t>& changed_rows) override;
   geom::Point Estimate(const std::vector<double>& fingerprint) const override;
   std::string name() const override { return "RF"; }
   std::unique_ptr<LocationEstimator> Clone() const override {
@@ -257,10 +202,6 @@ class RandomForestEstimator : public LocationEstimator {
   std::vector<std::vector<double>> features_;
   std::vector<geom::Point> labels_;
   std::vector<Tree> trees_;
-  /// Warm-rebuild counter driving which tree block FitWarm re-grows; the
-  /// rotation is a pure function of the generation, so warm rebuilds are
-  /// as deterministic as cold ones.
-  uint64_t warm_generation_ = 0;
 };
 
 }  // namespace rmi::positioning

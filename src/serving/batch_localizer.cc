@@ -1,5 +1,7 @@
 #include "serving/batch_localizer.h"
 
+#include <cmath>
+
 #include "common/check.h"
 #include "common/missing.h"
 
@@ -11,7 +13,12 @@ const char* QueryValidationError(const MapSnapshot& snapshot,
     return "fingerprint width does not match the snapshot";
   }
   size_t observed = 0;
-  for (size_t j = 0; j < size; ++j) observed += !IsNull(fingerprint[j]);
+  for (size_t j = 0; j < size; ++j) {
+    if (std::isinf(fingerprint[j])) {
+      return "fingerprint carries an infinite RSSI";
+    }
+    observed += !IsNull(fingerprint[j]);
+  }
   if (observed == 0) return "fingerprint observes no AP";
   if (!snapshot.estimator->SupportsPartialFingerprints() && observed < size) {
     return "snapshot estimator does not support partial fingerprints";

@@ -25,12 +25,13 @@
 namespace rmi::serving {
 
 /// nullptr when `fingerprint` (length `size`) is a well-formed query for
-/// `snapshot`; otherwise a static reason string — wrong width, all-null
-/// (no distance signal), or a partial scan against an estimator without
-/// partial-fingerprint support. The single per-request validation rule:
-/// the server rejects through the request's promise, the shard router
-/// throws, both with this reason — a malformed query must never abort
-/// the serving process.
+/// `snapshot`; otherwise a static reason string — wrong width, a ±inf
+/// entry (NaN is the null encoding; an infinity poisons every distance),
+/// all-null (no distance signal), or a partial scan against an estimator
+/// without partial-fingerprint support. The single per-request validation
+/// rule: the server rejects through the request's promise, the shard
+/// router throws, both with this reason — a malformed query must never
+/// abort the serving process.
 const char* QueryValidationError(const MapSnapshot& snapshot,
                                  const double* fingerprint, size_t size);
 

@@ -1,6 +1,7 @@
 #include "serving/map_updater.h"
 
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -162,8 +163,7 @@ bool MapUpdater::TryRestoreShard(const rmap::ShardId& id, ShardState* state) {
     num_aps = state->base.num_aps();
   }
   if (!LoadNewestSnapshot(state->shard_dir, id, num_aps, estimator_factory_,
-                          restore_rng, options_.snapshot_cell_size_m,
-                          positioning::RankingKernel::kQuant, &loaded,
+                          restore_rng, options_.snapshot_cell_size_m, &loaded,
                           &error)) {
     return false;
   }
@@ -257,7 +257,7 @@ void MapUpdater::RegisterShard(const rmap::ShardId& id, rmap::RadioMap base) {
     stats_.shards = num_shards;
   }
   if (!state->shard_dir.empty()) {
-    if (fresh && options_.restore_on_register && TryRestoreShard(id, state)) {
+    if (fresh && TryRestoreShard(id, state)) {
       // Restored and published; replayed deltas rebuild when triggers trip.
       return;
     }
@@ -278,6 +278,21 @@ void MapUpdater::Ingest(const rmap::ShardId& id, rmap::Record observation) {
   ShardState* state = Find(id);
   if (state == nullptr) {
     throw std::runtime_error("ingest into unregistered shard " +
+                             rmap::ToString(id));
+  }
+  // NaN is the null encoding; an infinity would reach the quantization
+  // scales and the spatial grid as if it were a measurement.
+  for (double v : observation.rssi) {
+    if (std::isinf(v)) {
+      throw std::runtime_error("ingested observation carries an infinite "
+                               "RSSI for shard " +
+                               rmap::ToString(id));
+    }
+  }
+  if (observation.has_rp &&
+      !(std::isfinite(observation.rp.x) && std::isfinite(observation.rp.y))) {
+    throw std::runtime_error("ingested observation has a non-finite RP for "
+                             "shard " +
                              rmap::ToString(id));
   }
   {
@@ -386,7 +401,7 @@ void MapUpdater::Rebuild(const rmap::ShardId& id, ShardState* state,
   try {
     Timer impute_timer;
     rmap::MaskMatrix mask =
-        options_.delta_aware_differentiation && previous_mask != nullptr
+        previous_mask != nullptr
             ? differentiator_->DifferentiateDelta(working, *previous_mask,
                                                   pre_delta_rows, rebuild_rng)
             : differentiator_->Differentiate(working, rebuild_rng);
@@ -426,16 +441,13 @@ void MapUpdater::Rebuild(const rmap::ShardId& id, ShardState* state,
     SnapshotOptions snapshot_options;
     snapshot_options.version = version;
     snapshot_options.cell_size_m = options_.snapshot_cell_size_m;
-    // Warm snapshot build: only when this rebuild actually ran the warm
+    // Warm index build: only when this rebuild actually ran the warm
     // imputation path (dirty_rows then describes the imputed map) and the
-    // previous snapshot survived. Each warm stage re-verifies its own
-    // preconditions inside BuildSnapshot and degrades to cold.
-    if (warm && previous_snapshot != nullptr &&
-        (options_.estimator_warm_start || options_.incremental_index)) {
+    // previous snapshot survived. BuildSnapshot re-verifies the index's
+    // reuse preconditions and degrades to cold.
+    if (warm && previous_snapshot != nullptr) {
       snapshot_options.warm_previous = previous_snapshot.get();
       snapshot_options.changed_rows = &dirty_rows;
-      snapshot_options.warm_estimator = options_.estimator_warm_start;
-      snapshot_options.warm_index = options_.incremental_index;
     }
     std::shared_ptr<const MapSnapshot> snapshot = BuildSnapshot(
         imputed, estimator_factory_(), rebuild_rng, snapshot_options);

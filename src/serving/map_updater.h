@@ -81,36 +81,29 @@ struct MapUpdaterOptions {
   /// concurrently (1 = serialized, the pre-pool behavior; 0 = all
   /// hardware threads).
   size_t rebuild_threads = 4;
-  /// Incremental re-fit: offer each rebuild the previous imputation plus
+  /// Incremental rebuilds: offer each rebuild the previous imputation plus
   /// the imputer's warm-start state (dirty-row propagation / fine-tune —
-  /// see Imputer::ImputeIncremental). false = every rebuild is cold.
+  /// see Imputer::ImputeIncremental). It also turns on the two other warm
+  /// stages: rows the previous rebuild already labeled reuse their mask
+  /// and only the delta rows are differentiated (exact for row-local
+  /// differentiators, an O(|delta|) approximation for clustering ones —
+  /// see Differentiator::DifferentiateDelta), and only the spatial-index
+  /// cells touching a dirty row are re-summarized (bit-identical to a cold
+  /// build — see SpatialIndex::BuildIncremental). false = every rebuild is
+  /// cold.
   bool incremental = true;
   /// Dirty-row propagation knobs forwarded to ImputeIncremental.
   size_t dirty_neighbors = 8;
   double max_dirty_fraction = 0.6;
-  /// Delta-aware differentiation (requires `incremental`): rows the
-  /// previous rebuild already labeled reuse their previous mask verbatim
-  /// (the survey base is append-only, so their observations are unchanged)
-  /// and only the delta rows are differentiated. Exact for row-local
-  /// differentiators (MAR-only / MNAR-only), an O(|delta|) approximation
-  /// for clustering ones — see Differentiator::DifferentiateDelta.
-  bool delta_aware_differentiation = true;
-  /// Warm estimator re-fit (requires `incremental`): rebuilds pass the
-  /// previous snapshot's fitted estimator plus the dirty-row set to
-  /// LocationEstimator::FitWarm (RF: rotating-tree refresh; others: cold).
-  bool estimator_warm_start = true;
-  /// Incremental spatial-index rebuild (requires `incremental`): only the
-  /// grid cells touching a dirty row are re-summarized; bit-identical to a
-  /// cold build (SpatialIndex::BuildIncremental) or falls back to one.
-  bool incremental_index = true;
   /// Persistence root. Empty (the default) = memory-only, the
   /// pre-persistence behavior bit-for-bit. Non-empty: shard (b, f) keeps
   /// its durable state under <persist_dir>/b<b>_f<f>/ — every publish
   /// writes a zero-copy snapshot file there, every Ingest appends to the
   /// shard's delta WAL (<shard dir>/wal/), and a fresh registration
   /// restores from that state instead of re-running imputation (see
-  /// `restore_on_register`). Persistence I/O failures are contained: they
-  /// are counted, and the in-memory serving path continues unaffected.
+  /// MapUpdater::RegisterShard). Persistence I/O failures are contained:
+  /// they are counted, and the in-memory serving path continues
+  /// unaffected.
   std::string persist_dir;
   /// WAL group commit: fsync once per this many appends (1 = every
   /// append). The unsynced tail of a group — at most this many
@@ -119,15 +112,6 @@ struct MapUpdaterOptions {
   /// Snapshot files retained per shard after each publish (>= 1 enforced;
   /// the newest file is never pruned).
   size_t keep_snapshot_files = 2;
-  /// When persistence is on: a *fresh* registration first tries to map the
-  /// shard's newest valid snapshot and replay its WAL — publishing the
-  /// restored snapshot (superseding the `base` argument, which the
-  /// persisted base already contains) and queueing the replayed deltas —
-  /// and falls back to the cold differentiate -> impute -> fit cycle when
-  /// nothing valid exists. Re-registering an existing shard always wipes
-  /// the shard's durable state and rebuilds cold (registration replaces
-  /// the survey lineage; stale snapshot versions must not shadow it).
-  bool restore_on_register = true;
 };
 
 /// Per-shard rebuild telemetry (all "last_" fields describe the most
@@ -204,12 +188,22 @@ class MapUpdater {
   /// synchronously, and publishes snapshot version 1. Re-registering an
   /// existing shard replaces its base (and resets its RNG stream and
   /// warm-start state) and republishes.
+  ///
+  /// With persistence on, a *fresh* registration first tries to map the
+  /// shard's newest valid snapshot and replay its WAL — publishing the
+  /// restored snapshot (superseding `base`, which the persisted base
+  /// already contains) and queueing the replayed deltas — and falls back
+  /// to the cold cycle when nothing valid exists. Re-registering an
+  /// existing shard always wipes the shard's durable state and rebuilds
+  /// cold (registration replaces the survey lineage; stale snapshot
+  /// versions must not shadow it).
   void RegisterShard(const rmap::ShardId& id, rmap::RadioMap base);
 
   /// Appends one new survey observation (sparse RSSIs, RP optional) to the
   /// shard's delta buffer. Thread-safe; never blocks on a rebuild. Throws
-  /// std::runtime_error for an unknown shard or a width mismatch — a bad
-  /// feed must not abort the serving process.
+  /// std::runtime_error for an unknown shard, a width mismatch, a ±inf
+  /// RSSI (NaN stays the null encoding) or a non-finite RP on a labeled
+  /// record — a bad feed must not abort the serving process.
   void Ingest(const rmap::ShardId& id, rmap::Record observation);
 
   /// Rebuilds `id` now with whatever deltas are pending (possibly none —
@@ -245,7 +239,7 @@ class MapUpdater {
     /// to observed in place, which would poison reuse.
     std::shared_ptr<const rmap::MaskMatrix> last_mask;
     /// The snapshot the last rebuild published (guarded by mu) — warm
-    /// input for FitWarm / BuildIncremental on the next rebuild.
+    /// input for BuildIncremental on the next rebuild.
     std::shared_ptr<const MapSnapshot> last_snapshot;
     Timer since_rebuild;
     /// Staleness tracking (guarded by mu): MonotonicUs() when the first

@@ -250,9 +250,9 @@ void LocalizationServer::ProcessBatch(std::vector<Request>* batch) {
   const size_t d = snap->num_aps();
 
   // Per-request validation (the rule shared with the shard router): a
-  // malformed scan — wrong width (e.g. sized for a pre-hot-swap snapshot)
-  // or all-null (no distance signal) — is rejected through its promise;
-  // it must never abort the server.
+  // malformed scan — wrong width (e.g. sized for a pre-hot-swap snapshot),
+  // a ±inf entry or all-null (no distance signal) — is rejected through
+  // its promise; it must never abort the server.
   std::vector<size_t> valid;
   valid.reserve(batch->size());
   size_t num_rejected = 0;

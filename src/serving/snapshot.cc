@@ -52,18 +52,7 @@ std::shared_ptr<const MapSnapshot> BuildSnapshot(
   auto snapshot = std::make_shared<MapSnapshot>();
   snapshot->version = options.version;
 
-  if (auto* knn =
-          dynamic_cast<positioning::KnnEstimator*>(estimator.get())) {
-    knn->set_ranking_kernel(options.ranking_kernel);
-  }
-  const bool warm = options.warm_previous != nullptr &&
-                    options.changed_rows != nullptr;
-  if (warm && options.warm_estimator) {
-    estimator->FitWarm(imputed_map, rng, options.warm_previous->estimator.get(),
-                       *options.changed_rows);
-  } else {
-    estimator->Fit(imputed_map, rng);
-  }
+  estimator->Fit(imputed_map, rng);
   snapshot->estimator = std::move(estimator);
   if (const auto* knn = dynamic_cast<const positioning::KnnEstimator*>(
           snapshot->estimator.get())) {
@@ -85,7 +74,8 @@ std::shared_ptr<const MapSnapshot> BuildSnapshot(
   // case-deleting imputer fails this) and every surviving RP at the same
   // position. BuildIncremental itself re-checks grid geometry and falls
   // back cold on any mismatch.
-  bool warm_index = warm && options.warm_index &&
+  bool warm_index = options.warm_previous != nullptr &&
+                    options.changed_rows != nullptr &&
                     snapshot->fingerprints().rows() == imputed_map.size() &&
                     options.warm_previous->num_refs() <=
                         snapshot->positions.size();

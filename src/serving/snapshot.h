@@ -46,7 +46,7 @@ struct MapSnapshot {
   /// (per-AP scale/zero-point), or nullptr for estimators without one.
   /// Like fingerprint_view it *aliases* the fitted KNN estimator's state —
   /// the float matrix above stays the exact-rescore master, this is the
-  /// 8x-smaller copy the kQuant ranking kernel streams.
+  /// 8x-smaller copy the int8 ranking kernel (la::GemmQuantNN) streams.
   const la::QuantizedRefs* quantized = nullptr;
   std::vector<geom::Point> positions;
   /// Location-grid pruning index over (fingerprints, positions).
@@ -75,32 +75,25 @@ struct SnapshotOptions {
   uint64_t version = 0;
   /// Spatial-index grid pitch, meters.
   double cell_size_m = 6.0;
-  /// Ranking kernel for the KNN family's EstimateBatch (ignored by other
-  /// estimators). Answers are bit-identical across kernels; this is a
-  /// throughput knob, and the benches sweep it.
-  positioning::RankingKernel ranking_kernel = positioning::RankingKernel::kQuant;
-  /// Warm-rebuild inputs (the live-update loop sets all three; a cold build
+  /// Warm-rebuild inputs (the live-update loop sets both; a cold build
   /// leaves them null). `warm_previous` is the snapshot being replaced,
   /// `changed_rows` the ascending imputed-map rows whose values differ from
   /// the map it was built on (appended rows included). Both must outlive
-  /// the BuildSnapshot call only — nothing is retained. Each warm stage
-  /// independently falls back to its cold path when reuse is unsound.
+  /// the BuildSnapshot call only — nothing is retained. They feed the
+  /// spatial index's warm path, which falls back to a cold build when
+  /// reuse is unsound.
   const MapSnapshot* warm_previous = nullptr;
   const std::vector<size_t>* changed_rows = nullptr;
-  /// Per-stage kill switches for the warm path (meaningful only when the
-  /// two pointers above are set).
-  bool warm_estimator = true;
-  bool warm_index = true;
 };
 
 /// Freezes `imputed_map` (complete, labeled rows) + a *not yet fitted*
 /// estimator into a snapshot: fits the estimator, extracts the reference
 /// matrix/labels (from the estimator itself for the KNN family, so the
 /// spatial index is guaranteed row-aligned with the fitted state), builds
-/// the index, stamps the checksum. With SnapshotOptions::warm_previous /
-/// changed_rows set, the estimator fit and index build go through their
-/// warm paths (FitWarm, BuildIncremental); each verifies its own reuse
-/// preconditions and degrades to the cold path, so the options are always
+/// the index, stamps the checksum. The estimator is always fitted cold.
+/// With SnapshotOptions::warm_previous / changed_rows set, the index build
+/// goes through SpatialIndex::BuildIncremental, which verifies its reuse
+/// preconditions and degrades to the cold build, so the options are always
 /// safe to pass.
 std::shared_ptr<const MapSnapshot> BuildSnapshot(
     const rmap::RadioMap& imputed_map,

@@ -101,9 +101,8 @@ bool LoadNewestSnapshot(const std::string& dir,
                         const std::function<std::unique_ptr<
                             positioning::LocationEstimator>()>&
                             estimator_factory,
-                        Rng& rng, double cell_size_m,
-                        positioning::RankingKernel ranking_kernel,
-                        LoadedSnapshot* out, std::string* error) {
+                        Rng& rng, double cell_size_m, LoadedSnapshot* out,
+                        std::string* error) {
   std::string map_error;
   auto mapped = store::MapNewestValid(dir, &map_error);
   if (mapped == nullptr) {
@@ -151,10 +150,6 @@ bool LoadNewestSnapshot(const std::string& dir,
 
   auto estimator = estimator_factory();
   RMI_CHECK(estimator != nullptr);
-  if (auto* knn =
-          dynamic_cast<positioning::KnnEstimator*>(estimator.get())) {
-    knn->set_ranking_kernel(ranking_kernel);
-  }
   estimator->Fit(fit_map, rng);
 
   auto snapshot = std::make_shared<MapSnapshot>();

@@ -63,9 +63,8 @@ bool LoadNewestSnapshot(const std::string& dir,
                         const std::function<std::unique_ptr<
                             positioning::LocationEstimator>()>&
                             estimator_factory,
-                        Rng& rng, double cell_size_m,
-                        positioning::RankingKernel ranking_kernel,
-                        LoadedSnapshot* out, std::string* error);
+                        Rng& rng, double cell_size_m, LoadedSnapshot* out,
+                        std::string* error);
 
 /// Deletes all but the newest `keep` snapshot files under `dir` (keep >= 1
 /// is forced: the newest file is never pruned).

@@ -1,5 +1,4 @@
-// The quantized ranking path (src/la/quant.h + KnnEstimator's kQuant
-// kernel):
+// The quantized ranking path (src/la/quant.h + KnnEstimator::EstimateBatch):
 //  * QuantizeRefs recovers per-AP scale/zero-point and round-trips every
 //    cell within half a quantization step;
 //  * QuantizeQueryRow handles kNull entries (value 0, mask 0, excluded
@@ -7,13 +6,14 @@
 //    residual charged to the error bound;
 //  * GemmQuantNN / MaskedQuantRowNorms match their naive integer
 //    reference loops exactly (integer arithmetic has no rounding);
-//  * the headline property: EstimateBatch on the kQuant kernel is
-//    bit-identical to per-record Estimate across 1k random queries,
-//    complete and 30%-null, and all three RankingKernels agree.
+//  * the headline property: EstimateBatch is bit-identical to per-record
+//    Estimate across 1k random queries, complete and 30%-null, on fitted
+//    estimators and on a Clone of one.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/missing.h"
@@ -203,13 +203,15 @@ TEST(QuantRankingTest, BitIdenticalToScalarAcross1kQueries) {
   KnnEstimator wknn(5, true);
   knn.Fit(map, rng);
   wknn.Fit(map, rng);
-  ASSERT_EQ(knn.ranking_kernel(), RankingKernel::kQuant);  // the default
+  // Eval's parallel repeats run on clones, so a clone must answer alike.
+  const std::unique_ptr<LocationEstimator> wknn_clone = wknn.Clone();
 
   const la::Matrix complete =
       serving::MakeSyntheticQueries(map, 500, 0.0, 21);
   const la::Matrix partial =
       serving::MakeSyntheticQueries(map, 500, 0.3, 22);
-  for (const KnnEstimator* e : {&knn, &wknn}) {
+  const LocationEstimator* estimators[] = {&knn, &wknn, wknn_clone.get()};
+  for (const LocationEstimator* e : estimators) {
     for (const la::Matrix* queries : {&complete, &partial}) {
       const std::vector<geom::Point> batch = e->EstimateBatch(*queries);
       ASSERT_EQ(batch.size(), queries->rows());
@@ -222,42 +224,6 @@ TEST(QuantRankingTest, BitIdenticalToScalarAcross1kQueries) {
       }
     }
   }
-}
-
-TEST(QuantRankingTest, AllThreeKernelsAgreeBitForBit) {
-  const auto map = serving::MakeSyntheticServingMap(14, 10, 16, 7);
-  Rng rng(9);
-  KnnEstimator knn(4, true);
-  knn.Fit(map, rng);
-  const la::Matrix queries = serving::MakeSyntheticQueries(map, 64, 0.25, 31);
-
-  knn.set_ranking_kernel(RankingKernel::kGemm);
-  const std::vector<geom::Point> gemm = knn.EstimateBatch(queries);
-  knn.set_ranking_kernel(RankingKernel::kFastNN);
-  const std::vector<geom::Point> fastnn = knn.EstimateBatch(queries);
-  knn.set_ranking_kernel(RankingKernel::kQuant);
-  const std::vector<geom::Point> quant = knn.EstimateBatch(queries);
-  for (size_t i = 0; i < queries.rows(); ++i) {
-    EXPECT_EQ(gemm[i].x, fastnn[i].x) << "row " << i;
-    EXPECT_EQ(gemm[i].y, fastnn[i].y) << "row " << i;
-    EXPECT_EQ(gemm[i].x, quant[i].x) << "row " << i;
-    EXPECT_EQ(gemm[i].y, quant[i].y) << "row " << i;
-  }
-}
-
-TEST(QuantRankingTest, KernelSelectionRoundTripsAndSurvivesClone) {
-  KnnEstimator knn(3, false);
-  EXPECT_EQ(knn.ranking_kernel(), RankingKernel::kQuant);
-  knn.set_ranking_kernel(RankingKernel::kFastNN);
-  EXPECT_EQ(knn.ranking_kernel(), RankingKernel::kFastNN);
-  const auto map = serving::MakeSyntheticServingMap(8, 6, 8, 3);
-  Rng rng(1);
-  knn.Fit(map, rng);
-  auto clone = knn.Clone();
-  auto* cloned = dynamic_cast<KnnEstimator*>(clone.get());
-  ASSERT_NE(cloned, nullptr);
-  EXPECT_EQ(cloned->ranking_kernel(), RankingKernel::kFastNN);
-  EXPECT_EQ(cloned->quantized().rows, knn.quantized().rows);
 }
 
 /// k (and with it the candidate count c) at or beyond the reference count
@@ -279,7 +245,7 @@ TEST(QuantRankingTest, KAtLeastReferenceCountStaysExact) {
 }
 
 /// Duplicate reference rows force exact distance ties; the (distance,
-/// index) tie order must match the scalar path on every kernel.
+/// index) tie order must match the scalar path.
 TEST(QuantRankingTest, ExactDistanceTiesBreakByIndexOnEveryKernel) {
   rmap::RadioMap map(4);
   // Three distinct fingerprints, each duplicated at two RPs.
@@ -301,17 +267,13 @@ TEST(QuantRankingTest, ExactDistanceTiesBreakByIndexOnEveryKernel) {
     queries(0, j) = base[0][j] + 1.0;
     queries(1, j) = base[2][j] - 0.5;
   }
-  for (RankingKernel kernel :
-       {RankingKernel::kGemm, RankingKernel::kFastNN, RankingKernel::kQuant}) {
-    KnnEstimator knn(3, false);
-    knn.set_ranking_kernel(kernel);
-    knn.Fit(map, rng);
-    const std::vector<geom::Point> batch = knn.EstimateBatch(queries);
-    for (size_t i = 0; i < queries.rows(); ++i) {
-      const geom::Point scalar = knn.Estimate(serving::MatrixRow(queries, i));
-      EXPECT_EQ(batch[i].x, scalar.x) << "kernel " << int(kernel);
-      EXPECT_EQ(batch[i].y, scalar.y) << "kernel " << int(kernel);
-    }
+  KnnEstimator knn(3, false);
+  knn.Fit(map, rng);
+  const std::vector<geom::Point> batch = knn.EstimateBatch(queries);
+  for (size_t i = 0; i < queries.rows(); ++i) {
+    const geom::Point scalar = knn.Estimate(serving::MatrixRow(queries, i));
+    EXPECT_EQ(batch[i].x, scalar.x) << "row " << i;
+    EXPECT_EQ(batch[i].y, scalar.y) << "row " << i;
   }
 }
 

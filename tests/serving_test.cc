@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -401,15 +402,20 @@ TEST(LocalizationServerTest, RejectsMalformedRequestsWithoutCrashing) {
   // All-null scan: no distance signal.
   std::future<geom::Point> all_null =
       server.Submit(std::vector<double>(map.num_aps(), kNull));
+  // An infinite RSSI is not a null (NaN is) and poisons every distance.
+  std::vector<double> infinite(map.num_aps(), -50.0);
+  infinite[2] = std::numeric_limits<double>::infinity();
+  std::future<geom::Point> inf_scan = server.Submit(infinite);
   // A valid request in the same stream is still served.
   const std::vector<double> q = RowOf(MakeQueries(map, 1, 0.0), 0);
   const geom::Point p = server.Localize(q);
   EXPECT_TRUE(std::isfinite(p.x));
   EXPECT_THROW(wrong_width.get(), std::runtime_error);
   EXPECT_THROW(all_null.get(), std::runtime_error);
+  EXPECT_THROW(inf_scan.get(), std::runtime_error);
   server.Stop();
   const ServerStats stats = server.Stats();
-  EXPECT_EQ(stats.rejected, 2u);
+  EXPECT_EQ(stats.rejected, 3u);
   EXPECT_GE(stats.completed, 1u);
 
   // An estimator without partial-fingerprint support (RF: NaN would

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -404,6 +405,16 @@ TEST(MapUpdaterTest, IngestIntoUnknownShardOrWrongWidthIsRejected) {
   rmap::Record narrow;
   narrow.rssi.assign(3, -50.0);
   EXPECT_THROW(updater.Ingest(rmap::ShardId{0, 0}, std::move(narrow)),
+               std::runtime_error);
+  // NaN is the null encoding; an infinite RSSI or RP is a bad feed.
+  rmap::Record infinite = map.record(0);
+  infinite.rssi[2] = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(updater.Ingest(rmap::ShardId{0, 0}, std::move(infinite)),
+               std::runtime_error);
+  rmap::Record lost = map.record(0);
+  lost.has_rp = true;
+  lost.rp.x = kNull;
+  EXPECT_THROW(updater.Ingest(rmap::ShardId{0, 0}, std::move(lost)),
                std::runtime_error);
   EXPECT_EQ(updater.Stats().ingested, 0u);
   EXPECT_NO_THROW(updater.Ingest(rmap::ShardId{0, 0}, std::move(obs)));

@@ -212,6 +212,7 @@ TEST(SoakChurnTest, DimensionChangeRepublishNeverTearsInFlightQueries) {
 
   std::atomic<bool> stop{false};
   std::atomic<size_t> answered{0}, rejected{0};
+  std::atomic<int> ready{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < 2; ++c) {
     clients.emplace_back([&, c] {
@@ -220,6 +221,7 @@ TEST(SoakChurnTest, DimensionChangeRepublishNeverTearsInFlightQueries) {
       wopt.num_walkers = 4;
       const auto walkers = GenerateWalkers(venue, wopt);
       FingerprintOptions fopt;
+      ready.fetch_add(1);
       size_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         const WalkerTrace& walker = walkers[i++ % walkers.size()];
@@ -243,7 +245,9 @@ TEST(SoakChurnTest, DimensionChangeRepublishNeverTearsInFlightQueries) {
   }
 
   // Republish every shard at the widened dimension, then back, while the
-  // clients run.
+  // clients run. The churn starts only once both clients have finished
+  // their set-up, so the republish races real queries.
+  while (ready.load() < 2) std::this_thread::yield();
   for (int round = 0; round < 2; ++round) {
     const SoakVenue& target = (round == 0) ? widened : venue;
     for (const serving::VenueShard& shard : target.shards) {

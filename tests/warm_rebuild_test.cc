@@ -1,10 +1,8 @@
-// Exactness of the warm rebuild chain (PR: many-core serving path).
-// Every warm stage claims either bit-identity with its cold counterpart
-// (SpatialIndex::BuildIncremental, delta differentiation for row-local
-// differentiators, the warm BuildSnapshot as a whole with a KNN
-// estimator) or a deterministic, bounded approximation (the rotating
-// random-forest warm start). These tests pin those claims down, including
-// every documented cold-fallback trigger.
+// Exactness of the warm rebuild chain. Every warm stage claims
+// bit-identity with its cold counterpart (SpatialIndex::BuildIncremental,
+// delta differentiation for row-local differentiators, the warm
+// BuildSnapshot as a whole with a KNN estimator). These tests pin those
+// claims down, including every documented cold-fallback trigger.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -221,61 +219,6 @@ TEST(DifferentiateDeltaTest, FallsBackToFullDifferentiation) {
   const rmap::MaskMatrix previous(8, full.num_aps());
   ExpectMasksEqual(
       differentiator.DifferentiateDelta(full, previous, 12, rng_d), want);
-}
-
-std::vector<geom::Point> EstimateAll(const positioning::LocationEstimator& est,
-                                     const la::Matrix& queries) {
-  std::vector<geom::Point> out;
-  for (size_t i = 0; i < queries.rows(); ++i) {
-    out.push_back(est.Estimate(RowOf(queries, i)));
-  }
-  return out;
-}
-
-TEST(RandomForestWarmTest, NullPreviousFallsBackToColdFitExactly) {
-  const rmap::RadioMap map = MakeSyntheticServingMap(10, 8, 8, 9);
-  const la::Matrix queries = MakeSyntheticQueries(map, 12, 0.0, 17);
-  positioning::RandomForestEstimator::Params params;
-  params.num_trees = 8;
-  params.max_depth = 6;
-
-  positioning::RandomForestEstimator cold(params), warm(params);
-  Rng rng_cold(4), rng_warm(4);
-  cold.Fit(map, rng_cold);
-  warm.FitWarm(map, rng_warm, nullptr, {});
-  const auto a = EstimateAll(cold, queries), b = EstimateAll(warm, queries);
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].x, b[i].x);
-    EXPECT_EQ(a[i].y, b[i].y);
-  }
-}
-
-TEST(RandomForestWarmTest, WarmRebuildsAreDeterministic) {
-  const rmap::RadioMap map = MakeSyntheticServingMap(10, 8, 8, 9);
-  const la::Matrix queries = MakeSyntheticQueries(map, 12, 0.0, 19);
-  positioning::RandomForestEstimator::Params params;
-  params.num_trees = 8;
-  params.max_depth = 6;
-  const std::vector<size_t> changed = {1, 2, 3};
-
-  // Two identical cold-fit + warm-rebuild sequences must agree bit-for-bit
-  // (the rotating tree block is a pure function of the warm generation).
-  auto run = [&] {
-    positioning::RandomForestEstimator previous(params), next(params);
-    Rng rng_fit(6), rng_warm(7);
-    previous.Fit(map, rng_fit);
-    next.FitWarm(map, rng_warm, &previous, changed);
-    return EstimateAll(next, queries);
-  };
-  const auto a = run(), b = run();
-  ASSERT_EQ(a.size(), b.size());
-  bool any_nonzero = false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].x, b[i].x);
-    EXPECT_EQ(a[i].y, b[i].y);
-    any_nonzero = any_nonzero || a[i].x != 0.0 || a[i].y != 0.0;
-  }
-  EXPECT_TRUE(any_nonzero);
 }
 
 TEST(WarmSnapshotTest, WarmBuildIsBitIdenticalToColdForKnn) {

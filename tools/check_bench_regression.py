@@ -70,9 +70,6 @@ BENCHES = [
             "partial_batch_qps",
             "index_pruned_qps",
             "server.qps",
-            "kernels.gemm",
-            "kernels.fastnn",
-            "kernels.quant",
         ],
         ["server.p50_us", "server.p95_us", "server.p99_us"],
     ),
