@@ -7,9 +7,6 @@
 //   * publish  — RebuildNow wall-clock with persistence off vs on: the
 //     snapshot-file write + WAL rotation ride the publish path, and this
 //     measures what they cost.
-//   * serving  — KNN ranking qps through the heap estimator vs the
-//     zero-copy MapSnapshotView over the mapped file (answers verified
-//     bit-identical first). Acceptance: view within 5% of heap.
 //
 //   ./bench_persistence            # full sizes, console table
 //   ./bench_persistence --smoke    # CI sizes + BENCH_persistence.json
@@ -53,8 +50,6 @@ struct BenchConfig {
   size_t churn_rounds = 4;  // folded delta windows per shard before restart
   size_t batch = 8;         // observations per window
   size_t stranded = 6;      // WAL-only observations at "crash" time
-  size_t queries = 512;
-  double serving_seconds = 0.4;  // per-side timing window
   uint64_t seed = 41;
 };
 
@@ -217,78 +212,6 @@ double MedianRebuildMs(const BenchConfig& cfg, const Venue& venue,
   return Percentile(rebuild_ms, 50.0);
 }
 
-struct ServingResult {
-  double heap_qps = 0.0;
-  double view_qps = 0.0;
-  double view_over_heap = 0.0;
-  bool bit_identical = false;
-};
-
-ServingResult MeasureServing(const BenchConfig& cfg, const Venue& venue,
-                             const std::string& shard_dir) {
-  ServingResult r;
-  std::string error;
-  auto mapped = store::MapNewestValid(shard_dir, &error);
-  if (mapped == nullptr) {
-    std::fprintf(stderr, "cannot map %s: %s\n", shard_dir.c_str(),
-                 error.c_str());
-    return r;
-  }
-  const store::MapSnapshotView view = mapped->view();
-
-  // Heap side: a KnnEstimator fitted on the identical reference rows (the
-  // restore path's synthesis, done here by hand).
-  rmap::RadioMap fit_map(view.num_aps);
-  for (size_t row = 0; row < view.num_refs; ++row) {
-    rmap::Record rec;
-    rec.rssi.assign(view.refs + row * view.num_aps,
-                    view.refs + (row + 1) * view.num_aps);
-    rec.rp = view.positions[row];
-    rec.has_rp = true;
-    fit_map.Add(std::move(rec));
-  }
-  positioning::KnnEstimator heap(3, true);
-  Rng rng(cfg.seed + 33);
-  heap.Fit(fit_map, rng);
-
-  const la::Matrix queries =
-      serving::MakeSyntheticQueries(fit_map, cfg.queries, 0.2, cfg.seed + 7);
-
-  // Correctness first: file-served answers must equal heap-served ones
-  // bit-for-bit, or the throughput comparison is meaningless.
-  const std::vector<geom::Point> want = heap.EstimateBatch(queries);
-  const std::vector<geom::Point> got =
-      view.EstimateBatch(queries, heap.k(), heap.weighted());
-  r.bit_identical = want.size() == got.size();
-  for (size_t i = 0; r.bit_identical && i < want.size(); ++i) {
-    r.bit_identical = want[i].x == got[i].x && want[i].y == got[i].y;
-  }
-  if (!r.bit_identical) return r;
-
-  // Interleave the two sides batch-by-batch so frequency scaling and
-  // noisy-neighbor drift land on both equally — the ratio is the gated
-  // number, and a sequential A-then-B layout biases it by whatever the
-  // machine was doing during B.
-  heap.EstimateBatch(queries);                               // warmup
-  view.EstimateBatch(queries, heap.k(), heap.weighted());    // warmup
-  double heap_seconds = 0.0, view_seconds = 0.0;
-  size_t batches = 0;
-  while (heap_seconds + view_seconds < 2.0 * cfg.serving_seconds) {
-    Timer th;
-    heap.EstimateBatch(queries);
-    heap_seconds += th.ElapsedSeconds();
-    Timer tv;
-    view.EstimateBatch(queries, heap.k(), heap.weighted());
-    view_seconds += tv.ElapsedSeconds();
-    ++batches;
-  }
-  const double rows = double(batches) * double(queries.rows());
-  r.heap_qps = heap_seconds > 0.0 ? rows / heap_seconds : 0.0;
-  r.view_qps = view_seconds > 0.0 ? rows / view_seconds : 0.0;
-  r.view_over_heap = r.heap_qps > 0.0 ? r.view_qps / r.heap_qps : 0.0;
-  return r;
-}
-
 struct SampleFile {
   size_t bytes = 0;
   uint32_t crc = 0;
@@ -334,8 +257,6 @@ int main(int argc, char** argv) {
     cfg.ny = 16;
     cfg.aps_per_floor = 28;
     cfg.churn_rounds = 2;
-    cfg.queries = 256;
-    cfg.serving_seconds = 0.25;
   }
 
   std::printf("=== persistence: mmap snapshot + delta WAL — %zu shards, "
@@ -380,17 +301,6 @@ int main(int argc, char** argv) {
   const std::string shard0_dir =
       persist_root + "/b" + std::to_string(venue.ids[0].building) + "_f" +
       std::to_string(venue.ids[0].floor);
-  const ServingResult serving = MeasureServing(cfg, venue, shard0_dir);
-  if (!serving.bit_identical) {
-    std::fprintf(stderr,
-                 "FATAL: zero-copy view answers differ from the heap "
-                 "estimator\n");
-    return 1;
-  }
-  std::printf("serving: heap %.0f qps, zero-copy view %.0f qps "
-              "(view/heap %.3f, answers bit-identical)\n",
-              serving.heap_qps, serving.view_qps, serving.view_over_heap);
-
   const SampleFile sample = EmitSampleArtifact(shard0_dir);
   std::printf("sample.rmsnap: %zu bytes, crc32c %08x\n", sample.bytes,
               sample.crc);
@@ -406,22 +316,19 @@ int main(int argc, char** argv) {
         "{\n"
         "  \"config\": {\"num_shards\": %zu, \"rps_per_shard\": %zu,"
         " \"aps_per_shard\": %zu, \"churn_rounds\": %zu, \"batch\": %zu,"
-        " \"stranded\": %zu, \"queries\": %zu},\n"
+        " \"stranded\": %zu},\n"
         "  \"restart\": {\"cold_seconds\": %.4f, \"restore_seconds\": %.4f,"
         " \"speedup\": %.2f, \"wal_records_replayed\": %zu,"
         " \"shards_restored\": %zu},\n"
         "  \"publish\": {\"memory_only_ms\": %.3f, \"persisted_ms\": %.3f,"
         " \"overhead_ratio\": %.3f},\n"
-        "  \"serving\": {\"heap_qps\": %.1f, \"view_qps\": %.1f,"
-        " \"view_over_heap\": %.4f, \"bit_identical\": %s},\n"
         "  \"file\": {\"bytes\": %zu, \"crc32c\": \"%08x\"},\n",
         cfg.num_shards, cfg.nx * cfg.ny, cfg.aps_per_floor, cfg.churn_rounds,
-        cfg.batch, cfg.stranded, cfg.queries, restart.cold_seconds,
+        cfg.batch, cfg.stranded, restart.cold_seconds,
         restart.restore_seconds, restart.speedup,
         restart.wal_records_replayed, restart.shards_restored,
         publish.memory_only_ms, publish.persisted_ms, publish.overhead_ratio,
-        serving.heap_qps, serving.view_qps, serving.view_over_heap,
-        serving.bit_identical ? "true" : "false", sample.bytes, sample.crc);
+        sample.bytes, sample.crc);
     rmi::bench::WriteObsMetricsJson(f);
     rmi::bench::WriteHardwareJson(f, 1);
     std::fprintf(f, "\n}\n");
@@ -434,12 +341,6 @@ int main(int argc, char** argv) {
                  "WARNING: restart speedup %.1fx below the 10x acceptance "
                  "bar\n",
                  restart.speedup);
-  }
-  if (serving.view_over_heap < 0.95) {
-    std::fprintf(stderr,
-                 "WARNING: view qps %.3fx of heap, below the 0.95 "
-                 "acceptance bar\n",
-                 serving.view_over_heap);
   }
   return 0;
 }

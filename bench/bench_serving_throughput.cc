@@ -58,8 +58,7 @@ int main(int argc, char** argv) {
   Rng rng(7);
   auto snapshot = serving::BuildSnapshot(
       map, std::make_unique<positioning::KnnEstimator>(5, true), rng);
-  const auto* knn = dynamic_cast<const positioning::KnnEstimator*>(
-      snapshot->estimator.get());
+  const positioning::KnnEstimator* knn = snapshot->estimator.get();
   const la::Matrix queries = MakeSyntheticQueries(map, num_queries, 0.0, 21);
   const la::Matrix partial_queries = MakeSyntheticQueries(map, num_queries, 0.3, 22);
 

@@ -403,12 +403,7 @@ rmap::RadioMap BiSimImputer::ImputeIncremental(
   // Training dominates the rebuild cost, so the warm start here is the
   // *model*, not the dirty-row splice: restore the previous rebuild's
   // weights, fine-tune briefly on the merged sequences (which include the
-  // deltas), and re-impute everything with the refreshed model. Because
-  // everything is re-predicted, every row is honestly dirty downstream.
-  if (ctx.dirty_rows_out != nullptr) {
-    ctx.dirty_rows_out->resize(merged.size());
-    for (size_t i = 0; i < merged.size(); ++i) (*ctx.dirty_rows_out)[i] = i;
-  }
+  // deltas), and re-impute everything with the refreshed model.
   const std::vector<la::Matrix>* warm = nullptr;
   const auto* state = dynamic_cast<const BiSimWarmState*>(
       ctx.previous_state.get());

@@ -12,14 +12,6 @@ namespace rmi::imputers {
 
 namespace {
 
-/// Reports every merged-map row as dirty through ctx.dirty_rows_out — the
-/// truthful answer whenever the call degenerated to a cold Impute.
-void ReportAllDirty(const IncrementalContext& ctx, size_t n) {
-  if (ctx.dirty_rows_out == nullptr) return;
-  ctx.dirty_rows_out->resize(n);
-  for (size_t i = 0; i < n; ++i) (*ctx.dirty_rows_out)[i] = i;
-}
-
 /// Fills the null cells (and missing RP) of `out`'s row `row` from the
 /// aligned `source` record — the splice step of the incremental path.
 /// Observed merged cells always win; only the holes take imputed values.
@@ -97,7 +89,6 @@ rmap::RadioMap Imputer::ImputeIncremental(const rmap::RadioMap& merged,
   // alignment broken by one): exactly the cold pipeline.
   if (MayDropRecords() || previous == nullptr || prev == 0 || prev > n ||
       previous->size() != prev || previous->num_aps() != merged.num_aps()) {
-    ReportAllDirty(ctx, n);
     return Impute(merged, amended_mask, rng);
   }
 
@@ -109,7 +100,6 @@ rmap::RadioMap Imputer::ImputeIncremental(const rmap::RadioMap& merged,
   if (dirty_count == 0) {
     // Forced republish with no deltas: nothing moved, so the previous
     // imputation still answers every hole.
-    if (ctx.dirty_rows_out != nullptr) ctx.dirty_rows_out->clear();
     rmap::RadioMap out = merged;
     for (size_t i = 0; i < prev; ++i) FillRowFrom(&out, i, previous->record(i));
     return out;
@@ -119,7 +109,6 @@ rmap::RadioMap Imputer::ImputeIncremental(const rmap::RadioMap& merged,
     // The delta wave touched most of the map — incremental bookkeeping
     // would cost more than it saves, and falling back keeps this case
     // bit-identical to a cold rebuild.
-    ReportAllDirty(ctx, n);
     return Impute(merged, amended_mask, rng);
   }
 
@@ -147,10 +136,8 @@ rmap::RadioMap Imputer::ImputeIncremental(const rmap::RadioMap& merged,
     // MayDropRecords() (those are routed cold up front) cannot be spliced
     // by row index — rewind the rng and pay for the cold rebuild.
     rng = rng_checkpoint;
-    ReportAllDirty(ctx, n);
     return Impute(merged, amended_mask, rng);
   }
-  if (ctx.dirty_rows_out != nullptr) *ctx.dirty_rows_out = sub_rows;
 
   rmap::RadioMap out = merged;
   for (size_t i = 0; i < prev; ++i) {

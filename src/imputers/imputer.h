@@ -54,13 +54,6 @@ struct IncrementalContext {
   /// incremental path stops paying its bookkeeping and the call runs a cold
   /// Impute of the whole merged map (bit-identical to Impute).
   double max_dirty_fraction = 0.6;
-  /// When non-null, receives the merged-map row indices whose imputed
-  /// values may differ from the previous imputation (ascending, deltas
-  /// included). Downstream, the incremental spatial-index build
-  /// re-summarizes only what these rows touch.
-  /// Conservative by construction: a cold-path fallback reports *every*
-  /// row, and an exact no-op republish reports none.
-  std::vector<size_t>* dirty_rows_out = nullptr;
 };
 
 /// Common interface of all data imputers.

@@ -84,8 +84,7 @@ double RowSquaredDistance(const Matrix& a, size_t ra, const Matrix& b,
 /// Squared L2 distance between `query` (length d; NaN entries are skipped)
 /// and the reference row at `ref_row` — distance over the query's observed
 /// dimensions only. The single scoring loop shared by the estimators'
-/// scalar path, the batch rescore, the serving spatial index, and the
-/// zero-copy snapshot view (which rescoring against mapped raw storage):
+/// scalar path, the batch rescore and the serving spatial index:
 /// exactness claims across those layers rest on them summing identically.
 double QuerySquaredDistanceRow(const double* query, const double* ref_row,
                                size_t d);

@@ -64,7 +64,7 @@ QuantizedRefs QuantizeRefs(const Matrix& refs) {
   return q;
 }
 
-int32_t QuantizeQueryRow(const QuantizedRefsSpan& refs, const double* query,
+int32_t QuantizeQueryRow(const QuantizedRefs& refs, const double* query,
                          int8_t* values, int8_t* mask, double* err_bound) {
   RMI_CHECK(!refs.empty());
   int32_t norm = 0;

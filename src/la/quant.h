@@ -34,35 +34,6 @@ inline constexpr size_t kQuantLanePad = 64;
 /// the smallest scale.
 inline constexpr double kQuantMinScale = 0.25;
 
-/// Non-owning view of a quantized reference set — the *layout contract*
-/// shared by the in-memory QuantizedRefs below and the mmap-ed snapshot
-/// sections in src/store/ (serving ranks directly from a mapped file
-/// through one of these, so the integer kernels and the on-disk format
-/// must agree on every stride):
-///   * `values`  — cols x padded int8, SoA by AP: entry [j * padded + r]
-///     is reference row r of AP j; pad cells are 0.
-///   * `squares` — values^2 as int16, same layout.
-///   * `norms`   — rows int32, per reference row sum_j values^2.
-///   * `scale` / `zero_point` — cols doubles, the per-AP affine params.
-/// `padded` is rows rounded up to a kQuantLanePad multiple. The pointed-to
-/// storage must outlive the span (a QuantizedRefs, or a mapped snapshot
-/// held open by its epoch retirement).
-struct QuantizedRefsSpan {
-  size_t rows = 0;
-  size_t cols = 0;
-  size_t padded = 0;
-
-  const int8_t* values = nullptr;
-  const int16_t* squares = nullptr;
-  const int32_t* norms = nullptr;
-  const double* scale = nullptr;
-  const double* zero_point = nullptr;
-  double min_scale = 0.0;
-  double max_scale = 0.0;
-
-  bool empty() const { return rows == 0; }
-};
-
 /// An R x D float reference matrix frozen into int8: per-AP (per-column)
 /// affine parameters, values stored transposed and padded (SoA by AP: for
 /// AP j, entry `values[j * padded + r]` is reference row r), the squared
@@ -84,23 +55,6 @@ struct QuantizedRefs {
   double max_scale = 0.0;
 
   bool empty() const { return rows == 0; }
-
-  /// The layout-contract view over this object's storage (valid while the
-  /// QuantizedRefs lives and is not re-assigned).
-  QuantizedRefsSpan span() const {
-    QuantizedRefsSpan s;
-    s.rows = rows;
-    s.cols = cols;
-    s.padded = padded;
-    s.values = values.data();
-    s.squares = squares.data();
-    s.norms = norms.data();
-    s.scale = scale.data();
-    s.zero_point = zero_point.data();
-    s.min_scale = min_scale;
-    s.max_scale = max_scale;
-    return s;
-  }
 };
 
 /// Freezes `refs` (complete rows — kNull entries are illegal here; the
@@ -128,13 +82,8 @@ QuantizedRefs QuantizeRefs(const Matrix& refs);
 ///     max_scale * sqrt(I_r) + E,
 ///
 /// which is the bound the estimators use to widen their candidate band.
-int32_t QuantizeQueryRow(const QuantizedRefsSpan& refs, const double* query,
+int32_t QuantizeQueryRow(const QuantizedRefs& refs, const double* query,
                          int8_t* values, int8_t* mask, double* err_bound);
-inline int32_t QuantizeQueryRow(const QuantizedRefs& refs, const double* query,
-                                int8_t* values, int8_t* mask,
-                                double* err_bound) {
-  return QuantizeQueryRow(refs.span(), query, values, mask, err_bound);
-}
 
 /// C = A * B with int8 operands and int32 accumulation — the quantized
 /// ranking cross term. A is m x k row-major int8 (quantized queries), B is

@@ -31,6 +31,57 @@ struct EstimatorMetrics {
   }
 };
 
+/// Extracts the labeled (has_rp) rows of an imputed map, in map order:
+/// fingerprints as an R x D matrix plus index-aligned RP labels. Every row
+/// must be complete (asserted). The one extraction rule both estimators
+/// fit from.
+void ExtractLabeledRows(const rmap::RadioMap& map, la::Matrix* fingerprints,
+                        std::vector<geom::Point>* labels) {
+  labels->clear();
+  const size_t d = map.num_aps();
+  size_t num_labeled = 0;
+  for (size_t i = 0; i < map.size(); ++i) {
+    num_labeled += map.record(i).has_rp;
+  }
+  RMI_CHECK_GT(num_labeled, 0u);
+  fingerprints->Reshape(num_labeled, d);
+  labels->reserve(num_labeled);
+  size_t row = 0;
+  for (size_t i = 0; i < map.size(); ++i) {
+    const rmap::Record& r = map.record(i);
+    if (!r.has_rp) continue;  // estimators need labeled rows
+    RMI_CHECK_EQ(r.rssi.size(), d);
+    for (double v : r.rssi) RMI_CHECK(!IsNull(v));
+    std::copy(r.rssi.begin(), r.rssi.end(),
+              fingerprints->data().begin() + static_cast<long>(row * d));
+    labels->push_back(r.rp);
+    ++row;
+  }
+}
+
+/// Combines exact KNN candidates — (squared distance to reference row,
+/// row index) pairs — into a location: the mean of the k nearest labels,
+/// inverse-distance weighted when `weighted`. Candidates beyond the true
+/// top-k are ignored (partial sort by pair order), so any superset of the
+/// top-k yields the same answer.
+geom::Point CombineKnnCandidates(
+    std::vector<std::pair<double, size_t>> candidates,
+    const geom::Point* labels, size_t k, bool weighted) {
+  RMI_CHECK(!candidates.empty());
+  const size_t take = std::min(k, candidates.size());
+  std::partial_sort(candidates.begin(), candidates.begin() + take,
+                    candidates.end());
+  geom::Point acc;
+  double wsum = 0.0;
+  for (size_t t = 0; t < take; ++t) {
+    const double w =
+        weighted ? 1.0 / (std::sqrt(candidates[t].first) + 1e-6) : 1.0;
+    acc = acc + labels[candidates[t].second] * w;
+    wsum += w;
+  }
+  return acc * (1.0 / wsum);
+}
+
 /// ExtractLabeledRows reshaped into the vector-of-rows form the random
 /// forest's split search indexes by.
 void ExtractTrainingData(const rmap::RadioMap& map,
@@ -62,30 +113,6 @@ bool HasObserved(const double* v, size_t n) {
 
 }  // namespace
 
-void ExtractLabeledRows(const rmap::RadioMap& map, la::Matrix* fingerprints,
-                        std::vector<geom::Point>* labels) {
-  labels->clear();
-  const size_t d = map.num_aps();
-  size_t num_labeled = 0;
-  for (size_t i = 0; i < map.size(); ++i) {
-    num_labeled += map.record(i).has_rp;
-  }
-  RMI_CHECK_GT(num_labeled, 0u);
-  fingerprints->Reshape(num_labeled, d);
-  labels->reserve(num_labeled);
-  size_t row = 0;
-  for (size_t i = 0; i < map.size(); ++i) {
-    const rmap::Record& r = map.record(i);
-    if (!r.has_rp) continue;  // estimators need labeled rows
-    RMI_CHECK_EQ(r.rssi.size(), d);
-    for (double v : r.rssi) RMI_CHECK(!IsNull(v));
-    std::copy(r.rssi.begin(), r.rssi.end(),
-              fingerprints->data().begin() + static_cast<long>(row * d));
-    labels->push_back(r.rp);
-    ++row;
-  }
-}
-
 std::vector<geom::Point> LocationEstimator::EstimateBatch(
     const la::Matrix& fingerprints) const {
   std::vector<geom::Point> out(fingerprints.rows());
@@ -101,24 +128,6 @@ std::vector<geom::Point> LocationEstimator::EstimateBatch(
 void KnnEstimator::Fit(const rmap::RadioMap& map, Rng&) {
   ExtractLabeledRows(map, &features_mat_, &labels_);
   quant_ = la::QuantizeRefs(features_mat_);
-}
-
-geom::Point CombineKnnCandidates(
-    std::vector<std::pair<double, size_t>> candidates,
-    const geom::Point* labels, size_t k, bool weighted) {
-  RMI_CHECK(!candidates.empty());
-  const size_t take = std::min(k, candidates.size());
-  std::partial_sort(candidates.begin(), candidates.begin() + take,
-                    candidates.end());
-  geom::Point acc;
-  double wsum = 0.0;
-  for (size_t t = 0; t < take; ++t) {
-    const double w =
-        weighted ? 1.0 / (std::sqrt(candidates[t].first) + 1e-6) : 1.0;
-    acc = acc + labels[candidates[t].second] * w;
-    wsum += w;
-  }
-  return acc * (1.0 / wsum);
 }
 
 geom::Point KnnEstimator::EstimateFromCandidates(
@@ -142,19 +151,17 @@ geom::Point KnnEstimator::Estimate(
   return EstimateFromCandidates(std::move(dist));
 }
 
-void KnnQuantEstimateBatch(const la::QuantizedRefsSpan& quant,
-                           const double* refs, const geom::Point* labels,
-                           size_t num_refs, size_t num_aps, size_t k,
-                           bool weighted, const la::Matrix& queries,
-                           geom::Point* out) {
+std::vector<geom::Point> KnnEstimator::EstimateBatch(
+    const la::Matrix& queries) const {
+  RMI_CHECK(!labels_.empty());
   const size_t b = queries.rows();
-  const size_t d = num_aps;
-  const size_t r = num_refs;
-  const size_t rp = quant.padded;
-  RMI_CHECK_EQ(quant.rows, r);
-  RMI_CHECK_EQ(quant.cols, d);
+  const size_t d = features_mat_.cols();
+  const size_t r = labels_.size();
+  const size_t rp = quant_.padded;
+  const double* refs = features_mat_.data().data();
+  std::vector<geom::Point> out(b);
+  if (b == 0) return out;
   RMI_CHECK_EQ(queries.cols(), d);
-  if (b == 0) return;
 
   // Quantize every query row with the reference side's per-AP parameters:
   // int8 values (kNull -> 0), a 0/1 observation mask, the integer query
@@ -173,7 +180,7 @@ void KnnQuantEstimateBatch(const la::QuantizedRefsSpan& quant,
       RMI_CHECK(HasObserved(row, d));
       partial[i] = HasNull(row, d);
       any_partial |= partial[i] != 0;
-      qnorm[i] = la::QuantizeQueryRow(quant, row, qvals.data() + i * d,
+      qnorm[i] = la::QuantizeQueryRow(quant_, row, qvals.data() + i * d,
                                       qmask.data() + i * d, &qerr[i]);
     }
 
@@ -181,15 +188,16 @@ void KnnQuantEstimateBatch(const la::QuantizedRefsSpan& quant,
     // over the observed dims (nulls hold dq = 0 and mask = 0, so they drop
     // out of every term). Exact integer arithmetic — the only information
     // loss is the quantization itself, which E bounds.
-    la::GemmQuantNN(qvals.data(), quant.values, cross.data(), b, d, rp);
+    la::GemmQuantNN(qvals.data(), quant_.values.data(), cross.data(), b, d,
+                    rp);
     if (any_partial) {
       masked_norms.resize(b * rp);
-      la::MaskedQuantRowNorms(qmask.data(), quant.squares,
+      la::MaskedQuantRowNorms(qmask.data(), quant_.squares.data(),
                               masked_norms.data(), b, d, rp);
     }
   }
 
-  const size_t num_candidates = std::min(r, k + std::max<size_t>(k, 8));
+  const size_t num_candidates = std::min(r, k_ + std::max<size_t>(k_, 8));
   std::vector<int32_t> keys(r);
   std::vector<std::pair<double, size_t>> exact;
   StreamingTopC<int32_t> top(num_candidates,
@@ -198,7 +206,7 @@ void KnnQuantEstimateBatch(const la::QuantizedRefsSpan& quant,
   for (size_t i = 0; i < b; ++i) {
     const int32_t* crow = cross.data() + i * rp;
     const int32_t* norms =
-        partial[i] ? masked_norms.data() + i * rp : quant.norms;
+        partial[i] ? masked_norms.data() + i * rp : quant_.norms.data();
     top.Reset();
     for (size_t j = 0; j < r; ++j) {
       const int32_t key = qnorm[i] + norms[j] - 2 * crow[j];
@@ -217,8 +225,8 @@ void KnnQuantEstimateBatch(const la::QuantizedRefsSpan& quant,
     double threshold_sq = std::numeric_limits<double>::infinity();
     if (boundary != std::numeric_limits<int32_t>::max()) {
       const double a_c =
-          quant.max_scale * std::sqrt(static_cast<double>(boundary));
-      const double t = (a_c + 2.0 * qerr[i]) / quant.min_scale;
+          quant_.max_scale * std::sqrt(static_cast<double>(boundary));
+      const double t = (a_c + 2.0 * qerr[i]) / quant_.min_scale;
       threshold_sq = t * t * (1.0 + 1e-9) + 1.0;
     }
     const int32_t threshold =
@@ -233,18 +241,8 @@ void KnnQuantEstimateBatch(const la::QuantizedRefsSpan& quant,
                            j);
       }
     }
-    out[i] = CombineKnnCandidates(exact, labels, k, weighted);
+    out[i] = CombineKnnCandidates(exact, labels_.data(), k_, weighted_);
   }
-}
-
-std::vector<geom::Point> KnnEstimator::EstimateBatch(
-    const la::Matrix& fingerprints) const {
-  RMI_CHECK(!labels_.empty());
-  std::vector<geom::Point> out(fingerprints.rows());
-  if (out.empty()) return out;
-  KnnQuantEstimateBatch(quant_.span(), features_mat_.data().data(),
-                        labels_.data(), labels_.size(), features_mat_.cols(),
-                        k_, weighted_, fingerprints, out.data());
   return out;
 }
 

@@ -24,38 +24,6 @@
 
 namespace rmi::positioning {
 
-/// Extracts the labeled (has_rp) rows of an imputed map, in map order:
-/// fingerprints as an R x D matrix plus index-aligned RP labels. Every row
-/// must be complete (asserted). The single extraction rule shared by
-/// estimator fitting and the serving layer's snapshots — their row indices
-/// must agree.
-void ExtractLabeledRows(const rmap::RadioMap& map, la::Matrix* fingerprints,
-                        std::vector<geom::Point>* labels);
-
-/// Combines exact KNN candidates — (squared distance to reference row,
-/// row index) pairs — into a location: the mean of the k nearest labels,
-/// inverse-distance weighted when `weighted`. Candidates beyond the true
-/// top-k are ignored (partial sort by pair order), so any superset of the
-/// top-k yields the same answer. The one combine rule shared by
-/// KnnEstimator and the zero-copy snapshot view (store::MapSnapshotView).
-geom::Point CombineKnnCandidates(
-    std::vector<std::pair<double, size_t>> candidates,
-    const geom::Point* labels, size_t k, bool weighted);
-
-/// The int8 ranking + exact-rescore batch KNN core over raw storage:
-/// integer cross Gemm (+ masked-norm Gemm for partial rows), integer keys,
-/// branchless top-c, then a candidate band widened by the analytic
-/// quantization bound and re-scored exactly against the float master
-/// `refs` (num_refs x num_aps row-major, row r labeled by labels[r]).
-/// `out` receives queries.rows() estimates. Both the fitted KnnEstimator
-/// and the mmap-ed snapshot view call this with their own storage, so
-/// heap-served and file-served answers are bit-identical by construction.
-void KnnQuantEstimateBatch(const la::QuantizedRefsSpan& quant,
-                           const double* refs, const geom::Point* labels,
-                           size_t num_refs, size_t num_aps, size_t k,
-                           bool weighted, const la::Matrix& queries,
-                           geom::Point* out);
-
 /// Common interface of the location estimators (module C).
 ///
 /// Lifecycle and thread-safety: Fit() mutates and must complete before any
@@ -65,10 +33,12 @@ void KnnQuantEstimateBatch(const la::QuantizedRefsSpan& quant,
 /// multiple threads — no shared mutable scratch. Use Clone() to give
 /// parallel evaluation runs private instances.
 ///
-/// Null-fingerprint semantics: online fingerprints may carry kNull entries
-/// only when SupportsPartialFingerprints() is true; an all-null fingerprint
-/// is always invalid (asserted — it has no distance signal). Reference maps
-/// handed to Fit must be complete (the imputers' output contract).
+/// Null-fingerprint semantics: KNN/WKNN accept online fingerprints with
+/// kNull entries (distance over the observed APs); RF does not (a NaN
+/// silently mis-compares in its tree thresholds), which is one reason the
+/// serving snapshots are KNN-only. An all-null fingerprint is always
+/// invalid (asserted — it has no distance signal). Reference maps handed
+/// to Fit must be complete (the imputers' output contract).
 class LocationEstimator {
  public:
   virtual ~LocationEstimator() = default;
@@ -86,12 +56,6 @@ class LocationEstimator {
   /// Must be thread-safe on a fitted estimator (const, no shared scratch).
   virtual std::vector<geom::Point> EstimateBatch(
       const la::Matrix& fingerprints) const;
-
-  /// Whether Estimate/EstimateBatch accept fingerprints with kNull entries.
-  /// False by default: a NaN silently mis-compares in tree/threshold logic,
-  /// so callers (e.g. the serving layer) must reject partial scans for
-  /// estimators that don't opt in.
-  virtual bool SupportsPartialFingerprints() const { return false; }
 
   virtual std::string name() const = 0;
 
@@ -111,19 +75,16 @@ class KnnEstimator : public LocationEstimator {
   /// scan has no distance signal and would silently decay to the first k
   /// reference rows.
   geom::Point Estimate(const std::vector<double>& fingerprint) const override;
-  /// Batched KNN (KnnQuantEstimateBatch over the fitted storage): every
-  /// query is ranked against the int8 copy in one integer Gemm via
-  /// ||q - f||^2 = ||q||^2 + ||f||^2 - 2 q.f (partial fingerprints zero
-  /// their nulls and take a masked reference norm). The integer pass only
-  /// *ranks*; the top candidates — plus every reference inside the band the
-  /// analytic quantization bound opens above the selection boundary, so
-  /// quantization can never evict a true neighbor — are re-scored with the
-  /// exact scalar distance, and results match per-record Estimate
-  /// bit-for-bit.
+  /// Batched KNN: every query is ranked against the int8 copy in one
+  /// integer Gemm via ||q - f||^2 = ||q||^2 + ||f||^2 - 2 q.f (partial
+  /// fingerprints zero their nulls and take a masked reference norm). The
+  /// integer pass only *ranks*; the top candidates — plus every reference
+  /// inside the band the analytic quantization bound opens above the
+  /// selection boundary, so quantization can never evict a true neighbor —
+  /// are re-scored with the exact scalar distance, and results match
+  /// per-record Estimate bit-for-bit.
   std::vector<geom::Point> EstimateBatch(
       const la::Matrix& fingerprints) const override;
-  /// Distances over observed dimensions only — partial scans are native.
-  bool SupportsPartialFingerprints() const override { return true; }
   std::string name() const override { return weighted_ ? "WKNN" : "KNN"; }
   std::unique_ptr<LocationEstimator> Clone() const override {
     return std::make_unique<KnnEstimator>(*this);
@@ -132,10 +93,10 @@ class KnnEstimator : public LocationEstimator {
   size_t k() const { return k_; }
   bool weighted() const { return weighted_; }
   /// The int8 ranking copy built by Fit — the serving snapshot exposes it
-  /// as the quantized fingerprint view.
+  /// as MapSnapshot::quantized.
   const la::QuantizedRefs& quantized() const { return quant_; }
   /// Fitted reference fingerprints as an R x D matrix (row r aligned with
-  /// labels()[r]) — the serving layer builds its snapshot views from these.
+  /// labels()[r]) — the serving snapshot and its spatial index read these.
   const la::Matrix& features() const { return features_mat_; }
   const std::vector<geom::Point>& labels() const { return labels_; }
 
@@ -160,8 +121,7 @@ class KnnEstimator : public LocationEstimator {
 /// Random-forest regression (CART trees, bagging, feature subsampling,
 /// variance-reduction splits on the combined x/y variance). Does not
 /// support partial fingerprints: a kNull (NaN) silently mis-compares in
-/// the tree threshold logic, so callers must reject partial scans (the
-/// serving layer does).
+/// the tree threshold logic. Used by the offline paper pipeline only.
 class RandomForestEstimator : public LocationEstimator {
  public:
   struct Params {

@@ -1,6 +1,7 @@
 #include "radiomap/radio_map.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 
 #include "common/check.h"
@@ -9,6 +10,17 @@ namespace rmi::rmap {
 
 std::string ToString(const ShardId& id) {
   return "b" + std::to_string(id.building) + "/f" + std::to_string(id.floor);
+}
+
+const char* RecordValidationError(const Record& r, size_t num_aps) {
+  if (r.rssi.size() != num_aps) return "record width does not match the map";
+  for (double v : r.rssi) {
+    if (std::isinf(v)) return "record carries an infinite RSSI";
+  }
+  if (r.has_rp && !(std::isfinite(r.rp.x) && std::isfinite(r.rp.y))) {
+    return "labeled record has a non-finite RP";
+  }
+  return nullptr;
 }
 
 void RadioMap::Add(Record r) {

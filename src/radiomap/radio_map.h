@@ -61,6 +61,15 @@ struct Record {
   }
 };
 
+/// nullptr when `r` is a well-formed survey record for a map `num_aps`
+/// wide; otherwise a static reason string — wrong width, a ±inf RSSI (NaN
+/// is the null encoding; an infinity would reach the quantization scales
+/// and the spatial grid as if it were a measurement), or a non-finite RP
+/// on a labeled record. The one record rule, as
+/// serving::QueryValidationError is for queries: MapUpdater::Ingest, WAL
+/// replay and a snapshot file's base section all apply it.
+const char* RecordValidationError(const Record& r, size_t num_aps);
+
 /// A radio map: N records over D APs.
 class RadioMap {
  public:

@@ -20,9 +20,6 @@ const char* QueryValidationError(const MapSnapshot& snapshot,
     observed += !IsNull(fingerprint[j]);
   }
   if (observed == 0) return "fingerprint observes no AP";
-  if (!snapshot.estimator->SupportsPartialFingerprints() && observed < size) {
-    return "snapshot estimator does not support partial fingerprints";
-  }
   return nullptr;
 }
 
@@ -38,20 +35,13 @@ geom::Point BatchLocalizer::LocalizeOn(const MapSnapshot& snapshot,
   RMI_CHECK_EQ(fingerprint.size(), snapshot.num_aps());
   // Same contract as Estimate/EstimateBatch: an all-null scan has no
   // distance signal (every masked distance is 0) and must not silently
-  // decay to the first k reference rows; and a partial scan is only legal
-  // for estimators that opt in (NaN mis-compares in tree traversal).
+  // decay to the first k reference rows.
   size_t observed = 0;
   for (double v : fingerprint) observed += !IsNull(v);
   RMI_CHECK_GT(observed, 0u);
-  RMI_CHECK(snapshot.estimator->SupportsPartialFingerprints() ||
-            observed == fingerprint.size());
-  if (const auto* knn = dynamic_cast<const positioning::KnnEstimator*>(
-          snapshot.estimator.get())) {
-    std::vector<Neighbor> candidates =
-        snapshot.index.Search(snapshot.fingerprints(), fingerprint, knn->k());
-    return knn->EstimateFromCandidates(std::move(candidates));
-  }
-  return snapshot.estimator->Estimate(fingerprint);
+  std::vector<Neighbor> candidates = snapshot.index.Search(
+      snapshot.fingerprints(), fingerprint, snapshot.estimator->k());
+  return snapshot.estimator->EstimateFromCandidates(std::move(candidates));
 }
 
 std::vector<geom::Point> BatchLocalizer::LocalizeBatch(

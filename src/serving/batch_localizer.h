@@ -2,12 +2,12 @@
 //
 // Two paths, both exact:
 //  * LocalizeBatch — the throughput path. All rows of a coalesced batch go
-//    through the estimator's EstimateBatch; for the KNN family that is one
-//    Gemm over the whole reference matrix (plus a masked second Gemm when
-//    rows carry kNull), then an exact rescore of the top candidates.
-//  * Localize — the latency path for a single query. For the KNN family the
-//    spatial index prunes reference rows via its triangle-inequality bound
-//    before the exact pass; other estimators fall back to Estimate.
+//    through the estimator's EstimateBatch: one int8 Gemm over the whole
+//    reference matrix (plus a masked second Gemm when rows carry kNull),
+//    then an exact rescore of the top candidates.
+//  * Localize — the latency path for a single query. The spatial index
+//    prunes reference rows via its triangle-inequality bound before the
+//    exact pass.
 //
 // Every entry point grabs the snapshot once (epoch-pinned, no refcount
 // traffic) and uses it for the whole request, so a concurrent hot-swap
@@ -27,11 +27,11 @@ namespace rmi::serving {
 /// nullptr when `fingerprint` (length `size`) is a well-formed query for
 /// `snapshot`; otherwise a static reason string — wrong width, a ±inf
 /// entry (NaN is the null encoding; an infinity poisons every distance),
-/// all-null (no distance signal), or a partial scan against an estimator
-/// without partial-fingerprint support. The single per-request validation
+/// or all-null (no distance signal). The single per-request validation
 /// rule: the server rejects through the request's promise, the shard
 /// router throws, both with this reason — a malformed query must never
-/// abort the serving process.
+/// abort the serving process. Survey records have their own rule,
+/// rmap::RecordValidationError.
 const char* QueryValidationError(const MapSnapshot& snapshot,
                                  const double* fingerprint, size_t size);
 
@@ -40,17 +40,16 @@ const char* QueryValidationError(const MapSnapshot& snapshot,
 /// Thread-safety: all entry points are const (or static) and safe to call
 /// concurrently; each grabs one snapshot and never mutates it. Ownership:
 /// the localizer borrows `store` (which must outlive it) and retains no
-/// per-query state. Null-fingerprint semantics follow the estimator
-/// contract: kNull entries are legal iff the snapshot's estimator
-/// supports partial fingerprints, and all-null scans are rejected
-/// (asserted).
+/// per-query state. Null-fingerprint semantics follow the KNN estimator
+/// contract: kNull entries are legal (distance over the observed APs), and
+/// all-null scans are rejected (asserted).
 class BatchLocalizer {
  public:
   /// `store` must outlive the localizer.
   explicit BatchLocalizer(const MapSnapshotStore* store) : store_(store) {}
 
-  /// One fingerprint (kNull entries allowed) -> location. KNN family:
-  /// spatial-index pruned exact KNN; others: scalar Estimate.
+  /// One fingerprint (kNull entries allowed) -> location, by
+  /// spatial-index pruned exact KNN.
   geom::Point Localize(const std::vector<double>& fingerprint) const;
 
   /// B x D batch -> B locations via the estimator's batched path. All rows

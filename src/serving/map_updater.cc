@@ -1,7 +1,6 @@
 #include "serving/map_updater.h"
 
 #include <chrono>
-#include <cmath>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -69,6 +68,10 @@ struct UpdaterMetrics {
       "rmi_updater_wal_append_failures_total",
       "Ingest WAL appends that failed on I/O (the observation stayed "
       "buffered in memory)");
+  obs::Counter& wal_records_rejected = obs::GetCounter(
+      "rmi_store_wal_records_rejected_total",
+      "Replayed WAL records that failed the record rule (width, +-inf "
+      "RSSI, non-finite RP) and were dropped instead of folded in");
   obs::Counter& restores = obs::GetCounter(
       "rmi_updater_shards_restored_total",
       "Fresh registrations served by a snapshot restore instead of a cold "
@@ -131,12 +134,19 @@ void MapUpdater::OpenShardWal(const rmap::ShardId& id, ShardState* state,
     UpdaterMetrics::Get().persist_failures.Add();
     return;
   }
-  const size_t replayed = replay.records.size();
+  size_t replayed = 0;
   {
     std::lock_guard<std::mutex> lock(state->mu);
     state->wal = std::move(wal);
+    // The CRC vouches for the bytes, not for the record: replay applies
+    // the same rule Ingest does, and a record that fails it is dropped.
     for (rmap::Record& r : replay.records) {
+      if (rmap::RecordValidationError(r, state->base.num_aps()) != nullptr) {
+        UpdaterMetrics::Get().wal_records_rejected.Add();
+        continue;
+      }
       state->deltas.push_back(std::move(r));
+      ++replayed;
     }
     if (replayed > 0 && !state->delta_pending) {
       state->first_delta_us = obs::MonotonicUs();
@@ -150,7 +160,7 @@ void MapUpdater::OpenShardWal(const rmap::ShardId& id, ShardState* state,
 }
 
 bool MapUpdater::TryRestoreShard(const rmap::ShardId& id, ShardState* state) {
-  // Scratch stream for the restore-time estimator re-fit (KNN's Fit is
+  // Scratch stream for the restore-time BuildSnapshot (KNN's Fit is
   // deterministic and ignores it): the shard's own stream must stay
   // aligned with the uninterrupted run — forks are discarded below, one
   // per persisted snapshot version.
@@ -177,7 +187,6 @@ bool MapUpdater::TryRestoreShard(const rmap::ShardId& id, ShardState* state) {
     state->last_imputed.reset();
     state->imputer_state.reset();
     state->last_mask.reset();
-    state->last_snapshot.reset();
     // Resume the version sequence and RNG stream where the persisted run
     // left off: rebuild V consumes fork V, so discard one fork per
     // persisted version. (Caveat: *failed* rebuild attempts after the last
@@ -235,7 +244,6 @@ void MapUpdater::RegisterShard(const rmap::ShardId& id, rmap::RadioMap base) {
     state->last_imputed.reset();
     state->imputer_state.reset();
     state->last_mask.reset();
-    state->last_snapshot.reset();
     state->next_version = 1;
     state->rng = Rng(ShardSeed(options_.seed, id));
     // Registration replaces the survey lineage: the persisted state of the
@@ -280,27 +288,13 @@ void MapUpdater::Ingest(const rmap::ShardId& id, rmap::Record observation) {
     throw std::runtime_error("ingest into unregistered shard " +
                              rmap::ToString(id));
   }
-  // NaN is the null encoding; an infinity would reach the quantization
-  // scales and the spatial grid as if it were a measurement.
-  for (double v : observation.rssi) {
-    if (std::isinf(v)) {
-      throw std::runtime_error("ingested observation carries an infinite "
-                               "RSSI for shard " +
-                               rmap::ToString(id));
-    }
-  }
-  if (observation.has_rp &&
-      !(std::isfinite(observation.rp.x) && std::isfinite(observation.rp.y))) {
-    throw std::runtime_error("ingested observation has a non-finite RP for "
-                             "shard " +
-                             rmap::ToString(id));
-  }
   {
     std::lock_guard<std::mutex> lock(state->mu);
-    if (observation.rssi.size() != state->base.num_aps()) {
-      throw std::runtime_error("ingested observation width does not match "
-                               "shard " +
-                               rmap::ToString(id));
+    // Under mu: a re-registration may change the shard's width.
+    if (const char* why =
+            rmap::RecordValidationError(observation, state->base.num_aps())) {
+      throw std::runtime_error(std::string("ingest into shard ") +
+                               rmap::ToString(id) + ": " + why);
     }
     if (!state->delta_pending) {
       state->first_delta_us = obs::MonotonicUs();
@@ -347,7 +341,6 @@ void MapUpdater::Rebuild(const rmap::ShardId& id, ShardState* state,
   std::shared_ptr<const rmap::RadioMap> previous;
   std::shared_ptr<const imputers::ImputerState> warm_state;
   std::shared_ptr<const rmap::MaskMatrix> previous_mask;
-  std::shared_ptr<const MapSnapshot> previous_snapshot;
   size_t pre_delta_rows = 0;
   uint64_t version = 0;
   double first_delta_us = 0.0;
@@ -382,7 +375,6 @@ void MapUpdater::Rebuild(const rmap::ShardId& id, ShardState* state,
       previous = state->last_imputed;  // O(1) pointer grab, never a copy
       warm_state = state->imputer_state;
       previous_mask = state->last_mask;
-      previous_snapshot = state->last_snapshot;
     }
     version = state->next_version++;
   }
@@ -414,7 +406,6 @@ void MapUpdater::Rebuild(const rmap::ShardId& id, ShardState* state,
     imputers::FillMnar(&working, &mask);
     imputers::IncrementalContext ctx;
     std::shared_ptr<const imputers::ImputerState> new_state;
-    std::vector<size_t> dirty_rows;
     const bool warm = previous != nullptr;
     if (warm) {
       ctx.previous_imputed = previous.get();
@@ -430,7 +421,6 @@ void MapUpdater::Rebuild(const rmap::ShardId& id, ShardState* state,
       ctx.dirty_neighbors = options_.dirty_neighbors;
       ctx.max_dirty_fraction = options_.max_dirty_fraction;
       ctx.state_out = &new_state;
-      if (warm) ctx.dirty_rows_out = &dirty_rows;
     }
     rmap::RadioMap imputed =
         imputer_->ImputeIncremental(working, mask, ctx, rebuild_rng);
@@ -438,19 +428,9 @@ void MapUpdater::Rebuild(const rmap::ShardId& id, ShardState* state,
     const double impute_seconds = impute_timer.ElapsedSeconds();
 
     Timer fit_timer;
-    SnapshotOptions snapshot_options;
-    snapshot_options.version = version;
-    snapshot_options.cell_size_m = options_.snapshot_cell_size_m;
-    // Warm index build: only when this rebuild actually ran the warm
-    // imputation path (dirty_rows then describes the imputed map) and the
-    // previous snapshot survived. BuildSnapshot re-verifies the index's
-    // reuse preconditions and degrades to cold.
-    if (warm && previous_snapshot != nullptr) {
-      snapshot_options.warm_previous = previous_snapshot.get();
-      snapshot_options.changed_rows = &dirty_rows;
-    }
     std::shared_ptr<const MapSnapshot> snapshot = BuildSnapshot(
-        imputed, estimator_factory_(), rebuild_rng, snapshot_options);
+        imputed, estimator_factory_(), rebuild_rng,
+        SnapshotOptions{version, options_.snapshot_cell_size_m});
     const double fit_seconds = fit_timer.ElapsedSeconds();
 
     Timer publish_timer;
@@ -472,7 +452,6 @@ void MapUpdater::Rebuild(const rmap::ShardId& id, ShardState* state,
             std::make_shared<const rmap::RadioMap>(std::move(imputed));
         state->imputer_state = std::move(new_state);
         state->last_mask = std::move(mask_for_next);
-        state->last_snapshot = snapshot;
       }
       state->since_rebuild.Reset();
     }

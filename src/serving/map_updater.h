@@ -7,10 +7,13 @@
 // staleness threshold trips, the deltas are folded into the base, the
 // merged map is re-imputed (any imputers/ backend, via the incremental
 // entry point Imputer::ImputeIncremental with dirty-row propagation and
-// the backend's warm-start state from the previous rebuild), a fresh
-// estimator is fitted, and the rebuilt snapshot is published through the
+// the backend's warm-start state from the previous rebuild), and
+// BuildSnapshot fits a fresh KNN/WKNN estimator and builds the spatial
+// index cold over it. The rebuilt snapshot is published through the
 // store's atomic hot-swap — in-flight queries never block and never
-// observe a torn map.
+// observe a torn map. Every observation that enters the delta buffer —
+// through Ingest or through WAL replay at restore — passes the one record
+// rule, rmap::RecordValidationError.
 //
 // Threading model: Ingest is called from any number of threads (it only
 // appends to a mutex-guarded delta buffer). Tripped shards rebuild
@@ -43,7 +46,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -55,7 +57,6 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "imputers/imputer.h"
-#include "positioning/estimators.h"
 #include "radiomap/radio_map.h"
 #include "serving/shard_router.h"
 #include "serving/snapshot.h"
@@ -83,14 +84,12 @@ struct MapUpdaterOptions {
   size_t rebuild_threads = 4;
   /// Incremental rebuilds: offer each rebuild the previous imputation plus
   /// the imputer's warm-start state (dirty-row propagation / fine-tune —
-  /// see Imputer::ImputeIncremental). It also turns on the two other warm
-  /// stages: rows the previous rebuild already labeled reuse their mask
-  /// and only the delta rows are differentiated (exact for row-local
-  /// differentiators, an O(|delta|) approximation for clustering ones —
-  /// see Differentiator::DifferentiateDelta), and only the spatial-index
-  /// cells touching a dirty row are re-summarized (bit-identical to a cold
-  /// build — see SpatialIndex::BuildIncremental). false = every rebuild is
-  /// cold.
+  /// see Imputer::ImputeIncremental). It also turns on delta-aware
+  /// differentiation: rows the previous rebuild already labeled reuse
+  /// their mask and only the delta rows are differentiated (exact for
+  /// row-local differentiators, an O(|delta|) approximation for clustering
+  /// ones — see Differentiator::DifferentiateDelta). The estimator and the
+  /// spatial index are always built cold. false = every rebuild is cold.
   bool incremental = true;
   /// Dirty-row propagation knobs forwarded to ImputeIncremental.
   size_t dirty_neighbors = 8;
@@ -152,7 +151,9 @@ struct MapUpdaterStats {
   size_t snapshots_persisted = 0;
   /// Persist attempts that failed on I/O (the publish itself survived).
   size_t snapshot_persist_failures = 0;
-  /// Delta records recovered from shard WALs at registration restore.
+  /// Delta records recovered from shard WALs at registration restore
+  /// (records that fail the record rule are dropped, not counted here —
+  /// see rmi_store_wal_records_rejected_total).
   size_t wal_records_replayed = 0;
   /// Fresh registrations served by a snapshot restore instead of a cold
   /// impute cycle.
@@ -161,11 +162,6 @@ struct MapUpdaterStats {
   /// Queue-wait and phase breakdown per shard.
   std::map<rmap::ShardId, RebuildStats> per_shard;
 };
-
-/// Builds the (unfitted) estimator each rebuild publishes; called once per
-/// rebuild so every snapshot owns a private fitted instance.
-using EstimatorFactory =
-    std::function<std::unique_ptr<positioning::LocationEstimator>()>;
 
 class MapUpdater {
  public:
@@ -201,9 +197,9 @@ class MapUpdater {
 
   /// Appends one new survey observation (sparse RSSIs, RP optional) to the
   /// shard's delta buffer. Thread-safe; never blocks on a rebuild. Throws
-  /// std::runtime_error for an unknown shard, a width mismatch, a ±inf
-  /// RSSI (NaN stays the null encoding) or a non-finite RP on a labeled
-  /// record — a bad feed must not abort the serving process.
+  /// std::runtime_error for an unknown shard or a record that fails
+  /// rmap::RecordValidationError (width mismatch, ±inf RSSI, non-finite RP
+  /// on a labeled record) — a bad feed must not abort the serving process.
   void Ingest(const rmap::ShardId& id, rmap::Record observation);
 
   /// Rebuilds `id` now with whatever deltas are pending (possibly none —
@@ -238,9 +234,6 @@ class MapUpdater {
     /// differentiation. Saved before FillMnar: the fill flips kMnar cells
     /// to observed in place, which would poison reuse.
     std::shared_ptr<const rmap::MaskMatrix> last_mask;
-    /// The snapshot the last rebuild published (guarded by mu) — warm
-    /// input for BuildIncremental on the next rebuild.
-    std::shared_ptr<const MapSnapshot> last_snapshot;
     Timer since_rebuild;
     /// Staleness tracking (guarded by mu): MonotonicUs() when the first
     /// delta of the current pending window arrived. The rebuild that
@@ -280,8 +273,10 @@ class MapUpdater {
 
   /// <persist_dir>/b<building>_f<floor> ("" when persistence is off).
   std::string ShardDir(const rmap::ShardId& id) const;
-  /// Opens `state`'s WAL with the given replay watermark, queueing any
-  /// replayed records as pending deltas. A failed open leaves wal null
+  /// Opens `state`'s WAL with the given replay watermark, queueing every
+  /// replayed record that passes rmap::RecordValidationError as a pending
+  /// delta (the rest are dropped and counted in
+  /// rmi_store_wal_records_rejected_total). A failed open leaves wal null
   /// (persistence degrades, serving continues). Caller must hold exclusive
   /// access to the shard (registration, or rebuild_mu).
   void OpenShardWal(const rmap::ShardId& id, ShardState* state,

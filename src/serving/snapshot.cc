@@ -22,9 +22,8 @@ uint64_t MapSnapshot::ComputeChecksum() const {
   uint64_t h = Mix(0x726d692d736e6170ull, version);
   h = Mix(h, static_cast<uint64_t>(refs.rows()));
   h = Mix(h, static_cast<uint64_t>(refs.cols()));
-  h = Mix(h, static_cast<uint64_t>(positions.size()));
+  h = Mix(h, static_cast<uint64_t>(positions().size()));
   h = Mix(h, static_cast<uint64_t>(index.num_cells()));
-  h = Mix(h, estimator == nullptr ? 0 : 1);
   // The quantized ranking copy must describe the same reference set.
   h = Mix(h, quantized == nullptr ? 0 : quantized->rows + 1);
   // Sample a few fingerprint cells so a swapped-out matrix is detected
@@ -45,7 +44,7 @@ uint64_t MapSnapshot::ComputeChecksum() const {
 
 std::shared_ptr<const MapSnapshot> BuildSnapshot(
     const rmap::RadioMap& imputed_map,
-    std::unique_ptr<positioning::LocationEstimator> estimator, Rng& rng,
+    std::unique_ptr<positioning::KnnEstimator> estimator, Rng& rng,
     const SnapshotOptions& options) {
   RMI_CHECK(estimator != nullptr);
   RMI_CHECK(!imputed_map.empty());
@@ -54,46 +53,9 @@ std::shared_ptr<const MapSnapshot> BuildSnapshot(
 
   estimator->Fit(imputed_map, rng);
   snapshot->estimator = std::move(estimator);
-  if (const auto* knn = dynamic_cast<const positioning::KnnEstimator*>(
-          snapshot->estimator.get())) {
-    // KNN family: alias the fitted state itself — no second copy, and the
-    // index row ids line up with the estimator's candidate indices by
-    // construction. The quantized ranking copy aliases the same fit.
-    snapshot->fingerprint_view = &knn->features();
-    snapshot->quantized = &knn->quantized();
-    snapshot->positions = knn->labels();
-  } else {
-    // The one shared extraction rule (labeled rows, map order).
-    positioning::ExtractLabeledRows(imputed_map, &snapshot->owned_fingerprints,
-                                    &snapshot->positions);
-    snapshot->fingerprint_view = &snapshot->owned_fingerprints;
-  }
-  // Warm index reuse additionally requires that the previous snapshot's
-  // reference rows are a row-aligned prefix of ours: every map row labeled
-  // (changed_rows are map indices — extraction must not compact them; a
-  // case-deleting imputer fails this) and every surviving RP at the same
-  // position. BuildIncremental itself re-checks grid geometry and falls
-  // back cold on any mismatch.
-  bool warm_index = options.warm_previous != nullptr &&
-                    options.changed_rows != nullptr &&
-                    snapshot->fingerprints().rows() == imputed_map.size() &&
-                    options.warm_previous->num_refs() <=
-                        snapshot->positions.size();
-  for (size_t i = 0; warm_index && i < options.warm_previous->num_refs();
-       ++i) {
-    const geom::Point& a = options.warm_previous->positions[i];
-    const geom::Point& b = snapshot->positions[i];
-    if (a.x != b.x || a.y != b.y) warm_index = false;
-  }
-  if (warm_index) {
-    snapshot->index.BuildIncremental(snapshot->fingerprints(),
-                                     snapshot->positions, options.cell_size_m,
-                                     options.warm_previous->index,
-                                     *options.changed_rows);
-  } else {
-    snapshot->index.Build(snapshot->fingerprints(), snapshot->positions,
-                          options.cell_size_m);
-  }
+  snapshot->quantized = &snapshot->estimator->quantized();
+  snapshot->index.Build(snapshot->fingerprints(), snapshot->positions(),
+                        options.cell_size_m);
   snapshot->checksum = snapshot->ComputeChecksum();
   return snapshot;
 }

@@ -2,11 +2,13 @@
 // online localization engine.
 //
 // Lifecycle: a background pipeline (re-survey -> differentiate -> impute ->
-// fit) produces a complete radio map, BuildSnapshot freezes it — fitted
-// estimator, reference fingerprint matrix, RP labels, spatial index — into
-// one immutable MapSnapshot, and MapSnapshotStore::Publish swaps it in
-// atomically. In-flight queries hold the snapshot open — hot path via an
-// epoch pin (PinnedRead), slow path via a shared_ptr (Current) — so a
+// fit) produces a complete radio map, BuildSnapshot freezes it — a fitted
+// KNN/WKNN estimator plus a spatial index built cold over its reference
+// rows — into one immutable MapSnapshot, and MapSnapshotStore::Publish
+// swaps it in atomically. A snapshot restored from disk goes through the
+// same BuildSnapshot call (see snapshot_persist.h), so there is one serving
+// representation. In-flight queries hold the snapshot open — hot path via
+// an epoch pin (PinnedRead), slow path via a shared_ptr (Current) — so a
 // publish never blocks readers and a reader never observes a half-built
 // ("torn") snapshot; the old snapshot is retired into the epoch domain and
 // freed once every pin taken before the swap has been released and every
@@ -16,8 +18,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "common/rng.h"
 #include "positioning/estimators.h"
@@ -31,32 +35,17 @@ namespace rmi::serving {
 /// nothing mutates after publication (queries run concurrently against it).
 struct MapSnapshot {
   uint64_t version = 0;
-  /// Fitted location estimator (Estimate/EstimateBatch are const and
-  /// thread-safe).
-  std::unique_ptr<const positioning::LocationEstimator> estimator;
-  /// R x D reference fingerprints (complete rows, aligned with positions).
-  /// For the KNN family this *aliases* the fitted estimator's own matrix —
-  /// the estimator member owns it and lives as long as the snapshot — so a
-  /// snapshot adds no second copy of the reference data; for other
-  /// estimators owned_fingerprints holds the extraction.
-  const la::Matrix& fingerprints() const { return *fingerprint_view; }
-  const la::Matrix* fingerprint_view = nullptr;
-  la::Matrix owned_fingerprints;
+  /// Fitted KNN/WKNN estimator (Estimate/EstimateBatch are const and
+  /// thread-safe). It owns the reference state every accessor below reads,
+  /// so a snapshot holds exactly one copy of the reference data.
+  std::unique_ptr<const positioning::KnnEstimator> estimator;
   /// Int8-quantized, padded/SoA ranking copy of the reference matrix
-  /// (per-AP scale/zero-point), or nullptr for estimators without one.
-  /// Like fingerprint_view it *aliases* the fitted KNN estimator's state —
-  /// the float matrix above stays the exact-rescore master, this is the
-  /// 8x-smaller copy the int8 ranking kernel (la::GemmQuantNN) streams.
+  /// (per-AP scale/zero-point). Aliases the fitted estimator's state: the
+  /// float matrix stays the exact-rescore master, this is the 8x-smaller
+  /// copy the int8 ranking kernel (la::GemmQuantNN) streams.
   const la::QuantizedRefs* quantized = nullptr;
-  std::vector<geom::Point> positions;
-  /// Location-grid pruning index over (fingerprints, positions).
+  /// Location-grid pruning index over (fingerprints(), positions()).
   SpatialIndex index;
-  /// Whatever the snapshot's borrowed state lives in beyond the estimator —
-  /// today the mmap-ed store::MappedSnapshot a restored snapshot serves
-  /// from (type-erased so this header stays store-agnostic). Rides the
-  /// snapshot through epoch retirement: the mapping is unmapped only when
-  /// the snapshot itself is reclaimed, so no view pointer can dangle.
-  std::shared_ptr<const void> backing;
   /// Integrity stamp over the fields above, taken at build time. Torn
   /// *reads* are precluded by the store's atomic shared_ptr protocol; the
   /// stamp guards against a publisher bug — mutation between BuildSnapshot
@@ -67,7 +56,13 @@ struct MapSnapshot {
   uint64_t ComputeChecksum() const;
   bool Consistent() const { return checksum == ComputeChecksum(); }
 
-  size_t num_refs() const { return positions.size(); }
+  /// R x D reference fingerprints (complete rows, aligned with positions()).
+  const la::Matrix& fingerprints() const { return estimator->features(); }
+  /// The R reference locations.
+  const std::vector<geom::Point>& positions() const {
+    return estimator->labels();
+  }
+  size_t num_refs() const { return positions().size(); }
   size_t num_aps() const { return fingerprints().cols(); }
 };
 
@@ -75,29 +70,21 @@ struct SnapshotOptions {
   uint64_t version = 0;
   /// Spatial-index grid pitch, meters.
   double cell_size_m = 6.0;
-  /// Warm-rebuild inputs (the live-update loop sets both; a cold build
-  /// leaves them null). `warm_previous` is the snapshot being replaced,
-  /// `changed_rows` the ascending imputed-map rows whose values differ from
-  /// the map it was built on (appended rows included). Both must outlive
-  /// the BuildSnapshot call only — nothing is retained. They feed the
-  /// spatial index's warm path, which falls back to a cold build when
-  /// reuse is unsound.
-  const MapSnapshot* warm_previous = nullptr;
-  const std::vector<size_t>* changed_rows = nullptr;
 };
 
+/// Builds the (unfitted) estimator each snapshot fits; called once per
+/// build so every snapshot owns a private fitted instance.
+using EstimatorFactory =
+    std::function<std::unique_ptr<positioning::KnnEstimator>()>;
+
 /// Freezes `imputed_map` (complete, labeled rows) + a *not yet fitted*
-/// estimator into a snapshot: fits the estimator, extracts the reference
-/// matrix/labels (from the estimator itself for the KNN family, so the
-/// spatial index is guaranteed row-aligned with the fitted state), builds
-/// the index, stamps the checksum. The estimator is always fitted cold.
-/// With SnapshotOptions::warm_previous / changed_rows set, the index build
-/// goes through SpatialIndex::BuildIncremental, which verifies its reuse
-/// preconditions and degrades to the cold build, so the options are always
-/// safe to pass.
+/// estimator into a snapshot: fits the estimator, builds the spatial index
+/// over the fitted reference rows (so the index is row-aligned with the
+/// estimator by construction), stamps the checksum. Both the live rebuild
+/// and the restart path build snapshots through this one call.
 std::shared_ptr<const MapSnapshot> BuildSnapshot(
     const rmap::RadioMap& imputed_map,
-    std::unique_ptr<positioning::LocationEstimator> estimator, Rng& rng,
+    std::unique_ptr<positioning::KnnEstimator> estimator, Rng& rng,
     const SnapshotOptions& options = {});
 
 /// A snapshot reference held open by an epoch pin instead of a refcount:

@@ -3,11 +3,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <utility>
 
-#include "common/check.h"
 #include "obs/metrics.h"
 #include "store/snapshot_format.h"
 
@@ -20,8 +18,9 @@ namespace fs = std::filesystem;
 obs::Counter& RestoreRejected() {
   static obs::Counter* c = &obs::GetCounter(
       "rmi_store_restore_rejected_total",
-      "Snapshot files refused at restore time (shard/width/ABI mismatch or "
-      "missing base) — the shard fell back to a cold re-impute");
+      "Snapshot files refused at restore time (shard/width mismatch, "
+      "missing base or a malformed reference row) — the shard fell back to "
+      "a cold re-impute");
   return *c;
 }
 
@@ -33,33 +32,6 @@ bool Reject(std::string* error, const std::string& msg) {
   RestoreRejected().Add();
   SetError(error, msg);
   return false;
-}
-
-/// Byte equality between the re-fitted estimator's quant tables and the
-/// file's sections — the restore-time ABI check. QuantizeRefs is
-/// deterministic, so a same-code re-fit over the mapped float refs must
-/// reproduce the persisted tables exactly; any difference means the
-/// writing process quantized differently than this one would, and serving
-/// from the file could disagree with a heap rebuild.
-bool QuantTablesMatch(const la::QuantizedRefs& fitted,
-                      const la::QuantizedRefsSpan& mapped) {
-  if (fitted.rows != mapped.rows || fitted.cols != mapped.cols ||
-      fitted.padded != mapped.padded) {
-    return false;
-  }
-  const size_t cells = fitted.cols * fitted.padded;
-  return fitted.min_scale == mapped.min_scale &&
-         fitted.max_scale == mapped.max_scale &&
-         std::memcmp(fitted.values.data(), mapped.values,
-                     cells * sizeof(int8_t)) == 0 &&
-         std::memcmp(fitted.squares.data(), mapped.squares,
-                     cells * sizeof(int16_t)) == 0 &&
-         std::memcmp(fitted.norms.data(), mapped.norms,
-                     fitted.rows * sizeof(int32_t)) == 0 &&
-         std::memcmp(fitted.scale.data(), mapped.scale,
-                     fitted.cols * sizeof(double)) == 0 &&
-         std::memcmp(fitted.zero_point.data(), mapped.zero_point,
-                     fitted.cols * sizeof(double)) == 0;
 }
 
 }  // namespace
@@ -81,13 +53,8 @@ bool PersistMapSnapshot(const MapSnapshot& snapshot,
   req.wal_watermark = wal_watermark;
   req.num_refs = snapshot.num_refs();
   req.num_aps = snapshot.num_aps();
-  if (snapshot.quantized != nullptr) {
-    req.quant = snapshot.quantized->span();
-  }
   req.refs = snapshot.fingerprints().data().data();
-  req.positions = snapshot.positions.data();
-  const store::GridImage grid = snapshot.index.Image();
-  req.grid = &grid;
+  req.positions = snapshot.positions().data();
   req.base = &base;
 
   const std::string path =
@@ -98,10 +65,8 @@ bool PersistMapSnapshot(const MapSnapshot& snapshot,
 bool LoadNewestSnapshot(const std::string& dir,
                         const rmap::ShardId& expected_shard,
                         size_t expected_aps,
-                        const std::function<std::unique_ptr<
-                            positioning::LocationEstimator>()>&
-                            estimator_factory,
-                        Rng& rng, double cell_size_m, LoadedSnapshot* out,
+                        const EstimatorFactory& estimator_factory, Rng& rng,
+                        double cell_size_m, LoadedSnapshot* out,
                         std::string* error) {
   std::string map_error;
   auto mapped = store::MapNewestValid(dir, &map_error);
@@ -128,72 +93,32 @@ bool LoadNewestSnapshot(const std::string& dir,
     return Reject(error, mapped->path() + ": no decodable base section");
   }
 
-  // Reconstitute the estimator by synthesizing the complete reference map
-  // the writing process fitted on (mapped refs + positions are exactly the
-  // imputed labeled rows) and running the ordinary factory Fit. For the
-  // KNN family this reproduces the fitted state bit-for-bit — verified
-  // against the file's quant sections below.
+  // The mapped rows + positions are exactly the imputed labeled rows the
+  // writing process built its snapshot from: rebuild it the same way.
   const store::MapSnapshotView view = mapped->view();
-  rmap::RadioMap fit_map(h.num_aps);
-  fit_map.set_shard(expected_shard);
+  rmap::RadioMap imputed(view.num_aps);
+  imputed.set_shard(expected_shard);
   for (size_t r = 0; r < view.num_refs; ++r) {
     rmap::Record rec;
     rec.rssi.assign(view.refs + r * view.num_aps,
                     view.refs + (r + 1) * view.num_aps);
     rec.rp = view.positions[r];
     rec.has_rp = true;
-    fit_map.Add(std::move(rec));
+    if (rmap::RecordValidationError(rec, view.num_aps) != nullptr ||
+        rec.NumObserved() != view.num_aps) {
+      return Reject(error, mapped->path() + ": reference row " +
+                               std::to_string(r) +
+                               " is not a complete, finite record");
+    }
+    imputed.Add(std::move(rec));
   }
-  if (fit_map.empty()) {
+  if (imputed.empty()) {
     return Reject(error, mapped->path() + ": empty reference set");
   }
 
-  auto estimator = estimator_factory();
-  RMI_CHECK(estimator != nullptr);
-  estimator->Fit(fit_map, rng);
-
-  auto snapshot = std::make_shared<MapSnapshot>();
-  snapshot->version = h.snapshot_version;
-  snapshot->estimator = std::move(estimator);
-  if (const auto* knn = dynamic_cast<const positioning::KnnEstimator*>(
-          snapshot->estimator.get())) {
-    // Same aliasing as BuildSnapshot: the snapshot borrows the fitted
-    // state, no second copy.
-    snapshot->fingerprint_view = &knn->features();
-    snapshot->quantized = &knn->quantized();
-    snapshot->positions = knn->labels();
-    if (knn->features().rows() != view.num_refs ||
-        std::memcmp(knn->features().data().data(), view.refs,
-                    view.num_refs * view.num_aps * sizeof(double)) != 0) {
-      return Reject(error,
-                    mapped->path() + ": re-fitted reference matrix differs "
-                                     "from the mapped float section");
-    }
-    if (view.has_quant() &&
-        !QuantTablesMatch(knn->quantized(), view.quant)) {
-      return Reject(error, mapped->path() +
-                               ": quantization ABI mismatch (re-fit does "
-                               "not reproduce the file's tables)");
-    }
-  } else {
-    positioning::ExtractLabeledRows(fit_map, &snapshot->owned_fingerprints,
-                                    &snapshot->positions);
-    snapshot->fingerprint_view = &snapshot->owned_fingerprints;
-  }
-
-  store::GridImage grid;
-  if (mapped->DecodeGrid(&grid) && !grid.empty() &&
-      grid.num_refs == snapshot->num_refs()) {
-    snapshot->index.Restore(grid);
-  } else {
-    snapshot->index.Build(snapshot->fingerprints(), snapshot->positions,
-                          cell_size_m);
-  }
-
-  snapshot->backing = mapped;  // the mapping now lives as long as the snapshot
-  snapshot->checksum = snapshot->ComputeChecksum();
-
-  out->snapshot = std::move(snapshot);
+  out->snapshot = BuildSnapshot(imputed, estimator_factory(), rng,
+                                SnapshotOptions{h.snapshot_version,
+                                                cell_size_m});
   out->base = std::move(base);
   out->snapshot_version = h.snapshot_version;
   out->wal_watermark = h.wal_watermark;

@@ -2,28 +2,27 @@
 //
 // PersistMapSnapshot flattens a just-published MapSnapshot (plus the
 // folded survey base and WAL watermark) into one .rmsnap file through the
-// store's durable write protocol. LoadNewestSnapshot is the restart path:
-// map the newest valid file, decode the survey base, reconstitute a full
-// serving MapSnapshot around the mapping — estimator re-fitted from the
-// mapped reference sections (and ABI-checked bit-for-bit against the
-// file's quant tables), spatial index restored from the persisted grid
-// image — and hand back everything RegisterShard needs to resume the
-// update loop without re-running imputation.
+// store's durable write protocol. Only source state is written: the
+// imputed reference rows, their positions and the survey base.
+// LoadNewestSnapshot is the restart path: map the newest valid file,
+// decode the survey base, and rebuild the serving snapshot from the
+// mapped rows through the same BuildSnapshot call a live rebuild makes —
+// estimator fit, int8 copy and spatial index included — then hand back
+// everything RegisterShard needs to resume the update loop without
+// re-running imputation.
 //
-// Restore is strict: shard id, width, and the quantization ABI must all
-// match, and any disagreement refuses the file (the caller falls back to
-// a cold re-impute). A refused restore can never serve wrong answers; at
-// worst it serves slowly once.
+// Restore is strict: shard id and width must match, every reference row
+// must be a complete, finite record, and any disagreement refuses the file
+// (the caller falls back to a cold re-impute). A refused restore can never
+// serve wrong answers; at worst it serves slowly once.
 #ifndef RMI_SERVING_SNAPSHOT_PERSIST_H_
 #define RMI_SERVING_SNAPSHOT_PERSIST_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 
 #include "common/rng.h"
-#include "positioning/estimators.h"
 #include "radiomap/radio_map.h"
 #include "serving/snapshot.h"
 
@@ -39,9 +38,8 @@ bool PersistMapSnapshot(const MapSnapshot& snapshot,
 
 /// What LoadNewestSnapshot reconstitutes from a mapped file.
 struct LoadedSnapshot {
-  /// Ready to publish: estimator fitted, index restored, checksum stamped,
-  /// and the mmap parked in `backing` so the mapping lives exactly as long
-  /// as the snapshot.
+  /// Ready to publish: built by BuildSnapshot from the file's rows. Owns
+  /// its state outright — the mapping is closed before this returns.
   std::shared_ptr<const MapSnapshot> snapshot;
   /// The decoded survey base the updater resumes folding deltas into.
   rmap::RadioMap base;
@@ -51,19 +49,17 @@ struct LoadedSnapshot {
 };
 
 /// Maps the newest valid snapshot under `dir` and rebuilds serving state
-/// from it. `estimator_factory` supplies the estimator shape (must match
-/// what the shard normally fits); `rng` feeds its Fit. Fails — false, with
-/// *error, nothing published — when no valid file exists, the file's shard
-/// or width disagrees with the expected ones, the base section is absent,
-/// or a re-fitted KNN estimator's quantization tables differ from the
-/// file's sections (the ABI canary: byte equality or cold rebuild).
+/// from it with BuildSnapshot(rows, estimator_factory(), rng,
+/// {file version, cell_size_m}). `estimator_factory` must build what the
+/// shard normally fits. Fails — false, with *error, nothing published —
+/// when no valid file exists, the file's shard or width disagrees with the
+/// expected ones, the base section is absent or malformed, or a reference
+/// row is not a complete, finite record.
 bool LoadNewestSnapshot(const std::string& dir,
                         const rmap::ShardId& expected_shard,
                         size_t expected_aps,
-                        const std::function<std::unique_ptr<
-                            positioning::LocationEstimator>()>&
-                            estimator_factory,
-                        Rng& rng, double cell_size_m, LoadedSnapshot* out,
+                        const EstimatorFactory& estimator_factory, Rng& rng,
+                        double cell_size_m, LoadedSnapshot* out,
                         std::string* error);
 
 /// Deletes all but the newest `keep` snapshot files under `dir` (keep >= 1

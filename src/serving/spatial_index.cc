@@ -55,12 +55,9 @@ void SpatialIndex::Build(const la::Matrix& refs,
   RMI_CHECK_EQ(refs.rows(), positions.size());
   RMI_CHECK_GT(cell_size_m, 0.0);
   cells_.clear();
-  slot_.clear();
   cell_size_m_ = cell_size_m;
   dim_ = refs.cols();
   num_refs_ = refs.rows();
-  grid_cols_ = grid_rows_ = 0;
-  min_x_ = min_y_ = 0.0;
   if (num_refs_ == 0) return;
 
   double min_x = positions[0].x, max_x = positions[0].x;
@@ -71,19 +68,17 @@ void SpatialIndex::Build(const la::Matrix& refs,
     min_y = std::min(min_y, p.y);
     max_y = std::max(max_y, p.y);
   }
-  min_x_ = min_x;
-  min_y_ = min_y;
-  grid_cols_ = std::max<size_t>(
+  const size_t grid_cols = std::max<size_t>(
       1, static_cast<size_t>(std::ceil((max_x - min_x) / cell_size_m)) + 1);
-  grid_rows_ = std::max<size_t>(
+  const size_t grid_rows = std::max<size_t>(
       1, static_cast<size_t>(std::ceil((max_y - min_y) / cell_size_m)) + 1);
-  slot_.assign(grid_rows_ * grid_cols_, -1);
+  std::vector<int> slot(grid_rows * grid_cols, -1);  // -1 = empty cell
   for (size_t i = 0; i < num_refs_; ++i) {
     size_t gx = static_cast<size_t>((positions[i].x - min_x) / cell_size_m);
     size_t gy = static_cast<size_t>((positions[i].y - min_y) / cell_size_m);
-    gx = std::min(gx, grid_cols_ - 1);
-    gy = std::min(gy, grid_rows_ - 1);
-    int& s = slot_[gy * grid_cols_ + gx];
+    gx = std::min(gx, grid_cols - 1);
+    gy = std::min(gy, grid_rows - 1);
+    int& s = slot[gy * grid_cols + gx];
     if (s < 0) {
       s = static_cast<int>(cells_.size());
       cells_.emplace_back();
@@ -91,13 +86,12 @@ void SpatialIndex::Build(const la::Matrix& refs,
     cells_[static_cast<size_t>(s)].members.push_back(i);
   }
 
-  for (Cell& cell : cells_) RefreshCell(&cell, refs);
+  for (Cell& cell : cells_) SummarizeCell(&cell, refs);
 }
 
-void SpatialIndex::RefreshCell(Cell* cell, const la::Matrix& refs) const {
+void SpatialIndex::SummarizeCell(Cell* cell, const la::Matrix& refs) const {
   // Fingerprint-space centroid + covering radius over the members, summed
-  // in member order (ascending row) so a refreshed cell is bit-equal to a
-  // cold-built one.
+  // in member order (ascending row).
   cell->centroid.assign(dim_, 0.0);
   for (size_t m : cell->members) {
     const double* row = refs.data().data() + m * dim_;
@@ -116,93 +110,6 @@ void SpatialIndex::RefreshCell(Cell* cell, const la::Matrix& refs) const {
     max_sq = std::max(max_sq, s);
   }
   cell->radius = std::sqrt(max_sq);
-}
-
-void SpatialIndex::BuildIncremental(const la::Matrix& refs,
-                                    const std::vector<geom::Point>& positions,
-                                    double cell_size_m,
-                                    const SpatialIndex& previous,
-                                    const std::vector<size_t>& changed_rows) {
-  RMI_CHECK_EQ(refs.rows(), positions.size());
-  RMI_CHECK_GT(cell_size_m, 0.0);
-  const size_t n = refs.rows();
-
-  // Reuse is only sound when the assignment function old rows were
-  // bucketed under is unchanged: same pitch, same feature width, same
-  // bounding-box origin and grid dimensions over the *new* position set,
-  // and no surviving row vanished. Anything else — including a new RP
-  // stretching the bounding box — shifts assignments, so build cold.
-  bool reusable = previous.num_refs_ > 0 && n >= previous.num_refs_ &&
-                  previous.cell_size_m_ == cell_size_m &&
-                  previous.dim_ == refs.cols();
-  if (reusable) {
-    double min_x = positions[0].x, max_x = positions[0].x;
-    double min_y = positions[0].y, max_y = positions[0].y;
-    for (const geom::Point& p : positions) {
-      min_x = std::min(min_x, p.x);
-      max_x = std::max(max_x, p.x);
-      min_y = std::min(min_y, p.y);
-      max_y = std::max(max_y, p.y);
-    }
-    const size_t cols = std::max<size_t>(
-        1, static_cast<size_t>(std::ceil((max_x - min_x) / cell_size_m)) + 1);
-    const size_t rows = std::max<size_t>(
-        1, static_cast<size_t>(std::ceil((max_y - min_y) / cell_size_m)) + 1);
-    reusable = min_x == previous.min_x_ && min_y == previous.min_y_ &&
-               cols == previous.grid_cols_ && rows == previous.grid_rows_;
-  }
-  size_t appended_listed = 0;
-  for (size_t i = 0; reusable && i < changed_rows.size(); ++i) {
-    if (changed_rows[i] >= n ||
-        (i > 0 && changed_rows[i] <= changed_rows[i - 1])) {
-      reusable = false;  // out of range or not strictly ascending
-    } else if (changed_rows[i] >= previous.num_refs_) {
-      ++appended_listed;
-    }
-  }
-  // Every appended row must be listed, or it would never join a cell.
-  // Strictly-ascending entries in [num_refs, n) counting n - num_refs
-  // means they are exactly the appended rows.
-  if (appended_listed != n - previous.num_refs_) reusable = false;
-  if (!reusable) {
-    Build(refs, positions, cell_size_m);
-    return;
-  }
-
-  cells_ = previous.cells_;
-  slot_ = previous.slot_;
-  cell_size_m_ = cell_size_m;
-  dim_ = previous.dim_;
-  num_refs_ = n;
-  min_x_ = previous.min_x_;
-  min_y_ = previous.min_y_;
-  grid_cols_ = previous.grid_cols_;
-  grid_rows_ = previous.grid_rows_;
-
-  // Changed surviving rows are already members of their cell (an RP label
-  // never moves); appended rows are inserted in ascending order, which is
-  // exactly where a cold Build would have put them. Either way the cell's
-  // summary is stale, so collect and refresh the touched cells.
-  std::vector<size_t> affected;
-  for (size_t r : changed_rows) {
-    size_t gx = static_cast<size_t>((positions[r].x - min_x_) / cell_size_m);
-    size_t gy = static_cast<size_t>((positions[r].y - min_y_) / cell_size_m);
-    gx = std::min(gx, grid_cols_ - 1);
-    gy = std::min(gy, grid_rows_ - 1);
-    int& s = slot_[gy * grid_cols_ + gx];
-    if (s < 0) {
-      s = static_cast<int>(cells_.size());
-      cells_.emplace_back();
-    }
-    if (r >= previous.num_refs_) {
-      cells_[static_cast<size_t>(s)].members.push_back(r);
-    }
-    affected.push_back(static_cast<size_t>(s));
-  }
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()),
-                 affected.end());
-  for (size_t c : affected) RefreshCell(&cells_[c], refs);
 }
 
 size_t SpatialIndex::last_scored() { return LastScoredSlot(); }
@@ -257,58 +164,6 @@ std::vector<Neighbor> SpatialIndex::Search(const la::Matrix& refs,
   }
   LastScoredSlot() = scored;
   return best.Take();
-}
-
-store::GridImage SpatialIndex::Image() const {
-  store::GridImage img;
-  img.cell_size_m = cell_size_m_;
-  img.min_x = min_x_;
-  img.min_y = min_y_;
-  img.dim = dim_;
-  img.num_refs = num_refs_;
-  img.grid_cols = grid_cols_;
-  img.grid_rows = grid_rows_;
-  img.slot.reserve(slot_.size());
-  for (int s : slot_) img.slot.push_back(static_cast<int32_t>(s));
-  img.cell_offsets.reserve(cells_.size() + 1);
-  img.cell_offsets.push_back(0);
-  img.centroids.reserve(cells_.size() * dim_);
-  img.radii.reserve(cells_.size());
-  for (const Cell& cell : cells_) {
-    for (size_t m : cell.members) {
-      img.members.push_back(static_cast<uint32_t>(m));
-    }
-    img.cell_offsets.push_back(img.members.size());
-    img.centroids.insert(img.centroids.end(), cell.centroid.begin(),
-                         cell.centroid.end());
-    img.radii.push_back(cell.radius);
-  }
-  return img;
-}
-
-void SpatialIndex::Restore(const store::GridImage& image) {
-  cell_size_m_ = image.cell_size_m;
-  min_x_ = image.min_x;
-  min_y_ = image.min_y;
-  dim_ = image.dim;
-  num_refs_ = image.num_refs;
-  grid_cols_ = image.grid_cols;
-  grid_rows_ = image.grid_rows;
-  slot_.assign(image.slot.begin(), image.slot.end());
-  cells_.clear();
-  cells_.resize(image.num_cells());
-  for (size_t c = 0; c < cells_.size(); ++c) {
-    Cell& cell = cells_[c];
-    const uint64_t begin = image.cell_offsets[c];
-    const uint64_t end = image.cell_offsets[c + 1];
-    cell.members.reserve(end - begin);
-    for (uint64_t i = begin; i < end; ++i) {
-      cell.members.push_back(image.members[i]);
-    }
-    cell.centroid.assign(image.centroids.begin() + c * image.dim,
-                         image.centroids.begin() + (c + 1) * image.dim);
-    cell.radius = image.radii[c];
-  }
 }
 
 }  // namespace rmi::serving

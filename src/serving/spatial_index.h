@@ -18,6 +18,10 @@
 // the L2 norm of a coordinate subvector, so by the triangle inequality
 // ||(q - f) o m|| >= ||(q - c) o m|| - ||(c - f) o m||, and the masked
 // member term is bounded by the full-dimension radius.
+//
+// The index is derived state: every snapshot build — a live rebuild and a
+// restart from a snapshot file alike — builds it cold from the reference
+// rows, and nothing of it is written to disk.
 #ifndef RMI_SERVING_SPATIAL_INDEX_H_
 #define RMI_SERVING_SPATIAL_INDEX_H_
 
@@ -27,7 +31,6 @@
 
 #include "geometry/geometry.h"
 #include "la/matrix.h"
-#include "store/snapshot_format.h"
 
 namespace rmi::serving {
 
@@ -58,22 +61,6 @@ class SpatialIndex {
   void Build(const la::Matrix& refs, const std::vector<geom::Point>& positions,
              double cell_size_m);
 
-  /// Incremental rebuild for the live-update loop: `previous` indexed the
-  /// first `previous.num_refs()` rows of (`refs`, `positions`), and only
-  /// the rows in `changed_rows` (ascending; appended rows included) carry
-  /// different fingerprint values now — positions of surviving rows are
-  /// unchanged (an RP label never moves; only its imputed RSSIs do).
-  /// Copies the grid and refreshes just the cells a changed row touches:
-  /// the result is *identical* to a cold Build — same cells, same member
-  /// order, bit-equal centroids — because unchanged cells see the same
-  /// members in the same order. Falls back to a cold Build whenever the
-  /// grid geometry moved (a new RP outside the old bounding box, different
-  /// pitch or width) or `previous` is empty.
-  void BuildIncremental(const la::Matrix& refs,
-                        const std::vector<geom::Point>& positions,
-                        double cell_size_m, const SpatialIndex& previous,
-                        const std::vector<size_t>& changed_rows);
-
   /// Exact KNN of `query` (kNull entries allowed), identical to
   /// BruteForceKnn(refs, query, k) — including at the boundaries: k >=
   /// the reference count returns every row ascending by (distance, index),
@@ -92,17 +79,6 @@ class SpatialIndex {
   /// diagnostics (thread-local; benches read it right after a Search).
   static size_t last_scored();
 
-  /// Flattens the grid into the persistence layer's POD image (cell order
-  /// and member order preserved, so Restore() reproduces this index
-  /// bit-for-bit — including the summation-order-sensitive centroids).
-  store::GridImage Image() const;
-
-  /// Rebuilds the index from a persisted image — the restart path that
-  /// skips the grid build entirely. The image must describe the same
-  /// reference set the caller serves (row count is checked at use via
-  /// Search's contract).
-  void Restore(const store::GridImage& image);
-
  private:
   struct Cell {
     std::vector<size_t> members;     ///< reference rows in this cell
@@ -110,19 +86,13 @@ class SpatialIndex {
     double radius = 0.0;             ///< max member distance to centroid
   };
 
-  /// Recomputes `cell`'s centroid and covering radius from its members.
-  void RefreshCell(Cell* cell, const la::Matrix& refs) const;
+  /// Computes `cell`'s centroid and covering radius from its members.
+  void SummarizeCell(Cell* cell, const la::Matrix& refs) const;
 
   std::vector<Cell> cells_;
   double cell_size_m_ = 0.0;
   size_t dim_ = 0;
   size_t num_refs_ = 0;
-  /// Grid geometry (origin at the positions' bounding-box min corner) and
-  /// the grid-slot -> cells_ map, retained so BuildIncremental can place a
-  /// changed row without re-bucketing the world. Empty when num_refs_ == 0.
-  double min_x_ = 0.0, min_y_ = 0.0;
-  size_t grid_cols_ = 0, grid_rows_ = 0;
-  std::vector<int> slot_;  ///< grid_rows_ * grid_cols_; -1 = empty cell
 };
 
 }  // namespace rmi::serving

@@ -13,9 +13,7 @@
 #include <utility>
 
 #include "common/check.h"
-#include "la/kernels.h"
 #include "obs/metrics.h"
-#include "positioning/estimators.h"
 #include "store/crc32c.h"
 #include "store/record_codec.h"
 
@@ -81,84 +79,6 @@ SectionRange AddSection(std::string* buf, const void* data, size_t bytes) {
   return range;
 }
 
-template <typename T>
-void AppendPod(T v, std::string* out) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &v, sizeof(T));
-  out->append(buf, sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(const uint8_t* p, size_t len, size_t* off, T* v) {
-  if (len - *off < sizeof(T)) return false;
-  std::memcpy(v, p + *off, sizeof(T));
-  *off += sizeof(T);
-  return true;
-}
-
-template <typename T>
-bool ReadPodArray(const uint8_t* p, size_t len, size_t* off, size_t n,
-                  std::vector<T>* out) {
-  if ((len - *off) / sizeof(T) < n) return false;
-  out->resize(n);
-  if (n > 0) std::memcpy(out->data(), p + *off, n * sizeof(T));
-  *off += n * sizeof(T);
-  return true;
-}
-
-/// Grid blob layout: a small POD prelude (geometry + array lengths), then
-/// the arrays back to back in declaration order.
-void EncodeGridImage(const GridImage& g, std::string* out) {
-  AppendPod<double>(g.cell_size_m, out);
-  AppendPod<double>(g.min_x, out);
-  AppendPod<double>(g.min_y, out);
-  AppendPod<uint64_t>(g.dim, out);
-  AppendPod<uint64_t>(g.num_refs, out);
-  AppendPod<uint64_t>(g.grid_cols, out);
-  AppendPod<uint64_t>(g.grid_rows, out);
-  AppendPod<uint64_t>(g.num_cells(), out);
-  AppendPod<uint64_t>(g.members.size(), out);
-  out->append(reinterpret_cast<const char*>(g.slot.data()),
-              g.slot.size() * sizeof(int32_t));
-  out->append(reinterpret_cast<const char*>(g.cell_offsets.data()),
-              g.cell_offsets.size() * sizeof(uint64_t));
-  out->append(reinterpret_cast<const char*>(g.members.data()),
-              g.members.size() * sizeof(uint32_t));
-  out->append(reinterpret_cast<const char*>(g.centroids.data()),
-              g.centroids.size() * sizeof(double));
-  out->append(reinterpret_cast<const char*>(g.radii.data()),
-              g.radii.size() * sizeof(double));
-}
-
-bool DecodeGridImage(const uint8_t* p, size_t len, GridImage* out) {
-  size_t off = 0;
-  uint64_t num_cells = 0, num_members = 0;
-  GridImage g;
-  if (!ReadPod(p, len, &off, &g.cell_size_m) ||
-      !ReadPod(p, len, &off, &g.min_x) || !ReadPod(p, len, &off, &g.min_y) ||
-      !ReadPod(p, len, &off, &g.dim) || !ReadPod(p, len, &off, &g.num_refs) ||
-      !ReadPod(p, len, &off, &g.grid_cols) ||
-      !ReadPod(p, len, &off, &g.grid_rows) ||
-      !ReadPod(p, len, &off, &num_cells) ||
-      !ReadPod(p, len, &off, &num_members)) {
-    return false;
-  }
-  const uint64_t slots = g.grid_cols * g.grid_rows;
-  if (!ReadPodArray(p, len, &off, slots, &g.slot) ||
-      !ReadPodArray(p, len, &off, num_cells + 1, &g.cell_offsets) ||
-      !ReadPodArray(p, len, &off, num_members, &g.members) ||
-      !ReadPodArray(p, len, &off, num_cells * g.dim, &g.centroids) ||
-      !ReadPodArray(p, len, &off, num_cells, &g.radii)) {
-    return false;
-  }
-  if (off != len) return false;
-  if (g.cell_offsets.empty() || g.cell_offsets.back() != num_members) {
-    return false;
-  }
-  *out = std::move(g);
-  return true;
-}
-
 bool WriteAll(int fd, const char* data, size_t len, std::string* error) {
   size_t written = 0;
   while (written < len) {
@@ -195,43 +115,50 @@ bool FsyncDirOf(const std::string& path, std::string* error) {
   return ok;
 }
 
-/// Section size sanity against the header's dimensions — a file whose CRCs
-/// pass but whose section table disagrees with its own shape fields is
-/// still refused before any pointer escapes.
+/// Section sizes against the header's shape fields — a file whose CRCs
+/// pass but whose section table disagrees with its own shape is still
+/// refused before any pointer escapes. Shape products are overflow-checked
+/// (a wrapped product could match a 0-byte section), no expected size may
+/// exceed the file, and a non-empty shape needs every required section.
 bool ValidateSectionShapes(const SnapshotHeader& h, std::string* error) {
-  const uint64_t rows = h.num_refs, cols = h.num_aps, padded = h.quant_padded;
+  uint64_t cells = 0, refs_bytes = 0, positions_bytes = 0, ap_ids_bytes = 0;
+  if (__builtin_mul_overflow(h.num_refs, h.num_aps, &cells) ||
+      __builtin_mul_overflow(cells, sizeof(double), &refs_bytes) ||
+      __builtin_mul_overflow(h.num_refs, sizeof(geom::Point),
+                             &positions_bytes) ||
+      __builtin_mul_overflow(h.num_aps, sizeof(uint64_t), &ap_ids_bytes)) {
+    SetError(error, "shape " + std::to_string(h.num_refs) + " x " +
+                        std::to_string(h.num_aps) + " overflows");
+    return false;
+  }
   struct Expect {
     SectionId id;
     uint64_t size;
-    bool required;
   };
-  const bool quant = (h.flags & kFlagHasQuant) != 0;
   const Expect expected[] = {
-      {kSecQuantValues, cols * padded * sizeof(int8_t), quant},
-      {kSecQuantSquares, cols * padded * sizeof(int16_t), quant},
-      {kSecQuantNorms, rows * sizeof(int32_t), quant},
-      {kSecQuantScale, cols * sizeof(double), quant},
-      {kSecQuantZeroPoint, cols * sizeof(double), quant},
-      {kSecFloatRefs, rows * cols * sizeof(double), true},
-      {kSecPositions, rows * 2 * sizeof(double), true},
-      {kSecApIds, cols * sizeof(uint64_t), true},
+      {kSecFloatRefs, refs_bytes},
+      {kSecPositions, positions_bytes},
+      {kSecApIds, ap_ids_bytes},
   };
   for (const Expect& e : expected) {
     const uint64_t actual = h.sections[e.id].size;
-    if (e.required && actual != e.size) {
+    if (e.size > h.file_bytes) {
+      SetError(error, "section " + std::to_string(e.id) + " expects " +
+                          std::to_string(e.size) + " bytes, more than the "
+                          "whole file");
+      return false;
+    }
+    if (actual != e.size) {
       SetError(error, "section " + std::to_string(e.id) + " size " +
                           std::to_string(actual) + " != expected " +
                           std::to_string(e.size));
       return false;
     }
-  }
-  if (quant && padded < rows) {
-    SetError(error, "quant_padded < num_refs");
-    return false;
-  }
-  if (((h.flags & kFlagHasGrid) != 0) != (h.sections[kSecGrid].size > 0)) {
-    SetError(error, "grid flag / section disagreement");
-    return false;
+    if (h.num_refs > 0 && actual == 0) {
+      SetError(error, "section " + std::to_string(e.id) +
+                          " is empty for a non-empty shape");
+      return false;
+    }
   }
   if (((h.flags & kFlagHasBase) != 0) != (h.sections[kSecBaseRecords].size > 0)) {
     SetError(error, "base flag / section disagreement");
@@ -260,26 +187,6 @@ bool WriteSnapshotFile(const std::string& path,
   // payload CRC is computed over exactly the bytes that land on disk.
   std::string file(kSnapshotHeaderBytes, '\0');
 
-  if (!req.quant.empty()) {
-    RMI_CHECK_EQ(req.quant.rows, req.num_refs);
-    RMI_CHECK_EQ(req.quant.cols, req.num_aps);
-    header.flags |= kFlagHasQuant;
-    header.quant_padded = req.quant.padded;
-    header.quant_min_scale = req.quant.min_scale;
-    header.quant_max_scale = req.quant.max_scale;
-    const size_t cells = req.quant.cols * req.quant.padded;
-    header.sections[kSecQuantValues] =
-        AddSection(&file, req.quant.values, cells * sizeof(int8_t));
-    header.sections[kSecQuantSquares] =
-        AddSection(&file, req.quant.squares, cells * sizeof(int16_t));
-    header.sections[kSecQuantNorms] =
-        AddSection(&file, req.quant.norms, req.quant.rows * sizeof(int32_t));
-    header.sections[kSecQuantScale] =
-        AddSection(&file, req.quant.scale, req.quant.cols * sizeof(double));
-    header.sections[kSecQuantZeroPoint] = AddSection(
-        &file, req.quant.zero_point, req.quant.cols * sizeof(double));
-  }
-
   RMI_CHECK(req.refs != nullptr);
   RMI_CHECK(req.positions != nullptr);
   header.sections[kSecFloatRefs] = AddSection(
@@ -295,13 +202,6 @@ bool WriteSnapshotFile(const std::string& path,
     for (size_t j = 0; j < identity.size(); ++j) identity[j] = j;
     header.sections[kSecApIds] = AddSection(
         &file, identity.data(), identity.size() * sizeof(uint64_t));
-  }
-
-  if (req.grid != nullptr && !req.grid->empty()) {
-    header.flags |= kFlagHasGrid;
-    std::string blob;
-    EncodeGridImage(*req.grid, &blob);
-    header.sections[kSecGrid] = AddSection(&file, blob.data(), blob.size());
   }
 
   if (req.base != nullptr && !req.base->empty()) {
@@ -459,27 +359,7 @@ MapSnapshotView MappedSnapshot::view() const {
   v.refs = reinterpret_cast<const double*>(Section(kSecFloatRefs));
   v.positions = reinterpret_cast<const geom::Point*>(Section(kSecPositions));
   v.ap_ids = reinterpret_cast<const uint64_t*>(Section(kSecApIds));
-  if ((header_.flags & kFlagHasQuant) != 0) {
-    v.quant.rows = header_.num_refs;
-    v.quant.cols = header_.num_aps;
-    v.quant.padded = header_.quant_padded;
-    v.quant.values = reinterpret_cast<const int8_t*>(Section(kSecQuantValues));
-    v.quant.squares =
-        reinterpret_cast<const int16_t*>(Section(kSecQuantSquares));
-    v.quant.norms = reinterpret_cast<const int32_t*>(Section(kSecQuantNorms));
-    v.quant.scale = reinterpret_cast<const double*>(Section(kSecQuantScale));
-    v.quant.zero_point =
-        reinterpret_cast<const double*>(Section(kSecQuantZeroPoint));
-    v.quant.min_scale = header_.quant_min_scale;
-    v.quant.max_scale = header_.quant_max_scale;
-  }
   return v;
-}
-
-bool MappedSnapshot::DecodeGrid(GridImage* out) const {
-  if ((header_.flags & kFlagHasGrid) == 0) return false;
-  return DecodeGridImage(Section(kSecGrid), header_.sections[kSecGrid].size,
-                         out);
 }
 
 bool MappedSnapshot::DecodeBase(rmap::RadioMap* out) const {
@@ -497,7 +377,9 @@ bool MappedSnapshot::DecodeBase(rmap::RadioMap* out) const {
     if (ParseRecordFrame(p, remaining, &r, &consumed) != FrameStatus::kOk) {
       return false;
     }
-    if (r.rssi.size() != header_.num_aps) return false;
+    if (rmap::RecordValidationError(r, header_.num_aps) != nullptr) {
+      return false;
+    }
     base.Add(std::move(r));
     p += consumed;
     remaining -= consumed;
@@ -506,31 +388,6 @@ bool MappedSnapshot::DecodeBase(rmap::RadioMap* out) const {
   if (count != header_.base_records) return false;
   *out = std::move(base);
   return true;
-}
-
-std::vector<geom::Point> MapSnapshotView::EstimateBatch(
-    const la::Matrix& queries, size_t k, bool weighted) const {
-  RMI_CHECK(has_quant());
-  std::vector<geom::Point> out(queries.rows());
-  positioning::KnnQuantEstimateBatch(quant, refs, positions, num_refs,
-                                     num_aps, k, weighted, queries,
-                                     out.data());
-  return out;
-}
-
-geom::Point MapSnapshotView::Estimate(const std::vector<double>& query,
-                                      size_t k, bool weighted) const {
-  RMI_CHECK_EQ(query.size(), num_aps);
-  std::vector<std::pair<double, size_t>> candidates;
-  candidates.reserve(num_refs);
-  for (size_t r = 0; r < num_refs; ++r) {
-    candidates.emplace_back(
-        la::QuerySquaredDistanceRow(query.data(), refs + r * num_aps,
-                                    num_aps),
-        r);
-  }
-  return positioning::CombineKnnCandidates(std::move(candidates), positions,
-                                           k, weighted);
 }
 
 std::string SnapshotFileName(uint64_t version) {

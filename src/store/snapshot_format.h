@@ -1,48 +1,43 @@
-// The zero-copy, mmap-able shard snapshot file (".rmsnap").
+// The mmap-able shard snapshot file (".rmsnap").
 //
-// One file freezes everything a query process needs to serve a shard —
-// and everything the updater needs to resume evolving it:
+// One file freezes the source state of a shard's serving snapshot — and
+// everything the updater needs to resume evolving it:
 //
 //   section            contents                              element type
 //   -----------------  ------------------------------------  ------------
-//   kSecQuantValues    int8 refs, SoA by AP, cols x padded   int8
-//   kSecQuantSquares   values^2, same layout                 int16
-//   kSecQuantNorms     per-row integer squared norms         int32
-//   kSecQuantScale     per-AP dBm per int8 step              f64
-//   kSecQuantZeroPoint per-AP dBm at int8 value 0            f64
-//   kSecFloatRefs      exact-rescore master, rows x cols     f64
+//   kSecFloatRefs      imputed reference rows, rows x cols   f64
 //   kSecPositions      reference locations, rows x (x, y)    f64 pairs
 //   kSecApIds          AP identity per column                u64
-//   kSecGrid           spatial-index grid image (see below)  packed blob
 //   kSecBaseRecords    folded survey base, record frames     framed codec
+//
+// Nothing derived is written: the int8 ranking copy and the spatial index
+// are rebuilt at restore by the same serving::BuildSnapshot call a live
+// rebuild makes, so a file can never disagree with what this code would
+// derive from it.
 //
 // Layout discipline: little-endian throughout (the header carries an
 // endianness check value), a fixed 4 KiB header page up front, every
-// section offset 64-byte aligned (kSectionAlign — wide enough for any
-// vector lane the int kernels use), zeroed padding, no timestamps. The
-// same logical snapshot therefore always serializes to the same bytes,
-// which is what lets the crash-consistency tests assert a restarted
-// updater's snapshot file is checksum-equal to the never-crashed run's,
-// and lets CI pin a sample file as an ABI canary.
+// section offset 64-byte aligned (kSectionAlign), zeroed padding, no
+// timestamps. The same logical snapshot therefore always serializes to the
+// same bytes, which is what lets the crash-consistency tests assert a
+// restarted updater's snapshot file is checksum-equal to the never-crashed
+// run's, and lets CI pin a sample file as an ABI canary.
 //
 // Integrity: CRC32C twice — header_crc over the header fields, payload_crc
-// over every byte after the header page. Readers validate both before any
-// section pointer escapes, so a torn or bit-flipped file is refused as a
-// unit (the loader then falls back to the next-oldest file).
+// over every byte after the header page. Readers validate both, then check
+// every section against the header's shape fields with overflow-checked
+// arithmetic, before any section pointer escapes — so a torn, bit-flipped
+// or self-contradicting file is refused as a unit (the loader then falls
+// back to the next-oldest file).
 //
 // Publish protocol: WriteSnapshotFile emits to "<path>.tmp", fsyncs the
 // file, renames it in, and fsyncs the directory — readers only ever see
 // absent or complete files, and a writer losing the rename race leaves a
 // ".tmp" orphan that the loader ignores.
 //
-// Serving: MappedSnapshot mmaps and validates a file; MapSnapshotView is
-// the borrowed zero-copy view over the mapping — la::QuantizedRefsSpan
-// plus raw float/position pointers feeding the exact same ranking core
-// (positioning::KnnQuantEstimateBatch) the heap estimator uses, so
-// file-served and heap-served answers are bit-identical. Views never
-// outlive their mapping: the serving layer parks the shared_ptr mapping
-// inside the published MapSnapshot, whose reclamation already goes
-// through the epoch domain.
+// Reading: MappedSnapshot mmaps and validates a file; MapSnapshotView is
+// the plain borrowed-pointer struct over the mapping that restore reads
+// its rows from. Views never outlive their mapping.
 #ifndef RMI_STORE_SNAPSHOT_FORMAT_H_
 #define RMI_STORE_SNAPSHOT_FORMAT_H_
 
@@ -54,43 +49,35 @@
 #include <vector>
 
 #include "geometry/geometry.h"
-#include "la/matrix.h"
-#include "la/quant.h"
 #include "radiomap/radio_map.h"
 
 namespace rmi::store {
 
 /// "RMSNAP01" little-endian.
 inline constexpr uint64_t kSnapshotMagic = 0x313050414E534D52ull;
-inline constexpr uint32_t kSnapshotFormatVersion = 1;
+/// A file of any other version is refused at map time, and the shard
+/// rebuilds cold.
+inline constexpr uint32_t kSnapshotFormatVersion = 2;
 /// Written as the literal 0x01020304: a big-endian reader sees 0x04030201
 /// and refuses the file instead of silently mis-reading every section.
 inline constexpr uint32_t kEndianCheck = 0x01020304u;
-/// Section alignment. 64 covers every vector lane the int8 kernels
-/// dispatch to and keeps each section cache-line clean.
+/// Section alignment: keeps each section cache-line clean and aligned for
+/// any vector load over its elements.
 inline constexpr size_t kSectionAlign = 64;
 /// Fixed header page; sections start after it.
 inline constexpr size_t kSnapshotHeaderBytes = 4096;
 inline constexpr char kSnapshotSuffix[] = ".rmsnap";
 
 enum SectionId : uint32_t {
-  kSecQuantValues = 0,
-  kSecQuantSquares,
-  kSecQuantNorms,
-  kSecQuantScale,
-  kSecQuantZeroPoint,
-  kSecFloatRefs,
+  kSecFloatRefs = 0,
   kSecPositions,
   kSecApIds,
-  kSecGrid,
   kSecBaseRecords,
   kNumSections,
 };
 
-/// Optional-section presence bits (SnapshotHeader::flags).
-inline constexpr uint32_t kFlagHasQuant = 1u << 0;
-inline constexpr uint32_t kFlagHasGrid = 1u << 1;
-inline constexpr uint32_t kFlagHasBase = 1u << 2;
+/// Optional-section presence bit (SnapshotHeader::flags).
+inline constexpr uint32_t kFlagHasBase = 1u << 0;
 
 struct SectionRange {
   uint64_t offset = 0;  ///< from file start; kSectionAlign-aligned
@@ -115,10 +102,6 @@ struct SnapshotHeader {
   uint64_t wal_watermark = 0;
   uint64_t num_refs = 0;
   uint64_t num_aps = 0;
-  /// Quant rows padded to the kQuantLanePad multiple (0 without quant).
-  uint64_t quant_padded = 0;
-  double quant_min_scale = 0.0;
-  double quant_max_scale = 0.0;
   /// Record count of the kSecBaseRecords section.
   uint64_t base_records = 0;
   uint32_t flags = 0;
@@ -134,28 +117,6 @@ static_assert(std::is_standard_layout_v<SnapshotHeader>,
 static_assert(sizeof(SnapshotHeader) <= kSnapshotHeaderBytes,
               "header must fit its reserved page");
 
-/// Flattened POD image of the serving spatial index's location grid —
-/// persisted so a restart (or a mapping-only query process) skips the
-/// grid build. serving::SpatialIndex converts to/from this shape
-/// (Image()/Restore()); store packs it into kSecGrid.
-struct GridImage {
-  double cell_size_m = 0.0;
-  double min_x = 0.0;
-  double min_y = 0.0;
-  uint64_t dim = 0;
-  uint64_t num_refs = 0;
-  uint64_t grid_cols = 0;
-  uint64_t grid_rows = 0;
-  std::vector<int32_t> slot;           ///< grid_rows x grid_cols; -1 empty
-  std::vector<uint64_t> cell_offsets;  ///< num_cells + 1 prefix sums
-  std::vector<uint32_t> members;       ///< concatenated member rows
-  std::vector<double> centroids;       ///< num_cells x dim
-  std::vector<double> radii;           ///< num_cells
-
-  size_t num_cells() const { return radii.size(); }
-  bool empty() const { return num_refs == 0; }
-};
-
 /// Everything WriteSnapshotFile serializes. All pointers borrow; the
 /// request must stay valid for the call only.
 struct SnapshotWriteRequest {
@@ -164,14 +125,10 @@ struct SnapshotWriteRequest {
   uint64_t wal_watermark = 0;
   size_t num_refs = 0;
   size_t num_aps = 0;
-  /// Int8 ranking sections; an empty span writes a file without them
-  /// (kFlagHasQuant clear — heap restore still works, view serving not).
-  la::QuantizedRefsSpan quant;
   const double* refs = nullptr;            ///< num_refs x num_aps
   const geom::Point* positions = nullptr;  ///< num_refs
   /// Per-column AP identity; nullptr writes the identity mapping 0..D-1.
   const uint64_t* ap_ids = nullptr;
-  const GridImage* grid = nullptr;       ///< optional
   const rmap::RadioMap* base = nullptr;  ///< optional survey-base section
 };
 
@@ -181,40 +138,26 @@ struct SnapshotWriteRequest {
 bool WriteSnapshotFile(const std::string& path,
                        const SnapshotWriteRequest& req, std::string* error);
 
-/// Zero-copy serving view over a validated mapping. Plain borrowed
-/// pointers — copy freely, but never let one outlive the MappedSnapshot
-/// it came from (the serving layer ties the mapping's shared_ptr to the
-/// published snapshot, which the epoch domain reclaims).
+/// Borrowed view over a validated mapping: plain pointers into the
+/// sections. Copy freely, but never let one outlive the MappedSnapshot it
+/// came from.
 struct MapSnapshotView {
   uint64_t snapshot_version = 0;
   rmap::ShardId shard;
   size_t num_refs = 0;
   size_t num_aps = 0;
-  la::QuantizedRefsSpan quant;             ///< empty without kFlagHasQuant
   const double* refs = nullptr;            ///< num_refs x num_aps
   const geom::Point* positions = nullptr;  ///< num_refs
   const uint64_t* ap_ids = nullptr;        ///< num_aps
-
-  bool has_quant() const { return !quant.empty(); }
-
-  /// Batched KNN/WKNN straight off the mapping — no deserialization. Runs
-  /// the shared int8 ranking + exact-rescore core, so answers are
-  /// bit-identical to a heap KnnEstimator fitted on the same references.
-  /// Requires has_quant().
-  std::vector<geom::Point> EstimateBatch(const la::Matrix& queries, size_t k,
-                                         bool weighted) const;
-
-  /// Scalar exact KNN/WKNN (no quant sections needed) — the reference
-  /// path and the partial-fingerprint fallback.
-  geom::Point Estimate(const std::vector<double>& query, size_t k,
-                       bool weighted) const;
 };
 
 /// An open, validated snapshot mapping. Map() refuses anything structurally
 /// unsound — bad magic/version/endianness, header or payload CRC mismatch,
-/// short file, misaligned or out-of-range sections — so holders can trust
-/// every section pointer. Read-only MAP_SHARED: N processes mapping the
-/// same published file share one page-cache copy.
+/// short file, misaligned or out-of-range sections, section sizes that
+/// disagree with the header's shape (products overflow-checked, none larger
+/// than the file, no empty required section for a non-empty shape) — so
+/// holders can trust every section pointer. Read-only MAP_SHARED: N
+/// processes mapping the same published file share one page-cache copy.
 class MappedSnapshot {
  public:
   /// nullptr (with *error filled) on open/validation failure.
@@ -229,14 +172,12 @@ class MappedSnapshot {
   const std::string& path() const { return path_; }
   size_t size_bytes() const { return size_; }
 
-  /// The zero-copy serving view (borrows this mapping).
+  /// The borrowed section view (valid while this mapping lives).
   MapSnapshotView view() const;
 
-  /// Decodes the grid section (false when absent).
-  bool DecodeGrid(GridImage* out) const;
-
   /// Decodes the survey-base section into a RadioMap with this file's
-  /// width and shard id (false when absent or malformed).
+  /// width and shard id (false when absent or malformed, or when a record
+  /// fails rmap::RecordValidationError).
   bool DecodeBase(rmap::RadioMap* out) const;
 
  private:

@@ -323,18 +323,14 @@ TEST(ThreadPoolTest, NestedPoolsCollapseToInline) {
   EXPECT_EQ(inner_width.load(), 1u);
 }
 
-/// An estimator whose batched path blocks on a rendezvous — the probe for
-/// the LocalizeBatch overlap regression (the old router serialized
+/// A KNN estimator whose batched path blocks on a rendezvous — the probe
+/// for the LocalizeBatch overlap regression (the old router serialized
 /// concurrent batches behind a pool mutex, which would deadlock this).
-class BlockingEstimator : public positioning::LocationEstimator {
+class BlockingEstimator : public positioning::KnnEstimator {
  public:
   BlockingEstimator(Rendezvous* rendezvous, std::atomic<int>* met)
       : rendezvous_(rendezvous), met_(met) {}
 
-  void Fit(const rmap::RadioMap&, Rng&) override {}
-  geom::Point Estimate(const std::vector<double>&) const override {
-    return {0.0, 0.0};
-  }
   std::vector<geom::Point> EstimateBatch(
       const la::Matrix& fingerprints) const override {
     if (rendezvous_->Arrive()) met_->fetch_add(1);

@@ -334,8 +334,8 @@ TEST(IncrementalImputeTest, RecordDroppingBackendNeverSplicesMisaligned) {
         }
       }
       if (same) {
-        EXPECT_NEAR(v2->positions[r].x, truth.record(i).rp.x, 1e-12);
-        EXPECT_NEAR(v2->positions[r].y, truth.record(i).rp.y, 1e-12);
+        EXPECT_NEAR(v2->positions()[r].x, truth.record(i).rp.x, 1e-12);
+        EXPECT_NEAR(v2->positions()[r].y, truth.record(i).rp.y, 1e-12);
         matched = true;
       }
     }

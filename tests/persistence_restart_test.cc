@@ -2,13 +2,18 @@
 //
 //  * A fresh registration over a persisted shard dir restores the newest
 //    snapshot — zero Impute calls, answers bit-identical to the pre-restart
-//    estimator — and replays the WAL into the pending-delta buffer;
+//    snapshot on both the batch path and the index-pruned single-query
+//    path — and replays the WAL into the pending-delta buffer;
 //  * an interrupted run (deltas ingested, crash before rebuild) converges
 //    to the same bytes a never-crashed run produces: the next snapshot's
 //    payload is byte-equal, because replayed deltas fold exactly like
 //    live ones (same ids, same order, same RNG fork discipline);
-//  * restore is strict — a width-mismatched snapshot is refused and the
-//    shard rebuilds cold from the registered base;
+//  * restore is strict — a width-mismatched snapshot, or a CRC-valid file
+//    whose header shape overflows, is refused and the shard rebuilds cold
+//    from the registered base;
+//  * WAL replay applies the same record rule as Ingest: a CRC-valid record
+//    of the wrong width or with an infinite RSSI is dropped and counted,
+//    never folded in;
 //  * memory-only mode (empty persist_dir) keeps every persistence stat at
 //    zero and writes nothing;
 //  * keep_snapshot_files prunes, the newest file always survives;
@@ -18,9 +23,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,9 +39,12 @@
 #include "imputers/traditional.h"
 #include "obs/metrics.h"
 #include "positioning/estimators.h"
+#include "serving/batch_localizer.h"
 #include "serving/map_updater.h"
 #include "serving/synthetic.h"
+#include "store/crc32c.h"
 #include "store/snapshot_format.h"
+#include "store/wal.h"
 
 namespace rmi::serving {
 namespace {
@@ -186,12 +197,22 @@ TEST(PersistenceRestart, RestoreSkipsImputationAndServesIdenticalAnswers) {
     EXPECT_EQ(before[i].x, after[i].x) << "row " << i;
     EXPECT_EQ(before[i].y, after[i].y) << "row " << i;
   }
+  // The single-query path also reads the spatial index, which restore
+  // rebuilds cold: it must answer bit-identically too.
+  const auto original = store1.Current(victim);
+  for (size_t i = 0; i < queries.rows(); ++i) {
+    const std::vector<double> q = MatrixRow(queries, i);
+    const geom::Point want = BatchLocalizer::LocalizeOn(*original, q);
+    const geom::Point got = BatchLocalizer::LocalizeOn(*restored, q);
+    EXPECT_EQ(want.x, got.x) << "row " << i;
+    EXPECT_EQ(want.y, got.y) << "row " << i;
+  }
 
   // The replayed deltas fold on the next rebuild: version advances and
   // the three stranded observations are in the reference set.
-  const size_t refs_before = restored->positions.size();
+  const size_t refs_before = restored->positions().size();
   ASSERT_TRUE(updater.RebuildNow(victim));
-  EXPECT_EQ(store2.Current(victim)->positions.size(), refs_before + 3);
+  EXPECT_EQ(store2.Current(victim)->positions().size(), refs_before + 3);
 }
 
 TEST(PersistenceRestart, CrashBeforeRebuildConvergesToUninterruptedBytes) {
@@ -323,6 +344,128 @@ TEST(PersistenceRestart, WidthMismatchedSnapshotIsRefusedAndRebuildsCold) {
   ASSERT_NE(snapshot, nullptr);
   EXPECT_EQ(snapshot->version, 1u);
   EXPECT_EQ(snapshot->num_aps(), 16u);
+}
+
+/// Registers `shard` once with persistence on under `root` and shuts the
+/// updater down, leaving a snapshot file and a WAL behind; returns the
+/// shard's directory.
+std::string PersistOneShard(const std::string& root, const VenueShard& shard,
+                            const cluster::Differentiator& differentiator,
+                            const imputers::Imputer& imputer) {
+  ShardedSnapshotStore store;
+  MapUpdater updater(&store, &differentiator, &imputer, WknnFactory(),
+                     PersistedOptions(root));
+  updater.RegisterShard(shard.id, shard.map);
+  return OnlyShardDir(root);
+}
+
+TEST(PersistenceRestart, CrcValidShapeOverflowIsRefusedAndRebuildsCold) {
+  const std::string root = ScratchDir("restart_shape");
+  VenueOptions vopt;
+  vopt.num_buildings = 1;
+  vopt.floors_per_building = 1;
+  const auto shards = MakeSyntheticVenue(vopt);
+  cluster::MarOnlyDifferentiator differentiator;
+  CountingImputer imputer;
+  const std::string shard_dir =
+      PersistOneShard(root, shards[0], differentiator, imputer);
+
+  // num_refs = 2^62 wraps both row-section sizes to 0 in unchecked 64-bit
+  // arithmetic. With the sections sized 0 and header_crc re-stamped the
+  // file passes both CRCs, and the shape validation must refuse it before
+  // restore reads past the mapping.
+  const std::vector<std::string> files = store::ListSnapshotFiles(shard_dir);
+  ASSERT_FALSE(files.empty());
+  std::string bytes = ReadFile(files[0]);
+  store::SnapshotHeader h;
+  std::memcpy(&h, bytes.data(), sizeof(h));
+  h.num_refs = uint64_t{1} << 62;
+  h.sections[store::kSecFloatRefs].size = 0;
+  h.sections[store::kSecPositions].size = 0;
+  h.header_crc =
+      store::Crc32c(&h, offsetof(store::SnapshotHeader, header_crc));
+  std::memcpy(bytes.data(), &h, sizeof(h));
+  {
+    std::ofstream out(files[0], std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  const size_t imputes_before = imputer.calls.load();
+  ShardedSnapshotStore store;
+  MapUpdater updater(&store, &differentiator, &imputer, WknnFactory(),
+                     PersistedOptions(root));
+  updater.RegisterShard(shards[0].id, shards[0].map);
+
+  EXPECT_EQ(imputer.calls.load(), imputes_before + 1);  // cold path ran
+  EXPECT_EQ(updater.Stats().shards_restored, 0u);
+  const auto snapshot = store.Current(shards[0].id);
+  ASSERT_NE(snapshot, nullptr);
+  EXPECT_EQ(snapshot->version, 1u);
+}
+
+/// Persists one shard, appends a good observation and then one spoiled by
+/// `spoil` to its WAL through the store API (both frames CRC-valid),
+/// restarts, and checks that replay folds only the good record and counts
+/// the bad one.
+template <typename Spoil>
+void ExpectBadWalRecordDroppedAtReplay(const std::string& name, Spoil spoil) {
+  const std::string root = ScratchDir(name);
+  VenueOptions vopt;
+  vopt.num_buildings = 1;
+  vopt.floors_per_building = 1;
+  const auto shards = MakeSyntheticVenue(vopt);
+  const rmap::ShardId id = shards[0].id;
+  cluster::MarOnlyDifferentiator differentiator;
+  imputers::LinearInterpolationImputer imputer;
+  const std::string shard_dir =
+      PersistOneShard(root, shards[0], differentiator, imputer);
+  {
+    store::Wal::ReplayResult replay;
+    std::string error;
+    auto wal = store::Wal::Open(shard_dir + "/wal", 0, {}, &replay, &error);
+    ASSERT_NE(wal, nullptr) << error;
+    ASSERT_TRUE(wal->Append(ObservationLike(shards[0].map, 300.0), &error))
+        << error;
+    rmap::Record bad = ObservationLike(shards[0].map, 301.0);
+    spoil(&bad);
+    ASSERT_TRUE(wal->Append(bad, &error)) << error;
+  }
+
+  obs::Counter& rejected = obs::GetCounter(
+      "rmi_store_wal_records_rejected_total",
+      "Replayed WAL records that failed the record rule (width, +-inf "
+      "RSSI, non-finite RP) and were dropped instead of folded in");
+  const uint64_t rejected_before = rejected.Total();
+  ShardedSnapshotStore store;
+  MapUpdater updater(&store, &differentiator, &imputer, WknnFactory(),
+                     PersistedOptions(root));
+  updater.RegisterShard(id, shards[0].map);
+
+  const MapUpdaterStats stats = updater.Stats();
+  EXPECT_EQ(stats.shards_restored, 1u);
+  EXPECT_EQ(stats.wal_records_replayed, 1u);
+  EXPECT_EQ(rejected.Total(), rejected_before + 1);
+  EXPECT_EQ(updater.PendingObservations(id), 1u);
+
+  const size_t refs_before = store.Current(id)->num_refs();
+  ASSERT_TRUE(updater.RebuildNow(id));
+  EXPECT_EQ(updater.Stats().rebuilds_failed, 0u);
+  const auto rebuilt = store.Current(id);
+  EXPECT_EQ(rebuilt->version, 2u);
+  EXPECT_EQ(rebuilt->num_refs(), refs_before + 1);
+  EXPECT_TRUE(std::isfinite(rebuilt->quantized->max_scale));
+}
+
+TEST(PersistenceRestart, WalRecordOfWrongWidthIsDroppedAtReplay) {
+  ExpectBadWalRecordDroppedAtReplay("restart_wal_width", [](rmap::Record* r) {
+    r->rssi.push_back(-60.0);  // one column too wide
+  });
+}
+
+TEST(PersistenceRestart, WalRecordWithInfiniteRssiIsDroppedAtReplay) {
+  ExpectBadWalRecordDroppedAtReplay("restart_wal_inf", [](rmap::Record* r) {
+    r->rssi[1] = std::numeric_limits<double>::infinity();
+  });
 }
 
 TEST(PersistenceRestart, MemoryOnlyModeWritesNothingAndCountsNothing) {

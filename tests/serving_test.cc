@@ -417,18 +417,6 @@ TEST(LocalizationServerTest, RejectsMalformedRequestsWithoutCrashing) {
   const ServerStats stats = server.Stats();
   EXPECT_EQ(stats.rejected, 3u);
   EXPECT_GE(stats.completed, 1u);
-
-  // An estimator without partial-fingerprint support (RF: NaN would
-  // silently mis-traverse its trees) must reject partial scans too.
-  MapSnapshotStore rf_store(BuildSnapshot(
-      map, std::make_unique<positioning::RandomForestEstimator>(), rng));
-  LocalizationServer rf_server(&rf_store);
-  std::vector<double> partial = q;
-  partial[0] = kNull;
-  std::future<geom::Point> rf_partial = rf_server.Submit(partial);
-  EXPECT_THROW(rf_partial.get(), std::runtime_error);
-  EXPECT_NO_THROW(rf_server.Localize(q));
-  rf_server.Stop();
 }
 
 TEST(LocalizationServerTest, TinyRingBackpressuresInsteadOfDropping) {

@@ -1,14 +1,14 @@
 // The store layer's crash-consistency and ABI contracts:
 //  * record codec round-trips every field — kNull RSSIs, unassigned ids,
 //    RP-less records — and classifies torn vs corrupt frames;
-//  * snapshot files round-trip bit-exactly (sections, grid, survey base),
-//    are byte-deterministic, and keep every section 64-byte aligned;
-//  * the zero-copy MapSnapshotView answers bit-identically to a heap
-//    KnnEstimator fitted on the same references (batch and scalar,
-//    complete and partial fingerprints);
+//  * snapshot files round-trip bit-exactly (reference rows, positions, AP
+//    ids, survey base), are byte-deterministic, and keep every section
+//    64-byte aligned;
 //  * validation refuses bit flips (header and payload CRC), truncation,
-//    and format-version skew; MapNewestValid walks past torn files and
-//    ".tmp" rename-race orphans to the newest valid one;
+//    format-version skew, and CRC-valid headers whose shape fields
+//    overflow, outgrow the file, or leave a required section empty;
+//    MapNewestValid walks past torn files and ".tmp" rename-race orphans
+//    to the newest valid one;
 //  * the WAL replays appends in order across rotation, deletes sealed
 //    segments below the watermark, tolerates torn tails, and stops a
 //    segment at a CRC-failed frame.
@@ -25,9 +25,7 @@
 
 #include "common/missing.h"
 #include "common/rng.h"
-#include "la/quant.h"
 #include "positioning/estimators.h"
-#include "serving/spatial_index.h"
 #include "serving/synthetic.h"
 #include "store/crc32c.h"
 #include "store/record_codec.h"
@@ -74,6 +72,20 @@ void TruncateFile(const std::string& path, size_t new_size) {
   WriteFile(path, bytes);
 }
 
+/// Rewrites the header of the snapshot file at `path` through `patch` and
+/// re-stamps header_crc (the payload CRC is left alone), so a refusal is
+/// the structural validation itself, not CRC collateral.
+template <typename Patch>
+void PatchHeader(const std::string& path, Patch patch) {
+  std::string bytes = ReadFile(path);
+  SnapshotHeader h;
+  std::memcpy(&h, bytes.data(), sizeof(h));
+  patch(&h);
+  h.header_crc = Crc32c(&h, offsetof(SnapshotHeader, header_crc));
+  std::memcpy(bytes.data(), &h, sizeof(h));
+  WriteFile(path, bytes);
+}
+
 /// Field-exact record equality, NaN cells compared as bit patterns.
 void ExpectRecordsEqual(const rmap::Record& a, const rmap::Record& b) {
   ASSERT_EQ(a.rssi.size(), b.rssi.size());
@@ -115,16 +127,12 @@ rmap::Record MakeRecord(size_t width, uint64_t salt) {
 struct FittedShard {
   rmap::RadioMap map;
   positioning::KnnEstimator knn{3, true};
-  serving::SpatialIndex index;
-  GridImage grid;
 
   explicit FittedShard(uint64_t seed = 7) : knn(3, true) {
     map = serving::MakeSyntheticServingMap(8, 6, 12, seed);
     map.set_shard({2, 5});
     Rng rng(seed);
     knn.Fit(map, rng);
-    index.Build(knn.features(), knn.labels(), 6.0);
-    grid = index.Image();
   }
 
   SnapshotWriteRequest Request(uint64_t version, uint64_t watermark) const {
@@ -134,10 +142,8 @@ struct FittedShard {
     req.wal_watermark = watermark;
     req.num_refs = knn.labels().size();
     req.num_aps = map.num_aps();
-    req.quant = knn.quantized().span();
     req.refs = knn.features().data().data();
     req.positions = knn.labels().data();
-    req.grid = &grid;
     req.base = &map;
     return req;
   }
@@ -208,31 +214,9 @@ TEST(SnapshotFormat, WriteMapRoundTripsEverySection) {
   EXPECT_EQ(h.wal_watermark, 9u);
   EXPECT_EQ(h.num_refs, shard.knn.labels().size());
   EXPECT_EQ(h.num_aps, shard.map.num_aps());
-  EXPECT_EQ(h.flags, kFlagHasQuant | kFlagHasGrid | kFlagHasBase);
+  EXPECT_EQ(h.flags, kFlagHasBase);
 
   const MapSnapshotView view = mapped->view();
-  const la::QuantizedRefs& q = shard.knn.quantized();
-  ASSERT_EQ(view.quant.rows, q.rows);
-  ASSERT_EQ(view.quant.cols, q.cols);
-  ASSERT_EQ(view.quant.padded, q.padded);
-  EXPECT_EQ(std::memcmp(view.quant.values, q.values.data(),
-                        q.cols * q.padded * sizeof(int8_t)),
-            0);
-  EXPECT_EQ(std::memcmp(view.quant.squares, q.squares.data(),
-                        q.cols * q.padded * sizeof(int16_t)),
-            0);
-  EXPECT_EQ(std::memcmp(view.quant.norms, q.norms.data(),
-                        q.rows * sizeof(int32_t)),
-            0);
-  EXPECT_EQ(std::memcmp(view.quant.scale, q.scale.data(),
-                        q.cols * sizeof(double)),
-            0);
-  EXPECT_EQ(std::memcmp(view.quant.zero_point, q.zero_point.data(),
-                        q.cols * sizeof(double)),
-            0);
-  EXPECT_EQ(view.quant.min_scale, q.min_scale);
-  EXPECT_EQ(view.quant.max_scale, q.max_scale);
-
   EXPECT_EQ(std::memcmp(view.refs, shard.knn.features().data().data(),
                         view.num_refs * view.num_aps * sizeof(double)),
             0);
@@ -243,14 +227,6 @@ TEST(SnapshotFormat, WriteMapRoundTripsEverySection) {
   for (size_t j = 0; j < view.num_aps; ++j) {
     EXPECT_EQ(view.ap_ids[j], j);  // identity mapping when none supplied
   }
-
-  GridImage grid;
-  ASSERT_TRUE(mapped->DecodeGrid(&grid));
-  EXPECT_EQ(grid.slot, shard.grid.slot);
-  EXPECT_EQ(grid.cell_offsets, shard.grid.cell_offsets);
-  EXPECT_EQ(grid.members, shard.grid.members);
-  EXPECT_EQ(grid.centroids, shard.grid.centroids);
-  EXPECT_EQ(grid.radii, shard.grid.radii);
 
   rmap::RadioMap base;
   ASSERT_TRUE(mapped->DecodeBase(&base));
@@ -294,44 +270,6 @@ TEST(SnapshotFormat, SameStateSerializesToIdenticalBytes) {
   EXPECT_EQ(ReadFile(dir + "/a.rmsnap"), ReadFile(dir + "/b.rmsnap"));
 }
 
-TEST(SnapshotFormat, ViewServesBitIdenticallyToHeapEstimator) {
-  const std::string dir = ScratchDir("snap_view");
-  const FittedShard shard;
-  const std::string path = dir + "/" + SnapshotFileName(1);
-  std::string error;
-  ASSERT_TRUE(WriteSnapshotFile(path, shard.Request(1, 1), &error)) << error;
-  auto mapped = MappedSnapshot::Map(path, &error);
-  ASSERT_NE(mapped, nullptr) << error;
-  const MapSnapshotView view = mapped->view();
-  ASSERT_TRUE(view.has_quant());
-
-  // Complete and partial (kNull-bearing) fingerprints, batch path.
-  for (const double null_fraction : {0.0, 0.35}) {
-    const la::Matrix queries = serving::MakeSyntheticQueries(
-        shard.map, 48, null_fraction, 101 + size_t(null_fraction * 100));
-    const std::vector<geom::Point> heap = shard.knn.EstimateBatch(queries);
-    const std::vector<geom::Point> zero_copy =
-        view.EstimateBatch(queries, shard.knn.k(), shard.knn.weighted());
-    ASSERT_EQ(heap.size(), zero_copy.size());
-    for (size_t i = 0; i < heap.size(); ++i) {
-      EXPECT_EQ(heap[i].x, zero_copy[i].x) << "row " << i;
-      EXPECT_EQ(heap[i].y, zero_copy[i].y) << "row " << i;
-    }
-  }
-
-  // Scalar path (no quant needed): same exact-rescore answers.
-  const la::Matrix queries =
-      serving::MakeSyntheticQueries(shard.map, 16, 0.2, 303);
-  for (size_t i = 0; i < queries.rows(); ++i) {
-    const std::vector<double> q = serving::MatrixRow(queries, i);
-    const geom::Point heap = shard.knn.Estimate(q);
-    const geom::Point zero_copy =
-        view.Estimate(q, shard.knn.k(), shard.knn.weighted());
-    EXPECT_EQ(heap.x, zero_copy.x) << "row " << i;
-    EXPECT_EQ(heap.y, zero_copy.y) << "row " << i;
-  }
-}
-
 TEST(SnapshotFormat, HeaderBitFlipIsRefused) {
   const std::string dir = ScratchDir("snap_hdr_flip");
   const FittedShard shard;
@@ -363,18 +301,58 @@ TEST(SnapshotFormat, FutureFormatVersionIsRefusedEvenWithValidCrc) {
   std::string error;
   ASSERT_TRUE(WriteSnapshotFile(path, shard.Request(1, 1), &error)) << error;
 
-  // Patch the version and re-stamp header_crc, so refusal is the version
-  // check itself, not CRC collateral.
-  std::string bytes = ReadFile(path);
-  SnapshotHeader h;
-  std::memcpy(&h, bytes.data(), sizeof(h));
-  h.format_version = kSnapshotFormatVersion + 1;
-  h.header_crc = Crc32c(&h, offsetof(SnapshotHeader, header_crc));
-  std::memcpy(bytes.data(), &h, sizeof(h));
-  WriteFile(path, bytes);
+  PatchHeader(path, [](SnapshotHeader* h) {
+    h->format_version = kSnapshotFormatVersion + 1;
+  });
 
   EXPECT_EQ(MappedSnapshot::Map(path, &error), nullptr);
   EXPECT_NE(error.find("version"), std::string::npos) << error;
+}
+
+TEST(SnapshotFormat, CrcValidHeaderWithBadShapeIsRefused) {
+  const std::string dir = ScratchDir("snap_shape");
+  const FittedShard shard;
+  const std::string path = dir + "/" + SnapshotFileName(1);
+  const std::string pristine = [&] {
+    std::string error;
+    EXPECT_TRUE(WriteSnapshotFile(path, shard.Request(1, 1), &error))
+        << error;
+    return ReadFile(path);
+  }();
+  std::string error;
+
+  // num_refs = 2^62 wraps refs (x 12 APs x 8 bytes) and positions (x 16
+  // bytes) to 0 in 64-bit arithmetic: with both row sections sized 0, an
+  // unchecked product would match them and hand out pointers past the
+  // mapping.
+  PatchHeader(path, [](SnapshotHeader* h) {
+    h->num_refs = uint64_t{1} << 62;
+    h->sections[kSecFloatRefs].size = 0;
+    h->sections[kSecPositions].size = 0;
+  });
+  EXPECT_EQ(MappedSnapshot::Map(path, &error), nullptr);
+  EXPECT_NE(error.find("overflow"), std::string::npos) << error;
+
+  // A shape that does not overflow but needs more bytes than the file has.
+  WriteFile(path, pristine);
+  PatchHeader(path, [](SnapshotHeader* h) { h->num_refs = uint64_t{1} << 40; });
+  EXPECT_EQ(MappedSnapshot::Map(path, &error), nullptr);
+  EXPECT_NE(error.find("more than the whole file"), std::string::npos)
+      << error;
+
+  // Zero APs make the row products 0: the empty sections then match the
+  // shape, and only the non-empty-shape rule refuses them.
+  WriteFile(path, pristine);
+  PatchHeader(path, [](SnapshotHeader* h) {
+    h->num_aps = 0;
+    h->sections[kSecFloatRefs].size = 0;
+    h->sections[kSecApIds].size = 0;
+  });
+  EXPECT_EQ(MappedSnapshot::Map(path, &error), nullptr);
+  EXPECT_NE(error.find("empty"), std::string::npos) << error;
+
+  WriteFile(path, pristine);
+  EXPECT_NE(MappedSnapshot::Map(path, &error), nullptr) << error;
 }
 
 TEST(SnapshotFormat, TruncatedFileIsRefused) {
@@ -416,34 +394,6 @@ TEST(SnapshotFormat, MapNewestValidWalksPastTornFilesAndTmpOrphans) {
 
   // An empty or missing directory is a clean miss, not an error crash.
   EXPECT_EQ(MapNewestValid(dir + "/does_not_exist", &error), nullptr);
-}
-
-TEST(SnapshotFormat, GridImageRestoreReproducesSearchAndReimagesBitEqual) {
-  const FittedShard shard;
-  serving::SpatialIndex restored;
-  restored.Restore(shard.grid);
-
-  EXPECT_EQ(restored.num_cells(), shard.index.num_cells());
-  EXPECT_EQ(restored.num_refs(), shard.index.num_refs());
-  const GridImage reimaged = restored.Image();
-  EXPECT_EQ(reimaged.slot, shard.grid.slot);
-  EXPECT_EQ(reimaged.cell_offsets, shard.grid.cell_offsets);
-  EXPECT_EQ(reimaged.members, shard.grid.members);
-  EXPECT_EQ(reimaged.centroids, shard.grid.centroids);
-  EXPECT_EQ(reimaged.radii, shard.grid.radii);
-
-  const la::Matrix queries =
-      serving::MakeSyntheticQueries(shard.map, 12, 0.25, 77);
-  for (size_t i = 0; i < queries.rows(); ++i) {
-    const std::vector<double> q = serving::MatrixRow(queries, i);
-    const auto expected = serving::BruteForceKnn(shard.knn.features(), q, 4);
-    const auto got = restored.Search(shard.knn.features(), q, 4);
-    ASSERT_EQ(expected.size(), got.size()) << "row " << i;
-    for (size_t n = 0; n < expected.size(); ++n) {
-      EXPECT_EQ(expected[n].first, got[n].first);
-      EXPECT_EQ(expected[n].second, got[n].second);
-    }
-  }
 }
 
 // ------------------------------------------------------------------ WAL --

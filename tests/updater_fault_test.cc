@@ -152,7 +152,7 @@ TEST(UpdaterFaultTest, ThrowingImputerKeepsServingAndTheLoopAlive) {
     const auto current = store.Current(victim);
     return current != nullptr && current->version >= 2;
   })) << "trigger loop did not recover after the imputer healed";
-  EXPECT_EQ(store.Current(victim)->positions.size(), base_rows + 8);
+  EXPECT_EQ(store.Current(victim)->positions().size(), base_rows + 8);
 
   updater.Stop();
   const MapUpdaterStats stats = updater.Stats();

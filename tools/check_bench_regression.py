@@ -7,9 +7,8 @@ BENCH_persistence.json against the committed baselines in bench/baselines/
 and fails when any gated metric regresses by more than the allowed
 fraction (default 15%). The soak's SLO fields additionally gate against
 absolute ceilings (p999 latency, staleness p95, handover error), and the
-persistence bench gates its two acceptance bars (restart speedup,
-view-vs-heap serving ratio) as absolute floors — acceptance bars, not
-baseline-relative ratios.
+persistence bench gates its acceptance bar (restart speedup) as an
+absolute floor — an acceptance bar, not a baseline-relative ratio.
 
 Only higher-is-better metrics gate (qps, publish throughput, and the
 rebuild bench's speedup ratios); latency percentiles and accuracy numbers
@@ -149,22 +148,15 @@ BENCHES = [
         [],
         {"enabled_over_disabled": 0.98},
     ),
-    # Persistence. The two acceptance bars gate as absolute floors — the
-    # zero-copy view must serve within 5% of the heap estimator
-    # (view_over_heap >= 0.95; the bench interleaves the two sides
-    # batch-by-batch so the ratio is drift-immune) and a persisted restart
-    # must beat a cold re-impute by >= 10x (median-of-3 timings). The raw
-    # qps numbers gate baseline-relative like the serving benches, from
-    # deliberately conservative committed values. Publish overhead and
-    # restart timings are context: absolute milliseconds on shared runners
-    # say little, and the fsync-heavy persisted publish cost is expected.
+    # Persistence. The acceptance bar gates as an absolute floor: a
+    # persisted restart must beat a cold re-impute by >= 10x (median-of-3
+    # timings). Publish overhead and restart timings are context: absolute
+    # milliseconds on shared runners say little, and the fsync-heavy
+    # persisted publish cost is expected.
     (
         "BENCH_persistence.json",
         "persistence.json",
-        [
-            "serving.heap_qps",
-            "serving.view_qps",
-        ],
+        [],
         [
             "restart.cold_seconds",
             "restart.restore_seconds",
@@ -174,10 +166,7 @@ BENCHES = [
             "publish.overhead_ratio",
         ],
         [],
-        {
-            "serving.view_over_heap": 0.95,
-            "restart.speedup": 10.0,
-        },
+        {"restart.speedup": 10.0},
     ),
     # Trace-driven soak. achieved_qps is the open-loop pacing outcome and
     # gates against the baseline ratio like the other benches (a stall in
