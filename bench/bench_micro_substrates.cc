@@ -1,7 +1,8 @@
-// Micro-benchmarks of the substrates (google-benchmark): dense matmul,
-// k-means, convex hull, TopoAC topological checks, WKNN queries, and one
-// BiSIM forward/backward step. Useful for tracking performance regressions
-// in the hand-rolled numeric kernels.
+// Micro-benchmarks of the substrates (google-benchmark): dense matmul, the
+// reproducible Gemm at the BiSIM tape's shapes, k-means, convex hull, TopoAC
+// topological checks, WKNN queries, and one BiSIM forward/backward step.
+// Useful for tracking performance regressions in the hand-rolled numeric
+// kernels.
 #include <benchmark/benchmark.h>
 
 #include "bisim/bisim.h"
@@ -9,6 +10,7 @@
 #include "clustering/kmeans.h"
 #include "clustering/strategies.h"
 #include "geometry/geometry.h"
+#include "la/kernels.h"
 #include "la/matrix.h"
 #include "positioning/estimators.h"
 #include "survey/survey.h"
@@ -27,6 +29,42 @@ void BM_MatMul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_MatMul)->Arg(16)->Arg(64)->Arg(128);
+
+// One la::Gemm call at a shape the BiSIM training tape uses (Kaide at
+// scale 0.12: D = 80 APs, hidden 24, attention_hidden 24, T = 5). Args are
+// (op, m, k, n): op 0 = NN, a forward matmul (beta 0); op 1 = NT, an input
+// gradient (beta 1); op 2 = TN, a weight gradient (beta 1).
+void BM_GemmTapeShape(benchmark::State& state) {
+  const int op = static_cast<int>(state.range(0));
+  const size_t m = static_cast<size_t>(state.range(1));
+  const size_t k = static_cast<size_t>(state.range(2));
+  const size_t n = static_cast<size_t>(state.range(3));
+  const bool ta = op == 2, tb = op == 1;
+  Rng rng(9);
+  la::Matrix a = ta ? la::Matrix::Random(k, m, rng)
+                    : la::Matrix::Random(m, k, rng);
+  la::Matrix b = tb ? la::Matrix::Random(n, k, rng)
+                    : la::Matrix::Random(k, n, rng);
+  la::Matrix c = la::Matrix::Random(m, n, rng);
+  const double beta = op == 0 ? 0.0 : 1.0;
+  for (auto _ : state) {
+    la::Gemm(1.0, a, ta, b, tb, beta, &c);
+    benchmark::DoNotOptimize(c.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+BENCHMARK(BM_GemmTapeShape)
+    ->ArgNames({"op", "m", "k", "n"})
+    ->Args({0, 1, 184, 96})   // LSTM gates: encoder, [f^c | m | h] x W
+    ->Args({0, 1, 106, 96})   // decoder, [l^c | c | s] x W
+    ->Args({0, 5, 104, 24})   // attention MLP, T rows of [s | h'']
+    ->Args({1, 1, 96, 184})   // their input gradients
+    ->Args({1, 1, 96, 106})
+    ->Args({1, 5, 24, 104})
+    ->Args({2, 184, 1, 96})   // their weight gradients
+    ->Args({2, 106, 1, 96})
+    ->Args({2, 104, 5, 24});
 
 void BM_CholeskySolve(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -36,22 +36,11 @@ void GemmTN(double alpha, const Matrix& a, const Matrix& b, Matrix* c) {
                         c->data().data(), a.cols(), a.rows(), b.cols());
 }
 
-/// C += alpha * A * B^T — dot products of contiguous rows.
+/// C += alpha * A * B^T — dot products of contiguous rows, each summed from
+/// 0 over k ascending and then added once; dispatched like GemmNN.
 void GemmNT(double alpha, const Matrix& a, const Matrix& b, Matrix* c) {
-  const size_t m = a.rows(), k = a.cols(), n = b.rows();
-  const double* pa = a.data().data();
-  const double* pb = b.data().data();
-  double* pc = c->data().data();
-  for (size_t i = 0; i < m; ++i) {
-    const double* arow = pa + i * k;
-    double* crow = pc + i * n;
-    for (size_t j = 0; j < n; ++j) {
-      const double* brow = pb + j * k;
-      double dot = 0.0;
-      for (size_t kx = 0; kx < k; ++kx) dot += arow[kx] * brow[kx];
-      crow[j] += alpha * dot;
-    }
-  }
+  internal::GemmReproNT(alpha, a.data().data(), b.data().data(),
+                        c->data().data(), a.rows(), a.cols(), b.rows());
 }
 
 /// C += alpha * A^T * B^T.

@@ -28,12 +28,15 @@ inline void ResizeTo(Matrix* out, size_t rows, size_t cols) {
 /// overwritten (and resized to the product shape); with beta != 0, C must
 /// already have the product shape. C must not alias A or B.
 ///
-/// Reproducible *and* SIMD: the NN and TN paths (the training/re-fit hot
-/// paths — every autodiff forward matmul and its Gemm(beta=1) adjoint) run
-/// through the runtime-dispatched deterministic kernels in la/gemm_repro.h
-/// — AVX2/AVX-512 target_clones compiled with fp-contract off, so every C
-/// entry sums its k terms in ascending order with one rounding per op,
-/// bit-identical across ISAs and to the scalar reference loop.
+/// Reproducible and fast: the NN, TN and NT paths (every autodiff forward
+/// matmul and both of its Gemm(beta=1) adjoints) run through the
+/// runtime-dispatched deterministic kernels in la/gemm_repro.h —
+/// AVX2/AVX-512 target_clones compiled with fp-contract off, one rounding
+/// per op, bit-identical across ISAs and to the scalar reference loops.
+/// NN and TN add alpha*A(i,k)*B(k,j) into C(i,j) over k ascending, skipping
+/// terms whose alpha*A(i,k) is exactly zero; NT sums each dot product from 0
+/// over k ascending, then adds alpha*dot into C(i,j). TT is a scalar loop
+/// with NT's contract (nothing on the training path uses it).
 void Gemm(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
           bool trans_b, double beta, Matrix* c);
 

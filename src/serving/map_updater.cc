@@ -120,8 +120,7 @@ std::string MapUpdater::ShardDir(const rmap::ShardId& id) const {
       .string();
 }
 
-void MapUpdater::OpenShardWal(const rmap::ShardId& id, ShardState* state,
-                              uint64_t watermark) {
+void MapUpdater::OpenShardWal(ShardState* state, uint64_t watermark) {
   store::Wal::Options wal_options;
   wal_options.sync_every = options_.wal_sync_every;
   store::Wal::ReplayResult replay;
@@ -201,7 +200,7 @@ bool MapUpdater::TryRestoreShard(const rmap::ShardId& id, ShardState* state) {
   }
   // Replays only segments at or above the snapshot's watermark — the ones
   // below are inside the base section just adopted.
-  OpenShardWal(id, state, loaded.wal_watermark);
+  OpenShardWal(state, loaded.wal_watermark);
   store_->Publish(id, loaded.snapshot);
   UpdaterMetrics::Get().restores.Add();
   {
@@ -277,7 +276,7 @@ void MapUpdater::RegisterShard(const rmap::ShardId& id, rmap::RadioMap base) {
       std::error_code ec;
       std::filesystem::remove_all(state->shard_dir, ec);
     }
-    OpenShardWal(id, state, 0);
+    OpenShardWal(state, 0);
   }
   Rebuild(id, state);  // first impute + fit + publish, synchronous
 }

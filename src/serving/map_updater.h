@@ -279,8 +279,7 @@ class MapUpdater {
   /// rmi_store_wal_records_rejected_total). A failed open leaves wal null
   /// (persistence degrades, serving continues). Caller must hold exclusive
   /// access to the shard (registration, or rebuild_mu).
-  void OpenShardWal(const rmap::ShardId& id, ShardState* state,
-                    uint64_t watermark);
+  void OpenShardWal(ShardState* state, uint64_t watermark);
   /// The restore-on-register path: maps the newest valid snapshot, replays
   /// the WAL, publishes. False = nothing restored (caller rebuilds cold).
   bool TryRestoreShard(const rmap::ShardId& id, ShardState* state);

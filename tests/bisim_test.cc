@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "bisim/bisim.h"
@@ -8,25 +9,27 @@
 namespace rmi::bisim {
 namespace {
 
+/// Appends one record to `map`.
+void AddRecord(rmap::RadioMap* map, std::vector<double> rssi, bool has_rp,
+               geom::Point rp, double time) {
+  rmap::Record r;
+  r.rssi = std::move(rssi);
+  r.has_rp = has_rp;
+  r.rp = rp;
+  r.time = time;
+  map->Add(r);
+}
+
 /// Builds the paper's Table III radio map (5 records, 5 APs, one path) with
 /// the times of Table III — the golden input for the Table IV time-lag test.
 rmap::RadioMap PaperTableIIIMap() {
   rmap::RadioMap map(5);
   const double n = kNull;
-  auto add = [&](std::vector<double> rssi, bool has_rp, geom::Point rp,
-                 double time) {
-    rmap::Record r;
-    r.rssi = std::move(rssi);
-    r.has_rp = has_rp;
-    r.rp = rp;
-    r.time = time;
-    map.Add(r);
-  };
-  add({-70, -83, -76, n, n}, true, {1, 1}, 1);    // t2 = 1
-  add({-71, n, -78, n, n}, false, {}, 3);         // t3 = 3
-  add({n, n, -80, -68, n}, true, {5, 5}, 8);      // t4 = 8
-  add({-74, -77, n, n, -81}, false, {}, 12);      // t6 = 12
-  add({n, n, n, n, n}, true, {8, 8}, 16);         // t8 = 16
+  AddRecord(&map, {-70, -83, -76, n, n}, true, {1, 1}, 1);   // t2 = 1
+  AddRecord(&map, {-71, n, -78, n, n}, false, {}, 3);        // t3 = 3
+  AddRecord(&map, {n, n, -80, -68, n}, true, {5, 5}, 8);     // t4 = 8
+  AddRecord(&map, {-74, -77, n, n, -81}, false, {}, 12);     // t6 = 12
+  AddRecord(&map, {n, n, n, n, n}, true, {8, 8}, 16);        // t8 = 16
   return map;
 }
 
@@ -170,6 +173,60 @@ TEST(BiSimModelTest, LossBackwardPopulatesAllParams) {
   }
   // All but possibly the unused decoder-time-lag params receive gradient.
   EXPECT_GE(nonzero, model.Params().size() - 2);
+}
+
+TEST(BiSimModelTest, LossGradientMatchesCentralDifferences) {
+  // The whole model's Backward() against central differences of its loss:
+  // D = 4 APs, hidden 3, attention_hidden 3, T = 3, with the default
+  // sparsity-friendly attention and encoder time lag.
+  rmap::RadioMap map(4);
+  const double n = kNull;
+  AddRecord(&map, {-62, -75, n, -83}, true, {2, 3}, 1);
+  AddRecord(&map, {-66, n, -71, n}, false, {}, 4);
+  AddRecord(&map, {n, -70, -74, -79}, true, {6, 2}, 9);
+  BiSimConfig cfg;
+  cfg.hidden = 3;
+  cfg.attention_hidden = 3;
+  cfg.seq_len = 3;
+  cfg.loc_scale = 1.0 / 10.0;
+  const auto seqs = BuildSequences(map, AllMarMask(map), cfg);
+  ASSERT_EQ(seqs.size(), 1u);
+  ASSERT_EQ(seqs[0].size(), 3u);
+
+  Rng rng(41);
+  BiSimModel model(4, cfg, rng);
+  // Every entry random and at least 0.1 from zero. The default zero
+  // b_gamma, with the zero time lag at t = 0, would put the decay's ReLU
+  // exactly on its kink, where central differences disagree with any
+  // one-sided derivative.
+  std::vector<ad::Tensor> params = model.Params();
+  Rng prng(42);
+  for (ad::Tensor& p : params) {
+    for (double& v : p.mutable_value().data()) {
+      v = (prng.Uniform() < 0.5 ? -1.0 : 1.0) * prng.Uniform(0.1, 0.6);
+    }
+  }
+
+  auto loss = [&]() { return model.Forward(seqs[0], true).loss; };
+  for (ad::Tensor& p : params) p.ZeroGrad();
+  loss().Backward();
+  const double eps = 1e-6;
+  for (size_t pi = 0; pi < params.size(); ++pi) {
+    const la::Matrix analytic = params[pi].grad();
+    la::Matrix& w = params[pi].mutable_value();
+    for (size_t i = 0; i < w.size(); ++i) {
+      const double orig = w.data()[i];
+      w.data()[i] = orig + eps;
+      const double up = loss().value()(0, 0);
+      w.data()[i] = orig - eps;
+      const double down = loss().value()(0, 0);
+      w.data()[i] = orig;
+      const double numeric = (up - down) / (2 * eps);
+      EXPECT_NEAR(analytic.data()[i], numeric,
+                  1e-5 * std::max(std::fabs(numeric), 1e-3))
+          << "param " << pi << " entry " << i;
+    }
+  }
 }
 
 class AblationTest

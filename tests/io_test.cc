@@ -46,7 +46,9 @@ TEST(RadioMapIoTest, RoundTripPreservesEverything) {
     }
     for (size_t j = 0; j < 3; ++j) {
       EXPECT_EQ(IsNull(r.rssi[j]), IsNull(o.rssi[j]));
-      if (!IsNull(o.rssi[j])) EXPECT_DOUBLE_EQ(r.rssi[j], o.rssi[j]);
+      if (!IsNull(o.rssi[j])) {
+        EXPECT_DOUBLE_EQ(r.rssi[j], o.rssi[j]);
+      }
     }
   }
 }

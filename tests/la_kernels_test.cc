@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 
 #include "la/kernels.h"
 #include "la/matrix.h"
@@ -99,58 +102,80 @@ TEST(GemmTest, LargeOperandsBitMatchStreamingOrder) {
   EXPECT_DOUBLE_EQ(Matrix::MaxAbsDiff(c, want), 0.0);
 }
 
+/// The bit pattern of a double: tells -0.0 from 0.0 and matches a NaN with
+/// itself, so EXPECT_EQ on it is an exact check.
+uint64_t Bits(double v) {
+  uint64_t u;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
 TEST(GemmTest, SimdNNAndTNKernelsBitMatchScalarOrderEverywhere) {
   // The deterministic target_clones kernels (la/gemm_repro.cc) promise the
-  // exact rounding sequence of the scalar reference loops — including the
-  // alpha pre-multiply, the beta accumulate, the aik == 0 sparsity skip,
-  // and the < 8-column lane remainder. Verified bit-for-bit over shapes
-  // that exercise full lanes, remainders, and single columns.
+  // exact rounding sequence of the scalar reference loops: for NN and TN the
+  // alpha pre-multiply, the beta accumulate and the alpha*A(i,k) == 0
+  // sparsity skip; for NT a dot product from 0 over k ascending, with no
+  // skip, then one C += alpha*dot. The widths reach every strip group of
+  // one to four 8-lane strips, the scalar column tail and the 8-wide NT
+  // blocks; k = 1 makes the zero skip decide an entry on its own.
   Rng rng(117);
-  const size_t shapes[][3] = {{1, 1, 1},   {3, 5, 7},    {4, 9, 8},
-                              {6, 13, 17}, {2, 31, 23},  {9, 4, 64}};
-  for (const auto& s : shapes) {
-    const size_t m = s[0], k = s[1], n = s[2];
-    Matrix a = Matrix::Random(m, k, rng);
-    Matrix b = Matrix::Random(k, n, rng);
-    // Sparsity so the zero-skip branch is exercised identically.
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (i % 3 == 0) a.data()[i] = 0.0;
-    }
-    const double alpha = 1.75;
-    Matrix c0 = Matrix::Random(m, n, rng);
+  const double alpha = 1.75;
+  for (size_t m : {1, 5}) {
+    for (size_t k : {1, 24, 96}) {
+      for (size_t n : {1, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 40, 96, 184}) {
+        Matrix a = Matrix::Random(m, k, rng);
+        Matrix b = Matrix::Random(k, n, rng);
+        Matrix bt = b.Transpose();  // NT's operand: n x k
+        Matrix c0 = Matrix::Random(m, n, rng);
+        // Exact zeros of both signs in A. With m = 5, row 2 of A is all
+        // zeros, so NN/TN must leave C's row 2 as it was, -0.0 included.
+        for (size_t i = 0; i < a.size(); ++i) {
+          if (i % 3 == 0) a.data()[i] = (i % 2 == 0) ? 0.0 : -0.0;
+          if (m > 2 && i / k == 2) a.data()[i] = (i % 2 == 0) ? -0.0 : 0.0;
+        }
+        for (size_t i = 0; i < c0.size(); i += 4) c0.data()[i] = -0.0;
+        Matrix at = a.Transpose();  // TN's operand: k x m
+        for (double beta : {0.0, 1.0}) {
+          const Matrix start = beta == 0.0 ? Matrix(m, n) : c0;
+          // NN and TN share one reference: k ascending per entry, with the
+          // zero skip.
+          Matrix want = start;
+          for (size_t kk = 0; kk < k; ++kk) {
+            for (size_t i = 0; i < m; ++i) {
+              const double aik = alpha * a(i, kk);
+              if (aik == 0.0) continue;
+              for (size_t j = 0; j < n; ++j) want(i, j) += aik * b(kk, j);
+            }
+          }
+          Matrix want_nt = start;
+          for (size_t i = 0; i < m; ++i) {
+            for (size_t j = 0; j < n; ++j) {
+              double dot = 0.0;
+              for (size_t kk = 0; kk < k; ++kk) dot += a(i, kk) * bt(j, kk);
+              want_nt(i, j) += alpha * dot;
+            }
+          }
 
-    // NN with beta = 1: acc starts from c0, terms added k ascending.
-    Matrix c = c0;
-    Gemm(alpha, a, false, b, false, 1.0, &c);
-    Matrix want = c0;
-    for (size_t i = 0; i < m; ++i) {
-      for (size_t kk = 0; kk < k; ++kk) {
-        const double aik = alpha * a(i, kk);
-        if (aik == 0.0) continue;
-        for (size_t j = 0; j < n; ++j) want(i, j) += aik * b(kk, j);
+          Matrix c_nn = c0, c_tn = c0, c_nt = c0;
+          Gemm(alpha, a, false, b, false, beta, &c_nn);
+          Gemm(alpha, at, true, b, false, beta, &c_tn);
+          Gemm(alpha, a, false, bt, true, beta, &c_nt);
+          // Streamed only when an expectation fails.
+          auto where = [&](size_t i) {
+            return std::to_string(m) + "x" + std::to_string(k) + "x" +
+                   std::to_string(n) + " beta " + std::to_string(beta) +
+                   " entry " + std::to_string(i);
+          };
+          for (size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(Bits(c_nn.data()[i]), Bits(want.data()[i]))
+                << "NN " << where(i);
+            EXPECT_EQ(Bits(c_tn.data()[i]), Bits(want.data()[i]))
+                << "TN " << where(i);
+            EXPECT_EQ(Bits(c_nt.data()[i]), Bits(want_nt.data()[i]))
+                << "NT " << where(i);
+          }
+        }
       }
-    }
-    for (size_t i = 0; i < c.size(); ++i) {
-      EXPECT_EQ(c.data()[i], want.data()[i]) << m << "x" << k << "x" << n;
-    }
-
-    // TN (rank-1 update order), beta = 0.
-    Matrix at(k, m);
-    for (size_t i = 0; i < k; ++i) {
-      for (size_t j = 0; j < m; ++j) at(i, j) = a(j, i);
-    }
-    Matrix ct;
-    Gemm(alpha, at, true, b, false, 0.0, &ct);
-    Matrix want_t(m, n);
-    for (size_t kk = 0; kk < k; ++kk) {
-      for (size_t i = 0; i < m; ++i) {
-        const double aki = alpha * at(kk, i);
-        if (aki == 0.0) continue;
-        for (size_t j = 0; j < n; ++j) want_t(i, j) += aki * b(kk, j);
-      }
-    }
-    for (size_t i = 0; i < ct.size(); ++i) {
-      EXPECT_EQ(ct.data()[i], want_t.data()[i]) << m << "x" << k << "x" << n;
     }
   }
 }

@@ -94,7 +94,9 @@ TEST_P(ImputerContractTest, CompleteInRangeObservedPreserving) {
   const rmap::RadioMap out = imputer->Impute(map, mask, rng);
 
   const bool may_delete = imputer->name() == "CD";
-  if (!may_delete) ASSERT_EQ(out.size(), map.size());
+  if (!may_delete) {
+    ASSERT_EQ(out.size(), map.size());
+  }
   for (size_t i = 0; i < out.size(); ++i) {
     EXPECT_TRUE(out.record(i).has_rp);
     for (double v : out.record(i).rssi) {

@@ -214,7 +214,9 @@ TEST(FingerprintPropertyTest, SynthesisIsDeterministicAndAudible) {
     for (size_t ap = 0; ap < fp_a.size(); ++ap) {
       // NaN marks an unheard AP; NaN != NaN, so compare null-ness first.
       EXPECT_EQ(IsNull(fp_a[ap]), IsNull(fp_b[ap]));
-      if (!IsNull(fp_a[ap])) EXPECT_EQ(fp_a[ap], fp_b[ap]);
+      if (!IsNull(fp_a[ap])) {
+        EXPECT_EQ(fp_a[ap], fp_b[ap]);
+      }
     }
     ASSERT_EQ(fp_a.size(), venue.num_aps());
     const auto& audible =
