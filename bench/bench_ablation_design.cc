@@ -14,7 +14,7 @@ namespace rmi {
 namespace {
 
 void Run() {
-  const auto env = bench::EnvWithDefaults(/*scale=*/0.12, /*epochs=*/18);
+  const auto env = eval::BenchEnv::FromEnv(/*scale=*/0.12, /*epochs=*/18);
   bench::Banner("Design ablations", "seq length / latent size / "
                 "location weight (T-BiSIM + WKNN, Kaide)", env);
   const auto ds = bench::MakeDataset("Kaide", env.scale);

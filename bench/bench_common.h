@@ -3,13 +3,13 @@
 // Every bench prints the corresponding paper table/figure as an aligned
 // console table (and mirrors it to CSV when RMI_BENCH_CSV_DIR is set).
 // Sizing knobs: RMI_BENCH_SCALE / RMI_BENCH_EPOCHS override each bench's
-// built-in defaults (benches that sweep many configurations use smaller
-// defaults so the whole harness stays laptop-friendly).
+// built-in defaults through eval::BenchEnv::FromEnv (benches that sweep many
+// configurations use smaller defaults so the whole harness stays
+// laptop-friendly).
 #ifndef RMI_BENCH_BENCH_COMMON_H_
 #define RMI_BENCH_BENCH_COMMON_H_
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -23,20 +23,6 @@
 #include "survey/survey.h"
 
 namespace rmi::bench {
-
-/// Bench sizing with per-bench fallbacks (env still wins).
-inline eval::BenchEnv EnvWithDefaults(double scale, size_t epochs) {
-  eval::BenchEnv env;
-  env.scale = scale;
-  env.epochs = epochs;
-  if (const char* s = std::getenv("RMI_BENCH_SCALE"); s != nullptr && *s) {
-    env.scale = std::atof(s);
-  }
-  if (const char* s = std::getenv("RMI_BENCH_EPOCHS"); s != nullptr && *s) {
-    env.epochs = static_cast<size_t>(std::atoi(s));
-  }
-  return env;
-}
 
 /// Dataset for a venue preset by name ("Kaide", "Wanda", "Longhu").
 inline survey::SurveyDataset MakeDataset(const std::string& venue,

@@ -12,7 +12,7 @@ namespace rmi {
 namespace {
 
 void Run() {
-  const auto env = bench::EnvWithDefaults(/*scale=*/0.10, /*epochs=*/10);
+  const auto env = eval::BenchEnv::FromEnv(/*scale=*/0.10, /*epochs=*/10);
   bench::Banner("Fig. 12", "removal ratio alpha vs APE (B=BiSIM, C=WKNN)",
                 env);
   const std::vector<int> alphas = {0, 5, 10, 15, 20};

@@ -12,7 +12,7 @@ namespace rmi {
 namespace {
 
 void Run() {
-  const auto env = bench::EnvWithDefaults(/*scale=*/0.10, /*epochs=*/10);
+  const auto env = eval::BenchEnv::FromEnv(/*scale=*/0.10, /*epochs=*/10);
   bench::Banner("Fig. 13", "threshold eta vs APE (B=BiSIM, C=WKNN)", env);
   const std::vector<double> etas = {0.0, 0.1, 0.2, 0.3};
   const std::vector<std::string> diffs = {"TopoAC", "DasaKM", "ElbowKM"};

@@ -10,7 +10,7 @@ namespace rmi {
 namespace {
 
 void Run() {
-  const auto env = bench::EnvWithDefaults(/*scale=*/0.10, /*epochs=*/18);
+  const auto env = eval::BenchEnv::FromEnv(/*scale=*/0.10, /*epochs=*/18);
   bench::Banner("Fig. 14", "removal ratio beta vs RSSI MAE (dBm)", env);
   struct Config {
     const char* label;

@@ -24,7 +24,7 @@ survey::SurveyDataset DatasetWithDensity(const std::string& venue,
 }
 
 void Run() {
-  const auto env = bench::EnvWithDefaults(/*scale=*/0.10, /*epochs=*/12);
+  const auto env = eval::BenchEnv::FromEnv(/*scale=*/0.10, /*epochs=*/12);
   bench::Banner("Fig. 16", "RP density vs APE for T-BiSIM (C=WKNN)", env);
   Table table({"RP density(%)", "Kaide", "Wanda"});
   std::vector<std::vector<std::string>> rows;

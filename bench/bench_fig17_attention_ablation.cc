@@ -11,7 +11,7 @@ namespace rmi {
 namespace {
 
 void Run() {
-  const auto env = bench::EnvWithDefaults(/*scale=*/0.15, /*epochs=*/25);
+  const auto env = eval::BenchEnv::FromEnv(/*scale=*/0.15, /*epochs=*/25);
   bench::Banner("Fig. 17", "attention ablation for T-BiSIM (APE, meters)",
                 env);
   struct Variant {

@@ -18,7 +18,7 @@ namespace rmi {
 namespace {
 
 void Run() {
-  const auto env = bench::EnvWithDefaults(/*scale=*/0.15, /*epochs=*/1);
+  const auto env = eval::BenchEnv::FromEnv(/*scale=*/0.15, /*epochs=*/1);
   bench::Banner("Fig. 3 / Fig. 5", "AP observability locality + profile "
                 "cluster coherence", env);
   for (const char* venue_name : {"Kaide", "Wanda"}) {

@@ -1,9 +1,12 @@
 // Micro-benchmarks of the substrates (google-benchmark): dense matmul, the
-// reproducible Gemm at the BiSIM tape's shapes, k-means, convex hull, TopoAC
-// topological checks, WKNN queries, and one BiSIM forward/backward step.
+// reproducible Gemm at the BiSIM tape's shapes, k-means (alone and as
+// DasaKM runs it), convex hull, TopoAC topological checks, WKNN queries,
+// and one BiSIM forward/backward step.
 // Useful for tracking performance regressions in the hand-rolled numeric
 // kernels.
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "bisim/bisim.h"
 #include "clustering/differentiation.h"
@@ -101,6 +104,35 @@ void BM_KMeans(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KMeans)->Arg(4)->Arg(32);
+
+// The mall_burst set-up's differentiation (what repobench times as
+// clustering.differentiate_s): DasaKM on Kaide at scale 0.12, dataset seed 5,
+// 86 KMeans calls on its 768 x 82 sample set.
+void BM_KMeansDasaKM(benchmark::State& state) {
+  const auto ds = survey::MakeKaideDataset(0.12, 5);
+  cluster::ClusteringDifferentiator diff(
+      std::make_shared<cluster::DasaKMeansClusterer>());
+  for (auto _ : state) {
+    Rng rng(7);
+    benchmark::DoNotOptimize(diff.Differentiate(ds.map, rng));
+  }
+}
+BENCHMARK(BM_KMeansDasaKM)->Unit(benchmark::kMillisecond);
+
+// One KMeans call as DasaKM makes it (12 Lloyd iterations at most) on the
+// same 768 x 82 sample set; the arg is k.
+void BM_KMeansSampleSet(benchmark::State& state) {
+  const auto ds = survey::MakeKaideDataset(0.12, 5);
+  const cluster::SampleSet samples = cluster::BuildSampleSet(ds.map);
+  cluster::KMeansParams p;
+  p.k = static_cast<size_t>(state.range(0));
+  p.max_iters = 12;
+  for (auto _ : state) {
+    Rng rng(4);
+    benchmark::DoNotOptimize(cluster::KMeans(samples.features, p, rng));
+  }
+}
+BENCHMARK(BM_KMeansSampleSet)->Arg(8)->Arg(60)->Unit(benchmark::kMillisecond);
 
 void BM_WknnQuery(benchmark::State& state) {
   const auto ds = survey::MakeKaideDataset(0.08);

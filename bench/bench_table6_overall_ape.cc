@@ -13,7 +13,7 @@ namespace rmi {
 namespace {
 
 void Run() {
-  const auto env = bench::EnvWithDefaults(/*scale=*/0.15, /*epochs=*/25);
+  const auto env = eval::BenchEnv::FromEnv(/*scale=*/0.15, /*epochs=*/25);
   bench::Banner("Table VI", "overall APE comparison (meters)", env);
   struct Config {
     const char* label;

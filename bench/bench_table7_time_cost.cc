@@ -14,16 +14,9 @@ namespace rmi {
 namespace {
 
 struct Shared {
-  survey::SurveyDataset kaide;
-  survey::SurveyDataset wanda;
-  eval::BenchEnv env;
-
-  Shared()
-      : kaide(survey::MakeKaideDataset(
-            bench::EnvWithDefaults(0.12, 15).scale)),
-        wanda(survey::MakeWandaDataset(
-            bench::EnvWithDefaults(0.12, 15).scale)),
-        env(bench::EnvWithDefaults(0.12, 15)) {}
+  eval::BenchEnv env = eval::BenchEnv::FromEnv(0.12, 15);
+  survey::SurveyDataset kaide = survey::MakeKaideDataset(env.scale);
+  survey::SurveyDataset wanda = survey::MakeWandaDataset(env.scale);
 };
 
 Shared& shared() {

@@ -10,7 +10,7 @@ namespace rmi {
 namespace {
 
 void Run() {
-  const auto env = bench::EnvWithDefaults(/*scale=*/0.15, /*epochs=*/20);
+  const auto env = eval::BenchEnv::FromEnv(/*scale=*/0.15, /*epochs=*/20);
   bench::Banner("Table VIII", "APE on Bluetooth data (Longhu, meters)", env);
   struct Config {
     const char* label;

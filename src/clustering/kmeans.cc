@@ -1,44 +1,50 @@
 #include "clustering/kmeans.h"
 
-#include <cmath>
+#include <algorithm>
 #include <limits>
 
 #include "common/check.h"
+#include "la/gemm_repro.h"
+#include "la/kernels.h"
 
 namespace rmi::cluster {
 
 namespace {
 
-double RowDistance(const la::Matrix& x, size_t row, const la::Matrix& centers,
-                   size_t c, bool manhattan,
-                   double bound = std::numeric_limits<double>::infinity()) {
-  const size_t f = x.cols();
-  const double* xr = &x.data()[row * f];
-  const double* cr = &centers.data()[c * f];
-  double s = 0.0;
-  if (manhattan) {
-    for (size_t j = 0; j < f; ++j) s += std::fabs(xr[j] - cr[j]);
-    return s;
+size_t PadToLanes(size_t n) {
+  return (n + la::kDistanceLanes - 1) / la::kDistanceLanes *
+         la::kDistanceLanes;
+}
+
+/// m (R x C) transposed into C x PadToLanes(R) row-major, padding zero: the
+/// la::SquaredDistances layout with m's rows as lanes. Eight rows of m at a
+/// time, so every output write lands in one lane block.
+void TransposePadded(const la::Matrix& m, std::vector<double>* out) {
+  const size_t rows = m.rows(), cols = m.cols(), ld = PadToLanes(rows);
+  out->assign(cols * ld, 0.0);
+  const double* src = m.data().data();
+  for (size_t i0 = 0; i0 < rows; i0 += la::kDistanceLanes) {
+    const size_t lanes = std::min(la::kDistanceLanes, rows - i0);
+    for (size_t j = 0; j < cols; ++j) {
+      double* dst = out->data() + j * ld + i0;
+      for (size_t u = 0; u < lanes; ++u) dst[u] = src[(i0 + u) * cols + j];
+    }
   }
-  // Squared Euclidean with exact early exit: the terms are non-negative and
-  // summed in a fixed order, so every prefix is a lower bound of the final
-  // value — once a prefix reaches `bound`, the caller's strict `< bound`
-  // test can never pass, and returning the prefix changes no decision.
-  // Checked every 8 lanes to keep the branch off the inner adds.
+}
+
+/// c[0, f) += x[0, f). The fixed 8-wide blocks on rows that cannot alias
+/// vectorize at -O2; each c[j] still takes one add.
+void AddRow(const double* __restrict x, double* __restrict c, size_t f) {
   size_t j = 0;
   for (; j + 8 <= f; j += 8) {
-    for (size_t u = 0; u < 8; ++u) {
-      const double d = xr[j + u] - cr[j + u];
-      s += d * d;
-    }
-    if (s >= bound) return s;
+    for (size_t u = 0; u < 8; ++u) c[j + u] += x[j + u];
   }
-  for (; j < f; ++j) {
-    const double d = xr[j] - cr[j];
-    s += d * d;
-  }
-  return s;  // squared Euclidean (or L1) — monotone, fine for argmin
+  for (; j < f; ++j) c[j] += x[j];
 }
+
+/// Rows of x per la::SquaredDistances call in the assignment step, so a
+/// block's distances to every center stay in L1.
+constexpr size_t kRowBlock = 32;
 
 }  // namespace
 
@@ -48,18 +54,26 @@ KMeansResult KMeans(const la::Matrix& x, const KMeansParams& params, Rng& rng) {
   RMI_CHECK_GE(params.k, 1u);
   RMI_CHECK_GE(n, 1u);
   const size_t k = std::min(params.k, n);
+  const double* px = x.data().data();
 
-  // k-means++ seeding.
+  // k-means++ seeding. Each new center is compared with every row at once,
+  // against x transposed so that the rows are the kernel's lanes.
   la::Matrix centers(k, f);
   std::vector<double> min_d2(n, std::numeric_limits<double>::max());
+  std::vector<double> transposed;
+  std::vector<double> dist;
+  if (k > 1) {
+    TransposePadded(x, &transposed);
+    dist.resize(PadToLanes(n));
+  }
   size_t first = rng.Index(n);
   centers.SetRow(0, x.Row(first));
   for (size_t c = 1; c < k; ++c) {
+    la::SquaredDistances(&centers.data()[(c - 1) * f], transposed.data(),
+                         dist.data(), 1, f, PadToLanes(n));
     double total = 0.0;
     for (size_t i = 0; i < n; ++i) {
-      const double d = RowDistance(x, i, centers, c - 1, /*manhattan=*/false,
-                                   min_d2[i]);
-      if (d < min_d2[i]) min_d2[i] = d;
+      if (dist[i] < min_d2[i]) min_d2[i] = dist[i];
       total += min_d2[i];
     }
     size_t pick = 0;
@@ -81,32 +95,42 @@ KMeansResult KMeans(const la::Matrix& x, const KMeansParams& params, Rng& rng) {
   KMeansResult res;
   res.assignment.assign(n, 0);
   std::vector<size_t> counts(k);
+  const size_t k_pad = PadToLanes(k);
+  dist.resize(kRowBlock * k_pad);
   for (size_t iter = 0; iter < params.max_iters; ++iter) {
+    // Assignment against the centers transposed (lanes = centers): the
+    // argmin runs in center order with a strict `<`, so exact ties go to
+    // the lowest index.
+    TransposePadded(centers, &transposed);
     bool changed = false;
-    for (size_t i = 0; i < n; ++i) {
-      double best = std::numeric_limits<double>::max();
-      int best_c = 0;
-      for (size_t c = 0; c < k; ++c) {
-        const double d =
-            RowDistance(x, i, centers, c, params.manhattan, best);
-        if (d < best) {
-          best = d;
-          best_c = static_cast<int>(c);
+    for (size_t i0 = 0; i0 < n; i0 += kRowBlock) {
+      const size_t rows = std::min(kRowBlock, n - i0);
+      la::SquaredDistances(px + i0 * f, transposed.data(), dist.data(), rows,
+                           f, k_pad);
+      for (size_t r = 0; r < rows; ++r) {
+        const double* dr = &dist[r * k_pad];
+        double best = std::numeric_limits<double>::max();
+        int best_c = 0;
+        for (size_t c = 0; c < k; ++c) {
+          if (dr[c] < best) {
+            best = dr[c];
+            best_c = static_cast<int>(c);
+          }
         }
-      }
-      if (res.assignment[i] != best_c) {
-        res.assignment[i] = best_c;
-        changed = true;
+        if (res.assignment[i0 + r] != best_c) {
+          res.assignment[i0 + r] = best_c;
+          changed = true;
+        }
       }
     }
     if (!changed && iter > 0) break;
-    // Recompute centers.
-    centers = la::Matrix(k, f);
+    // Recompute centers: per (c, j), x(i, j) added over i ascending.
+    la::Fill(&centers, 0.0);
     std::fill(counts.begin(), counts.end(), 0);
     for (size_t i = 0; i < n; ++i) {
       const size_t c = static_cast<size_t>(res.assignment[i]);
       ++counts[c];
-      for (size_t j = 0; j < f; ++j) centers(c, j) += x(i, j);
+      AddRow(px + i * f, &centers.data()[c * f], f);
     }
     for (size_t c = 0; c < k; ++c) {
       if (counts[c] == 0) {
@@ -119,13 +143,12 @@ KMeansResult KMeans(const la::Matrix& x, const KMeansParams& params, Rng& rng) {
     }
   }
 
-  res.centers = centers;
   res.wss = 0.0;
   for (size_t i = 0; i < n; ++i) {
-    res.wss += RowDistance(x, i, centers,
-                           static_cast<size_t>(res.assignment[i]),
-                           /*manhattan=*/false);
+    res.wss += la::RowSquaredDistance(x, i, centers,
+                                      static_cast<size_t>(res.assignment[i]));
   }
+  res.centers = std::move(centers);
   return res;
 }
 

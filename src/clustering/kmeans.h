@@ -1,5 +1,5 @@
-// K-means (k-means++ init, Lloyd iterations) with Euclidean or Manhattan
-// distance, plus the elbow heuristic for K selection.
+// K-means (k-means++ init, Lloyd iterations) on squared Euclidean distance,
+// plus the elbow heuristic for K selection.
 #ifndef RMI_CLUSTERING_KMEANS_H_
 #define RMI_CLUSTERING_KMEANS_H_
 
@@ -14,7 +14,6 @@ namespace rmi::cluster {
 struct KMeansParams {
   size_t k = 2;
   size_t max_iters = 25;
-  bool manhattan = false;  ///< paper footnote 3: Manhattan tried, inferior
 };
 
 struct KMeansResult {
@@ -23,7 +22,10 @@ struct KMeansResult {
   double wss = 0.0;             ///< within-cluster sum of squares
 };
 
-/// Runs k-means on the rows of x (N x F).
+/// Runs k-means on the rows of x (N x F). Every seeding and assignment
+/// distance is a full sum from la::SquaredDistances (la/gemm_repro.h), so
+/// the result is bit-identical on every ISA clone; assignment ties go to
+/// the lowest center index.
 KMeansResult KMeans(const la::Matrix& x, const KMeansParams& params, Rng& rng);
 
 /// Elbow method: evaluates WSS over `candidates` (ascending K values) and

@@ -25,6 +25,7 @@ Clustering FromKMeans(const KMeansResult& km) {
 
 Clustering ElbowKMeansClusterer::Cluster(const SampleSet& samples,
                                          Rng& rng) const {
+  if (samples.size() == 0) return Clustering{};
   KMeansParams base;
   base.max_iters = 15;
   const auto ladder = KCandidateLadder(std::min(max_k_, samples.size()));
@@ -37,6 +38,10 @@ Clustering ElbowKMeansClusterer::Cluster(const SampleSet& samples,
 
 Clustering DasaKMeansClusterer::Cluster(const SampleSet& samples,
                                         Rng& rng) const {
+  if (samples.size() == 0) {
+    last_k_.store(0, std::memory_order_relaxed);
+    return Clustering{};
+  }
   // Pre-sample one ground-truth set per gamma (Algorithm 3 lines 1-3).
   std::vector<SampledGroundTruth> gts;
   gts.reserve(params_.gammas.size());

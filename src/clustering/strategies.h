@@ -49,8 +49,9 @@ class DasaKMeansClusterer : public Clusterer {
   Clustering Cluster(const SampleSet& samples, Rng& rng) const override;
   std::string name() const override { return "DasaKM"; }
 
-  /// The K selected by the last Cluster() call (diagnostic; atomic so
-  /// concurrent Cluster calls on a shared instance stay well-defined).
+  /// The K selected by the last Cluster() call, 0 for an empty sample set
+  /// (diagnostic; atomic so concurrent Cluster calls on a shared instance
+  /// stay well-defined).
   size_t last_k() const { return last_k_.load(std::memory_order_relaxed); }
 
  private:

@@ -1,5 +1,9 @@
 #include "eval/factories.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 #include "clustering/strategies.h"
@@ -10,15 +14,37 @@
 
 namespace rmi::eval {
 
-BenchEnv BenchEnv::FromEnv() {
+namespace {
+
+[[noreturn]] void BadEnv(const char* name, const char* value,
+                         const char* want) {
+  std::fprintf(stderr, "%s=\"%s\": expected %s\n", name, value, want);
+  std::fflush(stderr);
+  std::abort();
+}
+
+}  // namespace
+
+BenchEnv BenchEnv::FromEnv(double default_scale, size_t default_epochs) {
   BenchEnv env;
+  env.scale = default_scale;
+  env.epochs = default_epochs;
   if (const char* s = std::getenv("RMI_BENCH_SCALE"); s != nullptr && *s) {
-    env.scale = std::atof(s);
-    RMI_CHECK_GT(env.scale, 0.0);
+    char* end = nullptr;
+    env.scale = std::strtod(s, &end);
+    if (*end != '\0' || !(env.scale > 0.0) || !std::isfinite(env.scale)) {
+      BadEnv("RMI_BENCH_SCALE", s, "a number > 0");
+    }
   }
   if (const char* s = std::getenv("RMI_BENCH_EPOCHS"); s != nullptr && *s) {
-    env.epochs = static_cast<size_t>(std::atoi(s));
-    RMI_CHECK_GT(env.epochs, 0u);
+    char* end = nullptr;
+    errno = 0;
+    const long long epochs = std::strtoll(s, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(*s)) || *end != '\0' ||
+        epochs <= 0 || errno == ERANGE) {
+      BadEnv("RMI_BENCH_EPOCHS", s, "an integer > 0");
+    }
+    env.epochs = static_cast<size_t>(epochs);
   }
   return env;
 }

@@ -15,14 +15,16 @@
 
 namespace rmi::eval {
 
-/// Bench sizing knobs, overridable via environment variables:
-///   RMI_BENCH_SCALE  — venue AP-count scale in (0, 1] (default 0.18)
-///   RMI_BENCH_EPOCHS — neural-imputer training epochs (default 20)
+/// Bench sizing: venue AP-count scale and neural-imputer training epochs.
 struct BenchEnv {
   double scale = 0.18;
   size_t epochs = 35;
 
-  static BenchEnv FromEnv();
+  /// A bench's own defaults, each overridden by its environment variable
+  /// when that is set and non-empty: RMI_BENCH_SCALE (a number > 0) and
+  /// RMI_BENCH_EPOCHS (an integer > 0). A value that does not parse whole
+  /// or is not > 0 aborts with a message naming the variable.
+  static BenchEnv FromEnv(double default_scale, size_t default_epochs);
 };
 
 /// Differentiators: "TopoAC", "DasaKM", "ElbowKM", "DBSCAN", "MAR-only",

@@ -1,9 +1,10 @@
-// Deterministic SIMD GEMM kernels. This file is compiled with
-// -ffp-contract=off (CMakeLists.txt): with contraction disabled, each
-// multiply and each add rounds separately, so the wide target_clones below
-// compute bit-identical sums to the baseline clone — vectorizing across j
-// lanes never reassociates a C(i, j) accumulation chain, which stays a
-// scalar reduction over k ascending.
+// Deterministic SIMD GEMM kernels and the k-means squared-distance kernel.
+// This file is compiled with -ffp-contract=off (CMakeLists.txt): with
+// contraction disabled, each subtract, multiply and add rounds separately,
+// so the wide target_clones below compute bit-identical sums to the
+// baseline clone — vectorizing across j lanes never reassociates an
+// out(i, j) accumulation chain, which stays a scalar reduction over k (or
+// t) ascending.
 //
 // Every vector loop here runs exactly kLanes = 8 iterations, over local
 // accumulator arrays or over rows the compiler knows do not overlap. GCC's
@@ -18,6 +19,8 @@
 #include "la/gemm_repro.h"
 
 #include <algorithm>
+
+#include "common/check.h"
 
 namespace rmi::la::internal {
 
@@ -35,6 +38,7 @@ namespace {
 
 /// Columns per strip: one 8-wide local array per strip.
 constexpr size_t kLanes = 8;
+static_assert(kLanes == kDistanceLanes, "SquaredDistances pads to kLanes");
 
 /// B panels are tiled so a k x kJTile strip stays cache resident across the
 /// i loop (tiling never changes the per-element k order). A multiple of
@@ -185,6 +189,73 @@ void GemmReproNTKernel(double alpha, const double* pa, const double* pb,
   }
 }
 
+/// One step of DistanceTile's accumulator Q, which holds row Q / S of a
+/// against strip Q % S of b: acc[u] += (a(Q / S, t) - b(t, u))^2 for the
+/// strip's lane u. A no-op for the unused accumulators of a tile.
+template <int R, int S, int Q>
+__attribute__((always_inline)) inline void DistanceStep(const double* a,
+                                                        size_t f, size_t t,
+                                                        const double* b,
+                                                        size_t u, double* acc) {
+  if constexpr (Q < R * S) {
+    const double d = a[(Q / S) * f + t] - b[(Q % S) * kLanes + u];
+    acc[u] += d * d;
+  }
+}
+
+/// out(r, s * kLanes + u) = sum over t ascending of (a(r, t) - b(t, s *
+/// kLanes + u))^2 for R rows of a (row stride f) against S consecutive
+/// 8-column strips of b (row stride ldb), R * S <= 4. Each (row, strip)
+/// pair owns an accumulator array, so R * S independent add chains run side
+/// by side; rows share each strip load and strips share each a(r, t).
+template <int R, int S>
+__attribute__((always_inline)) inline void DistanceTile(const double* a,
+                                                        size_t f,
+                                                        const double* b,
+                                                        size_t ldb, double* out,
+                                                        size_t ldo) {
+  static_assert(R >= 1 && S >= 1 && R * S <= 4, "one to four chains");
+  double acc0[kLanes] = {}, acc1[kLanes] = {}, acc2[kLanes] = {},
+         acc3[kLanes] = {};
+  for (size_t t = 0; t < f; ++t, b += ldb) {
+    for (size_t u = 0; u < kLanes; ++u) {
+      DistanceStep<R, S, 0>(a, f, t, b, u, acc0);
+      DistanceStep<R, S, 1>(a, f, t, b, u, acc1);
+      DistanceStep<R, S, 2>(a, f, t, b, u, acc2);
+      DistanceStep<R, S, 3>(a, f, t, b, u, acc3);
+    }
+  }
+  for (size_t u = 0; u < kLanes; ++u) {
+    out[u] = acc0[u];
+    if constexpr (R * S > 1) out[(1 / S) * ldo + (1 % S) * kLanes + u] = acc1[u];
+    if constexpr (R * S > 2) out[(2 / S) * ldo + (2 % S) * kLanes + u] = acc2[u];
+    if constexpr (R * S > 3) out[(3 / S) * ldo + (3 % S) * kLanes + u] = acc3[u];
+  }
+}
+
+RMI_GEMM_CLONES
+void SquaredDistancesKernel(const double* pa, const double* pb, double* po,
+                            size_t m, size_t f, size_t n) {
+  // Groups of four rows walk the strips in the outer loop, so a strip of b
+  // stays in L1 across the groups.
+  const size_t m4 = m - m % 4;
+  for (size_t j = 0; j < n; j += kLanes) {
+    for (size_t i = 0; i < m4; i += 4) {
+      DistanceTile<4, 1>(pa + i * f, f, pb + j, n, po + i * n + j, n);
+    }
+  }
+  // Leftover rows, one at a time, run four strips side by side instead.
+  for (size_t i = m4; i < m; ++i) {
+    size_t j = 0;
+    for (; j + 4 * kLanes <= n; j += 4 * kLanes) {
+      DistanceTile<1, 4>(pa + i * f, f, pb + j, n, po + i * n + j, n);
+    }
+    for (; j < n; j += kLanes) {
+      DistanceTile<1, 1>(pa + i * f, f, pb + j, n, po + i * n + j, n);
+    }
+  }
+}
+
 #undef RMI_GEMM_CLONES
 
 }  // namespace
@@ -205,3 +276,13 @@ void GemmReproNT(double alpha, const double* a, const double* b, double* c,
 }
 
 }  // namespace rmi::la::internal
+
+namespace rmi::la {
+
+void SquaredDistances(const double* a, const double* b, double* out, size_t m,
+                      size_t f, size_t n) {
+  RMI_CHECK_EQ(n % kDistanceLanes, 0u);
+  internal::SquaredDistancesKernel(a, b, out, m, f, n);
+}
+
+}  // namespace rmi::la

@@ -1,6 +1,7 @@
 // Runtime-dispatched deterministic GEMM kernels — the backbone of the
 // *reproducible* float path (la::Gemm), used by autodiff training and the
-// live-rebuild re-fit.
+// live-rebuild re-fit — plus the squared-distance kernel behind
+// cluster::KMeans.
 //
 // These kernels promise the exact rounding sequence of the naive scalar
 // loops, one rounding per multiply and one per add: NN and TN accumulate
@@ -38,5 +39,28 @@ void GemmReproNT(double alpha, const double* a, const double* b, double* c,
                  size_t m, size_t k, size_t n);
 
 }  // namespace rmi::la::internal
+
+namespace rmi::la {
+
+/// Lane width of SquaredDistances: its `n` must be a multiple of this.
+inline constexpr size_t kDistanceLanes = 8;
+
+/// out(i, j) = sum over t of (a(i, t) - b(t, j))^2 for every i < m, j < n
+/// (a: m x f, b: f x n, out: m x n, all row-major; n a multiple of
+/// kDistanceLanes, so callers pad b's columns). Each entry is summed from
+/// 0.0 over t ascending with one rounding per subtract, multiply and add —
+/// bit-identical, on every ISA clone, to the scalar loop of
+/// la::RowSquaredDistance. Lanes run across j; several rows of `a` (or, for
+/// a single row, several strips of `b`) run their add chains side by side.
+///
+/// cluster::KMeans computes every seeding and Lloyd distance here as a full
+/// sum. A full sum makes the same decisions as a prefix-pruned one: its
+/// terms are non-negative, so it is >= every prefix, and a prefix that has
+/// reached a caller's bound fails the caller's strict `d < bound` test
+/// exactly as the full sum does.
+void SquaredDistances(const double* a, const double* b, double* out, size_t m,
+                      size_t f, size_t n);
+
+}  // namespace rmi::la
 
 #endif  // RMI_LA_GEMM_REPRO_H_

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "clustering/differentiation.h"
 #include "clustering/kmeans.h"
 #include "clustering/strategies.h"
 #include "common/missing.h"
+#include "eval/factories.h"
 
 namespace rmi::cluster {
 namespace {
@@ -54,6 +60,168 @@ TEST(KMeansTest, KOneCenterIsMean) {
   EXPECT_NEAR(res.centers(0, 0), x.Col(0).Mean(), 1e-9);
 }
 
+/// k-means as it was before la::SquaredDistances: scalar distances with
+/// the exact early exit (a prefix that reaches the caller's bound is
+/// returned as is). KMeans must reproduce it bit for bit, drawing the same
+/// random numbers.
+double EarlyExitDistance(const la::Matrix& x, size_t row,
+                         const la::Matrix& centers, size_t c, double bound) {
+  const size_t f = x.cols();
+  const double* xr = &x.data()[row * f];
+  const double* cr = &centers.data()[c * f];
+  double s = 0.0;
+  size_t j = 0;
+  for (; j + 8 <= f; j += 8) {
+    for (size_t u = 0; u < 8; ++u) {
+      const double d = xr[j + u] - cr[j + u];
+      s += d * d;
+    }
+    if (s >= bound) return s;
+  }
+  for (; j < f; ++j) {
+    const double d = xr[j] - cr[j];
+    s += d * d;
+  }
+  return s;
+}
+
+KMeansResult ReferenceKMeans(const la::Matrix& x, const KMeansParams& params,
+                             Rng& rng) {
+  const size_t n = x.rows();
+  const size_t f = x.cols();
+  const size_t k = std::min(params.k, n);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  la::Matrix centers(k, f);
+  std::vector<double> min_d2(n, std::numeric_limits<double>::max());
+  centers.SetRow(0, x.Row(rng.Index(n)));
+  for (size_t c = 1; c < k; ++c) {
+    double total = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      const double d = EarlyExitDistance(x, i, centers, c - 1, min_d2[i]);
+      if (d < min_d2[i]) min_d2[i] = d;
+      total += min_d2[i];
+    }
+    size_t pick = 0;
+    if (total > 0.0) {
+      double r = rng.Uniform(0.0, total);
+      for (size_t i = 0; i < n; ++i) {
+        r -= min_d2[i];
+        if (r <= 0.0) {
+          pick = i;
+          break;
+        }
+      }
+    } else {
+      pick = rng.Index(n);
+    }
+    centers.SetRow(c, x.Row(pick));
+  }
+  KMeansResult res;
+  res.assignment.assign(n, 0);
+  std::vector<size_t> counts(k);
+  for (size_t iter = 0; iter < params.max_iters; ++iter) {
+    bool changed = false;
+    for (size_t i = 0; i < n; ++i) {
+      double best = std::numeric_limits<double>::max();
+      int best_c = 0;
+      for (size_t c = 0; c < k; ++c) {
+        const double d = EarlyExitDistance(x, i, centers, c, best);
+        if (d < best) {
+          best = d;
+          best_c = static_cast<int>(c);
+        }
+      }
+      if (res.assignment[i] != best_c) {
+        res.assignment[i] = best_c;
+        changed = true;
+      }
+    }
+    if (!changed && iter > 0) break;
+    centers = la::Matrix(k, f);
+    std::fill(counts.begin(), counts.end(), 0);
+    for (size_t i = 0; i < n; ++i) {
+      const size_t c = static_cast<size_t>(res.assignment[i]);
+      ++counts[c];
+      for (size_t j = 0; j < f; ++j) centers(c, j) += x(i, j);
+    }
+    for (size_t c = 0; c < k; ++c) {
+      if (counts[c] == 0) {
+        centers.SetRow(c, x.Row(rng.Index(n)));
+        continue;
+      }
+      for (size_t j = 0; j < f; ++j) {
+        centers(c, j) /= static_cast<double>(counts[c]);
+      }
+    }
+  }
+  res.centers = centers;
+  for (size_t i = 0; i < n; ++i) {
+    res.wss += EarlyExitDistance(x, i, centers,
+                                 static_cast<size_t>(res.assignment[i]), kInf);
+  }
+  return res;
+}
+
+uint64_t Bits(double v) {
+  uint64_t u;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
+/// DasaKM-shaped features: `aps` binary AP columns (each row hears the APs
+/// near its position) plus two location columns scaled by 0.1, with every
+/// fifth row a duplicate of an earlier one so that exact distance ties
+/// occur.
+la::Matrix BinaryLocationFeatures(size_t n, size_t aps, Rng& rng) {
+  la::Matrix x(n, aps + 2);
+  for (size_t i = 0; i < n; ++i) {
+    if (i % 5 == 4) {
+      x.SetRow(i, x.Row(rng.Index(i)));
+      continue;
+    }
+    const double px = rng.Uniform(0.0, 40.0), py = rng.Uniform(0.0, 20.0);
+    for (size_t a = 0; a < aps; ++a) {
+      const double ax = 40.0 * static_cast<double>(a) / static_cast<double>(aps);
+      const bool heard = std::fabs(px - ax) < 12.0 && rng.Uniform(0.0, 1.0) < 0.8;
+      x(i, a) = heard ? 1.0 : 0.0;
+    }
+    x(i, aps) = px * 0.1;
+    x(i, aps + 1) = py * 0.1;
+  }
+  return x;
+}
+
+TEST(KMeansTest, BitMatchesEarlyExitReference) {
+  // Full lane-parallel sums make the same decisions as the early-exit
+  // prefixes they replace, so assignments, centers and wss are unchanged,
+  // bit for bit. n = 37 and 203 are not multiples of the lane width; n = 5
+  // is below most k, which KMeans clamps.
+  for (uint64_t seed : {1, 2, 3}) {
+    for (size_t n : {5, 37, 203}) {
+      Rng data_rng(100 + seed);
+      const la::Matrix x = BinaryLocationFeatures(n, 30, data_rng);
+      for (size_t k : {1, 2, 7, 8, 9, 16, 17, 60}) {
+        KMeansParams p;
+        p.k = k;
+        p.max_iters = 12;
+        Rng rng(seed * 1000 + k), ref_rng(seed * 1000 + k);
+        const KMeansResult got = KMeans(x, p, rng);
+        const KMeansResult want = ReferenceKMeans(x, p, ref_rng);
+        const std::string where = "seed " + std::to_string(seed) + " n " +
+                                  std::to_string(n) + " k " + std::to_string(k);
+        EXPECT_EQ(got.assignment, want.assignment) << where;
+        ASSERT_EQ(got.centers.rows(), want.centers.rows()) << where;
+        for (size_t i = 0; i < want.centers.size(); ++i) {
+          EXPECT_EQ(Bits(got.centers.data()[i]), Bits(want.centers.data()[i]))
+              << where << " center entry " << i;
+        }
+        EXPECT_EQ(Bits(got.wss), Bits(want.wss)) << where;
+        EXPECT_EQ(rng.Index(1000), ref_rng.Index(1000)) << where;
+      }
+    }
+  }
+}
+
 TEST(KMeansTest, KClampedToSampleCount) {
   Rng rng(4);
   la::Matrix x(3, 2);
@@ -61,16 +229,6 @@ TEST(KMeansTest, KClampedToSampleCount) {
   p.k = 10;
   const auto res = KMeans(x, p, rng);
   for (int a : res.assignment) EXPECT_LT(a, 3);
-}
-
-TEST(KMeansTest, ManhattanRuns) {
-  Rng rng(5);
-  la::Matrix x = TwoBlobs(10, rng);
-  KMeansParams p;
-  p.k = 2;
-  p.manhattan = true;
-  const auto res = KMeans(x, p, rng);
-  EXPECT_NE(res.assignment[0], res.assignment[10]);
 }
 
 TEST(ElbowTest, FindsTwoBlobKnee) {
@@ -313,6 +471,32 @@ TEST(ClusteringGroupsTest, PartitionsIndices) {
   EXPECT_EQ(g[0], (std::vector<size_t>{0, 2}));
   EXPECT_EQ(g[1], (std::vector<size_t>{1}));
   EXPECT_EQ(g[2], (std::vector<size_t>{3}));
+}
+
+TEST(ClusteringDifferentiatorTest, EveryDifferentiatorHandlesZeroAndOneRow) {
+  // A map with no records gets an empty mask and a one-record map a full
+  // one; DasaKM and ElbowKM must not ask k-means for a K in [1, 0].
+  indoor::Venue venue;  // no walls
+  rmap::RadioMap empty(3);
+  rmap::RadioMap single(3);
+  rmap::Record r;
+  r.rssi = {-50.0, kNull, -70.0};
+  r.has_rp = true;
+  r.rp = {2.0, 1.0};
+  single.Add(r);
+  for (const char* name :
+       {"TopoAC", "DasaKM", "ElbowKM", "DBSCAN", "MAR-only", "MNAR-only"}) {
+    const auto diff = eval::MakeDifferentiator(name, &venue);
+    Rng rng(15);
+    const rmap::MaskMatrix none = diff->Differentiate(empty, rng);
+    EXPECT_EQ(none.rows(), 0u) << name;
+    const rmap::MaskMatrix one = diff->Differentiate(single, rng);
+    ASSERT_EQ(one.rows(), 1u) << name;
+    ASSERT_EQ(one.cols(), 3u) << name;
+    EXPECT_EQ(one.at(0, 0), rmap::MaskValue::kObserved) << name;
+    EXPECT_NE(one.at(0, 1), rmap::MaskValue::kObserved) << name;
+    EXPECT_EQ(one.at(0, 2), rmap::MaskValue::kObserved) << name;
+  }
 }
 
 TEST(ClusteringDifferentiatorTest, EndToEndOnTwoAreas) {

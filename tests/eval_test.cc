@@ -54,19 +54,37 @@ TEST(MetricsTest, DeletedRecordsSkipped) {
 TEST(BenchEnvTest, DefaultsWithoutEnv) {
   unsetenv("RMI_BENCH_SCALE");
   unsetenv("RMI_BENCH_EPOCHS");
-  const BenchEnv env = BenchEnv::FromEnv();
-  EXPECT_GT(env.scale, 0.0);
-  EXPECT_GT(env.epochs, 0u);
+  const BenchEnv env = BenchEnv::FromEnv(0.15, 25);
+  EXPECT_DOUBLE_EQ(env.scale, 0.15);
+  EXPECT_EQ(env.epochs, 25u);
 }
 
 TEST(BenchEnvTest, ReadsOverrides) {
   setenv("RMI_BENCH_SCALE", "0.5", 1);
   setenv("RMI_BENCH_EPOCHS", "7", 1);
-  const BenchEnv env = BenchEnv::FromEnv();
+  const BenchEnv env = BenchEnv::FromEnv(0.15, 25);
   EXPECT_DOUBLE_EQ(env.scale, 0.5);
   EXPECT_EQ(env.epochs, 7u);
   unsetenv("RMI_BENCH_SCALE");
   unsetenv("RMI_BENCH_EPOCHS");
+}
+
+TEST(BenchEnvDeathTest, RejectsMalformedValues) {
+  // A bench must not run with a value it did not get: "abc" or "0" epochs
+  // would train nothing, a negative scale would reach the venue, and "7x"
+  // is not 7.
+  unsetenv("RMI_BENCH_SCALE");
+  unsetenv("RMI_BENCH_EPOCHS");
+  for (const char* bad : {"abc", "0", "-1", "7x", "1.5", " 7", "+7"}) {
+    setenv("RMI_BENCH_EPOCHS", bad, 1);
+    EXPECT_DEATH(BenchEnv::FromEnv(0.15, 25), "RMI_BENCH_EPOCHS") << bad;
+  }
+  unsetenv("RMI_BENCH_EPOCHS");
+  for (const char* bad : {"abc", "0", "-1", "7x", "nan", "inf"}) {
+    setenv("RMI_BENCH_SCALE", bad, 1);
+    EXPECT_DEATH(BenchEnv::FromEnv(0.15, 25), "RMI_BENCH_SCALE") << bad;
+  }
+  unsetenv("RMI_BENCH_SCALE");
 }
 
 class FactoriesTest : public ::testing::Test {

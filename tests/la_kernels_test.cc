@@ -1,13 +1,15 @@
-// Kernel-layer tests: every Gemm transpose variant, beta accumulation, and
-// the fused elementwise kernels, all validated against naive reference
-// implementations on random matrices.
+// Kernel-layer tests: every Gemm transpose variant, beta accumulation, the
+// k-means squared-distance kernel and the fused elementwise kernels, all
+// validated against naive reference implementations on random matrices.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <vector>
 
+#include "la/gemm_repro.h"
 #include "la/kernels.h"
 #include "la/matrix.h"
 
@@ -173,6 +175,51 @@ TEST(GemmTest, SimdNNAndTNKernelsBitMatchScalarOrderEverywhere) {
                 << "TN " << where(i);
             EXPECT_EQ(Bits(c_nt.data()[i]), Bits(want_nt.data()[i]))
                 << "NT " << where(i);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SquaredDistancesTest, BitMatchesScalarLoopEverywhere) {
+  // la::SquaredDistances (la/gemm_repro.cc) promises, per entry, the exact
+  // rounding sequence of la::RowSquaredDistance's loop: from 0.0 over t
+  // ascending, one rounding per subtract, multiply and add. `width` real
+  // columns of b are padded with zeros to the lane width, as cluster::KMeans
+  // pads them. The row counts reach the four-row groups and the one-row
+  // tiles of one to four strips; inputs mix binary features, +-0.0 and
+  // fractions, as k-means centers and samples do.
+  Rng rng(118);
+  for (size_t width : {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 60,
+                       64, 65}) {
+    const size_t n = (width + kDistanceLanes - 1) / kDistanceLanes *
+                     kDistanceLanes;
+    for (size_t m : {1, 3, 4, 5, 8}) {
+      for (size_t f : {1, 7, 8, 9, 82}) {
+        auto draw = [&](size_t i) {
+          switch (i % 4) {
+            case 0: return rng.Uniform(0.0, 1.0) < 0.5 ? 0.0 : 1.0;
+            case 1: return rng.Uniform(0.0, 1.0) < 0.5 ? -0.0 : 0.0;
+            default: return rng.Uniform(-3.0, 3.0);
+          }
+        };
+        std::vector<double> a(m * f), b(f * n, 0.0), out(m * n, -1.0);
+        for (size_t i = 0; i < a.size(); ++i) a[i] = draw(i * 7 + m);
+        for (size_t t = 0; t < f; ++t) {
+          for (size_t j = 0; j < width; ++j) b[t * n + j] = draw(t + j);
+        }
+        SquaredDistances(a.data(), b.data(), out.data(), m, f, n);
+        for (size_t i = 0; i < m; ++i) {
+          for (size_t j = 0; j < n; ++j) {
+            double want = 0.0;
+            for (size_t t = 0; t < f; ++t) {
+              const double d = a[i * f + t] - b[t * n + j];
+              want += d * d;
+            }
+            EXPECT_EQ(Bits(out[i * n + j]), Bits(want))
+                << "width " << width << " m " << m << " f " << f << " entry ("
+                << i << ", " << j << ")";
           }
         }
       }
