@@ -70,24 +70,4 @@ void ClipGradNorm(const std::vector<Tensor>& params, double max_norm) {
   }
 }
 
-std::vector<la::Matrix> SnapshotParams(const std::vector<Tensor>& params) {
-  std::vector<la::Matrix> values;
-  values.reserve(params.size());
-  for (const Tensor& p : params) values.push_back(p.value());
-  return values;
-}
-
-bool RestoreParams(const std::vector<Tensor>& params,
-                   const std::vector<la::Matrix>& values) {
-  if (params.size() != values.size()) return false;
-  for (size_t i = 0; i < params.size(); ++i) {
-    if (!params[i].value().SameShape(values[i])) return false;
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    Tensor handle = params[i];  // cheap node handle; same underlying value
-    handle.mutable_value() = values[i];
-  }
-  return true;
-}
-
 }  // namespace rmi::ad

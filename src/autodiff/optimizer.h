@@ -51,18 +51,6 @@ class Sgd {
 /// recurrent models).
 void ClipGradNorm(const std::vector<Tensor>& params, double max_norm);
 
-/// Copies every parameter's current value — the warm-start snapshot the
-/// incremental re-fit path (bisim::BiSimImputer::ImputeIncremental) stashes
-/// between rebuilds. Plain matrices, detached from any graph.
-std::vector<la::Matrix> SnapshotParams(const std::vector<Tensor>& params);
-
-/// Writes a SnapshotParams result back into `params`. Returns false — and
-/// leaves every parameter untouched — when the count or any shape
-/// mismatches (a changed architecture must fall back to cold training, not
-/// load half a model).
-bool RestoreParams(const std::vector<Tensor>& params,
-                   const std::vector<la::Matrix>& values);
-
 }  // namespace rmi::ad
 
 #endif  // RMI_AUTODIFF_OPTIMIZER_H_

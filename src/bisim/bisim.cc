@@ -393,48 +393,12 @@ double TrainBiSim(const BiSimModel& model, const std::vector<Sequence>& seqs,
 rmap::RadioMap BiSimImputer::Impute(const rmap::RadioMap& map,
                                     const rmap::MaskMatrix& amended_mask,
                                     Rng& rng) const {
-  return TrainAndImpute(map, amended_mask, rng, /*warm_weights=*/nullptr,
-                        /*state_out=*/nullptr);
-}
-
-rmap::RadioMap BiSimImputer::ImputeIncremental(
-    const rmap::RadioMap& merged, const rmap::MaskMatrix& amended_mask,
-    const imputers::IncrementalContext& ctx, Rng& rng) const {
-  // Training dominates the rebuild cost, so the warm start here is the
-  // *model*, not the dirty-row splice: restore the previous rebuild's
-  // weights, fine-tune briefly on the merged sequences (which include the
-  // deltas), and re-impute everything with the refreshed model.
-  const std::vector<la::Matrix>* warm = nullptr;
-  const auto* state = dynamic_cast<const BiSimWarmState*>(
-      ctx.previous_state.get());
-  if (state != nullptr && state->num_aps == merged.num_aps() &&
-      state->hidden == config_.hidden) {
-    warm = &state->weights;  // RestoreParams re-checks every shape
-  }
-  return TrainAndImpute(merged, amended_mask, rng, warm, ctx.state_out);
-}
-
-rmap::RadioMap BiSimImputer::TrainAndImpute(
-    const rmap::RadioMap& map, const rmap::MaskMatrix& amended_mask, Rng& rng,
-    const std::vector<la::Matrix>* warm_weights,
-    std::shared_ptr<const imputers::ImputerState>* state_out) const {
-  BiSimConfig cfg = config_;
+  const BiSimConfig cfg = config_;
   Rng model_rng(cfg.seed ^ rng.engine()());
   BiSimModel model(map.num_aps(), cfg, model_rng);
-  if (warm_weights != nullptr &&
-      ad::RestoreParams(model.Params(), *warm_weights)) {
-    cfg.epochs = cfg.fine_tune_epochs;
-  }
   std::vector<Sequence> sequences = BuildSequences(map, amended_mask, cfg);
   last_loss_.store(TrainBiSim(model, sequences, cfg, model_rng),
                    std::memory_order_relaxed);
-  if (state_out != nullptr) {
-    auto fresh = std::make_shared<BiSimWarmState>();
-    fresh->num_aps = map.num_aps();
-    fresh->hidden = cfg.hidden;
-    fresh->weights = ad::SnapshotParams(model.Params());
-    *state_out = std::move(fresh);
-  }
 
   // Inference: write combined imputations into a copy of the map. The
   // sequences cover disjoint records, so they fan out over the pool (each

@@ -39,11 +39,6 @@ struct BiSimConfig {
   size_t attention_hidden = 24;  ///< alignment-MLP hidden size
   size_t seq_len = 5;            ///< T (paper-tuned optimum)
   size_t epochs = 25;            ///< paper: 500
-  /// Warm-start fine-tune schedule: when ImputeIncremental is handed the
-  /// previous rebuild's trained weights (BiSimWarmState), training runs
-  /// this many epochs instead of `epochs`. The accuracy budget of the
-  /// shortcut is bounded by the incremental-imputation tests.
-  size_t fine_tune_epochs = 6;
   /// Sequences accumulated per Adam step. The paper uses 32 with 500
   /// epochs; with the reduced CPU epoch budgets here, smaller batches give
   /// the optimizer enough steps to converge.
@@ -162,18 +157,11 @@ class BiSimModel {
 double TrainBiSim(const BiSimModel& model, const std::vector<Sequence>& seqs,
                   const BiSimConfig& config, Rng& rng);
 
-/// Warm-start blob carried between a shard's consecutive rebuilds: the
-/// previous snapshot's trained weights. Owned by the caller (via
-/// imputers::IncrementalContext), never by the imputer — see ImputerState.
-class BiSimWarmState : public imputers::ImputerState {
- public:
-  size_t num_aps = 0;
-  size_t hidden = 0;
-  std::vector<la::Matrix> weights;  ///< SnapshotParams order of Params()
-};
-
 /// Trains a BiSIM model on a radio map (reconstruction objective; no
-/// held-out ground truth needed) and imputes MAR cells and null RPs.
+/// held-out ground truth needed) and imputes MAR cells and null RPs. Every
+/// call trains from a fresh initialization drawn from `rng`: a
+/// serving::MapUpdater rebuild retrains on the whole merged map, exactly as
+/// the offline pipeline does.
 class BiSimImputer : public imputers::Imputer {
  public:
   explicit BiSimImputer(BiSimConfig config) : config_(config) {}
@@ -181,17 +169,6 @@ class BiSimImputer : public imputers::Imputer {
   rmap::RadioMap Impute(const rmap::RadioMap& map,
                         const rmap::MaskMatrix& amended_mask,
                         Rng& rng) const override;
-
-  /// Trainable-state warm start: restores the previous rebuild's weights
-  /// from ctx.previous_state (a BiSimWarmState of matching architecture)
-  /// and fine-tunes for config.fine_tune_epochs instead of full epochs,
-  /// re-imputing the whole merged map with the refreshed model; deposits
-  /// the new weights in ctx.state_out. A missing/foreign/mis-shaped state
-  /// falls back to cold training (still exporting state for next time).
-  rmap::RadioMap ImputeIncremental(const rmap::RadioMap& merged,
-                                   const rmap::MaskMatrix& amended_mask,
-                                   const imputers::IncrementalContext& ctx,
-                                   Rng& rng) const override;
 
   std::string name() const override { return "BiSIM"; }
 
@@ -204,14 +181,6 @@ class BiSimImputer : public imputers::Imputer {
   }
 
  private:
-  /// Shared train-and-impute body. `warm_weights` (optional) switches
-  /// training to the fine-tune schedule; `state_out` (optional) receives
-  /// the trained weights as a BiSimWarmState.
-  rmap::RadioMap TrainAndImpute(
-      const rmap::RadioMap& map, const rmap::MaskMatrix& amended_mask,
-      Rng& rng, const std::vector<la::Matrix>* warm_weights,
-      std::shared_ptr<const imputers::ImputerState>* state_out) const;
-
   BiSimConfig config_;
   mutable std::atomic<double> last_loss_{0.0};
 };

@@ -54,38 +54,6 @@ rmap::MaskMatrix DifferentiateWithClustering(const SampleSet& samples,
   return mask;
 }
 
-rmap::MaskMatrix Differentiator::DifferentiateDelta(
-    const rmap::RadioMap& map, const rmap::MaskMatrix& previous_mask,
-    size_t num_previous, Rng& rng) const {
-  const size_t n = map.size();
-  const size_t d = map.num_aps();
-  // A delta too small to carry cluster structure is differentiated with
-  // the full map instead — the cold path is always available and exact.
-  constexpr size_t kMinDeltaRows = 4;
-  const size_t num_delta = n >= num_previous ? n - num_previous : 0;
-  if (num_previous == 0 || num_previous > n ||
-      previous_mask.rows() != num_previous || previous_mask.cols() != d ||
-      (num_delta > 0 && num_delta < kMinDeltaRows)) {
-    return Differentiate(map, rng);
-  }
-
-  rmap::MaskMatrix mask(n, d);
-  for (size_t i = 0; i < num_previous; ++i) {
-    for (size_t j = 0; j < d; ++j) mask.set(i, j, previous_mask.at(i, j));
-  }
-  if (num_delta == 0) return mask;  // forced republish: nothing new to label
-
-  rmap::RadioMap delta(d);
-  for (size_t i = num_previous; i < n; ++i) delta.Add(map.record(i));
-  const rmap::MaskMatrix delta_mask = Differentiate(delta, rng);
-  for (size_t i = 0; i < num_delta; ++i) {
-    for (size_t j = 0; j < d; ++j) {
-      mask.set(num_previous + i, j, delta_mask.at(i, j));
-    }
-  }
-  return mask;
-}
-
 rmap::MaskMatrix MarOnlyDifferentiator::Differentiate(const rmap::RadioMap& map,
                                                       Rng&) const {
   return UniformMask(map, rmap::MaskValue::kMar);

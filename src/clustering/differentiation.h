@@ -1,5 +1,10 @@
 // Missing-RSSI differentiation (paper Section III, Algorithm 2) and the
 // differentiation-accuracy (DA) machinery of DasaKM (Section III-B).
+//
+// A Differentiator labels a whole map at once: the offline pipeline and
+// every serving::MapUpdater rebuild call the same Differentiate over the
+// full merged survey base, so a clustering differentiator always sees the
+// whole cluster structure, never a delta slice of it.
 #ifndef RMI_CLUSTERING_DIFFERENTIATION_H_
 #define RMI_CLUSTERING_DIFFERENTIATION_H_
 
@@ -26,22 +31,6 @@ class Differentiator {
   /// Returns the N x D mask over {-1 MNAR, 0 MAR, 1 observed}.
   virtual rmap::MaskMatrix Differentiate(const rmap::RadioMap& map,
                                          Rng& rng) const = 0;
-
-  /// Delta-aware variant for the live-update loop (serving::MapUpdater).
-  /// Rows [0, num_previous) of `map` are byte-identical to the rows
-  /// `previous_mask` labeled on the last rebuild — the survey base is
-  /// append-only — so their labels are reused verbatim and only the delta
-  /// rows [num_previous, N) are differentiated, against a sub-map of just
-  /// the deltas. For the row-local baselines (MAR-only / MNAR-only) the
-  /// splice is exact; for clustering differentiators it is the
-  /// approximation that turns an O(N) re-cluster into O(|delta|), with the
-  /// accuracy cost bounded by the incremental-update tests. Degrades to a
-  /// full Differentiate when the previous mask is unusable (shape drift,
-  /// nothing previous, or a delta set too small to cluster).
-  virtual rmap::MaskMatrix DifferentiateDelta(
-      const rmap::RadioMap& map, const rmap::MaskMatrix& previous_mask,
-      size_t num_previous, Rng& rng) const;
-
   virtual std::string name() const = 0;
 };
 

@@ -70,7 +70,6 @@ UpdateScenarioResult RunAccuracyUnderUpdate(
   serving::ShardedSnapshotStore store;
   serving::MapUpdaterOptions updater_options;
   updater_options.seed = options.seed + 1;
-  updater_options.incremental = options.incremental_rebuild;
   serving::MapUpdater updater(&store, &differentiator, &imputer,
                               estimator_factory, updater_options);
   updater.RegisterShard(shard, stale);  // bootstrap: the drifted snapshot

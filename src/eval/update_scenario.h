@@ -37,12 +37,8 @@ struct UpdateScenarioOptions {
   uint64_t seed = 97;
   /// Fraction of the current environment re-surveyed into the updater
   /// (Bernoulli per record). 1.0 = the full-resurvey repair scenario;
-  /// smaller values exercise the partial-delta incremental path.
+  /// smaller values re-survey only part of the floor (partial repair).
   double resurvey_fraction = 1.0;
-  /// Warm-start / dirty-row incremental rebuild (serving::MapUpdaterOptions
-  /// ::incremental). false pins every rebuild cold — the reference the
-  /// incremental accuracy budget is measured against.
-  bool incremental_rebuild = true;
 };
 
 struct UpdateScenarioResult {

@@ -19,7 +19,6 @@ class CaseDeletionImputer : public Imputer {
   rmap::RadioMap Impute(const rmap::RadioMap& map,
                         const rmap::MaskMatrix& amended_mask,
                         Rng& rng) const override;
-  bool MayDropRecords() const override { return true; }
   std::string name() const override { return "CD"; }
 };
 

@@ -35,9 +35,6 @@ struct UpdaterMetrics {
   obs::Counter& completed = obs::GetCounter(
       "rmi_updater_rebuilds_completed_total",
       "Shard rebuilds completed (each published a snapshot)");
-  obs::Counter& warm = obs::GetCounter(
-      "rmi_updater_rebuilds_warm_total",
-      "Rebuilds that offered the imputer a warm-start context");
   obs::Counter& failed = obs::GetCounter(
       "rmi_updater_rebuild_failures_total",
       "Rebuilds whose impute/fit/publish pipeline threw (nothing "
@@ -183,9 +180,6 @@ bool MapUpdater::TryRestoreShard(const rmap::ShardId& id, ShardState* state) {
     state->base.set_shard(id);
     state->deltas.clear();
     state->delta_pending = false;
-    state->last_imputed.reset();
-    state->imputer_state.reset();
-    state->last_mask.reset();
     // Resume the version sequence and RNG stream where the persisted run
     // left off: rebuild V consumes fork V, so discard one fork per
     // persisted version. (Caveat: *failed* rebuild attempts after the last
@@ -240,9 +234,6 @@ void MapUpdater::RegisterShard(const rmap::ShardId& id, rmap::RadioMap base) {
     state->base = std::move(base);
     state->deltas.clear();
     state->delta_pending = false;
-    state->last_imputed.reset();
-    state->imputer_state.reset();
-    state->last_mask.reset();
     state->next_version = 1;
     state->rng = Rng(ShardSeed(options_.seed, id));
     // Registration replaces the survey lineage: the persisted state of the
@@ -337,17 +328,12 @@ void MapUpdater::Rebuild(const rmap::ShardId& id, ShardState* state,
   Timer timer;
 
   rmap::RadioMap working;
-  std::shared_ptr<const rmap::RadioMap> previous;
-  std::shared_ptr<const imputers::ImputerState> warm_state;
-  std::shared_ptr<const rmap::MaskMatrix> previous_mask;
-  size_t pre_delta_rows = 0;
   uint64_t version = 0;
   double first_delta_us = 0.0;
   bool drained_deltas = false;
   uint64_t wal_watermark = 0;
   {
     std::lock_guard<std::mutex> lock(state->mu);
-    pre_delta_rows = state->base.size();
     for (rmap::Record& r : state->deltas) state->base.Add(std::move(r));
     state->deltas.clear();
     if (state->wal != nullptr) {
@@ -370,11 +356,6 @@ void MapUpdater::Rebuild(const rmap::ShardId& id, ShardState* state,
       state->delta_pending = false;
     }
     working = state->base;
-    if (options_.incremental) {
-      previous = state->last_imputed;  // O(1) pointer grab, never a copy
-      warm_state = state->imputer_state;
-      previous_mask = state->last_mask;
-    }
     version = state->next_version++;
   }
 
@@ -383,46 +364,19 @@ void MapUpdater::Rebuild(const rmap::ShardId& id, ShardState* state,
   // matter which pool worker executes the rebuild.
   Rng rebuild_rng = state->rng.Fork();
 
-  // The paper pipeline, online: differentiate -> MNAR fill -> (re-)impute
-  // -> fit -> freeze -> hot-swap. The whole pipeline is containment-
-  // wrapped: a throwing differentiator/imputer/estimator publishes
-  // nothing, the shard keeps serving its previous snapshot (the folded
-  // deltas stay in the base for the next attempt), and the trigger
-  // thread — which may be running this rebuild directly — survives.
+  // The paper pipeline, online and cold over the whole merged base:
+  // differentiate -> MNAR fill -> impute -> fit -> freeze -> hot-swap. The
+  // whole pipeline is containment-wrapped: a throwing differentiator/
+  // imputer/estimator publishes nothing, the shard keeps serving its
+  // previous snapshot (the folded deltas stay in the base for the next
+  // attempt), and the trigger thread — which may be running this rebuild
+  // directly — survives.
   try {
     Timer impute_timer;
     rmap::MaskMatrix mask =
-        previous_mask != nullptr
-            ? differentiator_->DifferentiateDelta(working, *previous_mask,
-                                                  pre_delta_rows, rebuild_rng)
-            : differentiator_->Differentiate(working, rebuild_rng);
-    // Saved pre-fill: FillMnar flips kMnar cells to observed values in
-    // place, and delta-aware reuse needs the labels as differentiated.
-    std::shared_ptr<const rmap::MaskMatrix> mask_for_next;
-    if (options_.incremental) {
-      mask_for_next = std::make_shared<const rmap::MaskMatrix>(mask);
-    }
+        differentiator_->Differentiate(working, rebuild_rng);
     imputers::FillMnar(&working, &mask);
-    imputers::IncrementalContext ctx;
-    std::shared_ptr<const imputers::ImputerState> new_state;
-    const bool warm = previous != nullptr;
-    if (warm) {
-      ctx.previous_imputed = previous.get();
-      // The *merged-map* row count the previous imputation claims to cover
-      // — not previous.size(): a record-dropping backend (CaseDeletion)
-      // makes them differ, and the base implementation's alignment guard
-      // must see that and fall back to a cold rebuild instead of splicing
-      // from misaligned rows.
-      ctx.num_previous_records = pre_delta_rows;
-      ctx.previous_state = std::move(warm_state);
-    }
-    if (options_.incremental) {
-      ctx.dirty_neighbors = options_.dirty_neighbors;
-      ctx.max_dirty_fraction = options_.max_dirty_fraction;
-      ctx.state_out = &new_state;
-    }
-    rmap::RadioMap imputed =
-        imputer_->ImputeIncremental(working, mask, ctx, rebuild_rng);
+    rmap::RadioMap imputed = imputer_->Impute(working, mask, rebuild_rng);
     imputed.set_shard(id);
     const double impute_seconds = impute_timer.ElapsedSeconds();
 
@@ -443,15 +397,6 @@ void MapUpdater::Rebuild(const rmap::ShardId& id, ShardState* state,
 
     {
       std::lock_guard<std::mutex> lock(state->mu);
-      // The imputed copy and warm-start blob only feed the next
-      // incremental rebuild; in cold mode retaining them would just
-      // double every shard's resident map for nothing.
-      if (options_.incremental) {
-        state->last_imputed =
-            std::make_shared<const rmap::RadioMap>(std::move(imputed));
-        state->imputer_state = std::move(new_state);
-        state->last_mask = std::move(mask_for_next);
-      }
       state->since_rebuild.Reset();
     }
 
@@ -487,7 +432,6 @@ void MapUpdater::Rebuild(const rmap::ShardId& id, ShardState* state,
     // shard's labeled last-rebuild gauges (resolved once; rebuild_mu makes
     // this shard's Set single-writer).
     metrics.completed.Add();
-    if (warm) metrics.warm.Add();
     metrics.stage_queue_us.Observe(queue_wait_seconds * 1e6);
     metrics.stage_impute_us.Observe(impute_seconds * 1e6);
     metrics.stage_fit_us.Observe(fit_seconds * 1e6);
@@ -523,7 +467,6 @@ void MapUpdater::Rebuild(const rmap::ShardId& id, ShardState* state,
       }
       RebuildStats& shard_stats = stats_.per_shard[id];
       ++shard_stats.completed;
-      if (warm) ++shard_stats.warm;
       if (persisted_file) ++shard_stats.persisted;
       shard_stats.last_queue_wait_seconds = queue_wait_seconds;
       shard_stats.last_impute_seconds = impute_seconds;
@@ -631,8 +574,8 @@ void MapUpdater::TriggerLoop() {
         if (stop_) return;
       }
       // Time from trip detection to this worker picking the shard up —
-      // under a saturated pool this is the serialization backlog the
-      // rebuild bench measures.
+      // under a saturated pool this is the serialization backlog
+      // (rmi_updater_stage_queue_wait_us).
       const double queue_wait = queue_timer.ElapsedSeconds();
       Rebuild(tripped[i].first, tripped[i].second, queue_wait);
     });

@@ -4,14 +4,17 @@
 // a delta buffer of newly ingested observations) and runs the paper's
 // offline pipeline — differentiate -> MNAR-fill -> impute -> fit — as an
 // online background process: when a shard's pending delta volume or
-// staleness threshold trips, the deltas are folded into the base, the
-// merged map is re-imputed (any imputers/ backend, via the incremental
-// entry point Imputer::ImputeIncremental with dirty-row propagation and
-// the backend's warm-start state from the previous rebuild), and
-// BuildSnapshot fits a fresh KNN/WKNN estimator and builds the spatial
-// index cold over it. The rebuilt snapshot is published through the
-// store's atomic hot-swap — in-flight queries never block and never
-// observe a torn map. Every observation that enters the delta buffer —
+// staleness threshold trips, the deltas are folded into the base, and
+// every rebuild runs that one pipeline cold over the whole merged base
+// (any imputers/ backend through Imputer::Impute), ending in
+// BuildSnapshot, which fits a fresh KNN/WKNN estimator and builds the
+// spatial index over it. Nothing carries over from the previous rebuild:
+// version V is a function of the folded base and the shard's RNG fork V
+// alone, so it does not depend on how deltas were batched into rebuilds,
+// and a restarted updater converges to the uninterrupted run's bytes.
+// The rebuilt snapshot is published through the store's atomic hot-swap —
+// in-flight queries never block and never observe a torn map. Every
+// observation that enters the delta buffer —
 // through Ingest or through WAL replay at restore — passes the one record
 // rule, rmap::RecordValidationError.
 //
@@ -82,18 +85,6 @@ struct MapUpdaterOptions {
   /// concurrently (1 = serialized, the pre-pool behavior; 0 = all
   /// hardware threads).
   size_t rebuild_threads = 4;
-  /// Incremental rebuilds: offer each rebuild the previous imputation plus
-  /// the imputer's warm-start state (dirty-row propagation / fine-tune —
-  /// see Imputer::ImputeIncremental). It also turns on delta-aware
-  /// differentiation: rows the previous rebuild already labeled reuse
-  /// their mask and only the delta rows are differentiated (exact for
-  /// row-local differentiators, an O(|delta|) approximation for clustering
-  /// ones — see Differentiator::DifferentiateDelta). The estimator and the
-  /// spatial index are always built cold. false = every rebuild is cold.
-  bool incremental = true;
-  /// Dirty-row propagation knobs forwarded to ImputeIncremental.
-  size_t dirty_neighbors = 8;
-  double max_dirty_fraction = 0.6;
   /// Persistence root. Empty (the default) = memory-only, the
   /// pre-persistence behavior bit-for-bit. Non-empty: shard (b, f) keeps
   /// its durable state under <persist_dir>/b<b>_f<f>/ — every publish
@@ -122,9 +113,8 @@ struct RebuildStats {
   /// snapshot — and the folded observations stay in the base for the next
   /// attempt.
   size_t failed = 0;
-  /// Rebuilds that offered the imputer a warm-start context (previous
-  /// imputation + state). The imputer may still have chosen the cold path
-  /// internally (e.g. dirty set too large).
+  /// Always 0: every rebuild runs the one cold pipeline. The field stays
+  /// for readers that still report a warm-rebuild share.
   size_t warm = 0;
   /// Rebuilds whose snapshot file was durably persisted (always <=
   /// completed; a persist I/O failure leaves the publish intact).
@@ -182,8 +172,8 @@ class MapUpdater {
   /// Adopts `base` (a sparse survey map; nulls welcome) as shard `id`'s
   /// record base, runs the first differentiate -> impute -> fit cycle
   /// synchronously, and publishes snapshot version 1. Re-registering an
-  /// existing shard replaces its base (and resets its RNG stream and
-  /// warm-start state) and republishes.
+  /// existing shard replaces its base (and resets its RNG stream) and
+  /// republishes.
   ///
   /// With persistence on, a *fresh* registration first tries to map the
   /// shard's newest valid snapshot and replay its WAL — publishing the
@@ -223,17 +213,6 @@ class MapUpdater {
     std::mutex mu;                     ///< guards base, deltas, timestamps
     rmap::RadioMap base;               ///< sparse survey records
     std::vector<rmap::Record> deltas;  ///< ingested since the last rebuild
-    /// Warm-start input for the imputer — shared_ptr so a rebuild grabs it
-    /// under mu in O(1) instead of stalling Ingest behind a map copy;
-    /// nullptr until the first incremental-mode rebuild publishes.
-    std::shared_ptr<const rmap::RadioMap> last_imputed;
-    /// Imputer warm-start blob from the last rebuild (guarded by mu).
-    std::shared_ptr<const imputers::ImputerState> imputer_state;
-    /// Pre-MNAR-fill differentiation mask of the last rebuild's working
-    /// map (guarded by mu) — the reuse input of delta-aware
-    /// differentiation. Saved before FillMnar: the fill flips kMnar cells
-    /// to observed in place, which would poison reuse.
-    std::shared_ptr<const rmap::MaskMatrix> last_mask;
     Timer since_rebuild;
     /// Staleness tracking (guarded by mu): MonotonicUs() when the first
     /// delta of the current pending window arrived. The rebuild that

@@ -304,39 +304,5 @@ TEST(NamesTest, AllImputersReportPaperNames) {
   EXPECT_EQ(SsganImputer().name(), "SSGAN");
 }
 
-/// The live-update loop's entry point: with no usable context the call is
-/// exactly Impute on the merged map, and a context carrying the previous
-/// imputation with *no* deltas re-splices it — either way every backend
-/// works in serving::MapUpdater unchanged. (The dirty-row partial path is
-/// covered by incremental_impute_test.cc.)
-TEST(ImputeIncrementalTest, EmptyContextEqualsColdAndNoDeltasSplices) {
-  auto map = ToyMap();
-  auto mask = ToyMask(map);
-  FillMnar(&map, &mask);
-  const LinearInterpolationImputer li;
-  const MiceImputer mice;
-  for (const Imputer* imputer : {static_cast<const Imputer*>(&li),
-                                 static_cast<const Imputer*>(&mice)}) {
-    Rng cold_rng(9), warm_rng(9), none_rng(9);
-    const auto cold = imputer->Impute(map, mask, cold_rng);
-    IncrementalContext warm_ctx;  // previous imputation, zero delta rows
-    warm_ctx.previous_imputed = &cold;
-    warm_ctx.num_previous_records = map.size();
-    const auto warm = imputer->ImputeIncremental(map, mask, warm_ctx, warm_rng);
-    const auto none =
-        imputer->ImputeIncremental(map, mask, IncrementalContext{}, none_rng);
-    ASSERT_EQ(warm.size(), cold.size()) << imputer->name();
-    ASSERT_EQ(none.size(), cold.size()) << imputer->name();
-    for (size_t i = 0; i < cold.size(); ++i) {
-      for (size_t j = 0; j < cold.num_aps(); ++j) {
-        EXPECT_DOUBLE_EQ(warm.record(i).rssi[j], cold.record(i).rssi[j])
-            << imputer->name() << " record " << i << " ap " << j;
-        EXPECT_DOUBLE_EQ(none.record(i).rssi[j], cold.record(i).rssi[j])
-            << imputer->name() << " record " << i << " ap " << j;
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace rmi::imputers

@@ -7,7 +7,9 @@
 //  * an interrupted run (deltas ingested, crash before rebuild) converges
 //    to the same bytes a never-crashed run produces: the next snapshot's
 //    payload is byte-equal, because replayed deltas fold exactly like
-//    live ones (same ids, same order, same RNG fork discipline);
+//    live ones (same ids, same order, same RNG fork discipline) and every
+//    rebuild runs the cold pipeline over the whole folded base — checked
+//    with LI on a complete map and with MICE on a sparse one;
 //  * restore is strict — a width-mismatched snapshot, or a CRC-valid file
 //    whose header shape overflows, is refused and the shard rebuilds cold
 //    from the registered base;
@@ -35,7 +37,10 @@
 #include <vector>
 
 #include "clustering/differentiation.h"
+#include "common/missing.h"
+#include "common/rng.h"
 #include "common/timer.h"
+#include "imputers/autocorrelation.h"
 #include "imputers/traditional.h"
 #include "obs/metrics.h"
 #include "positioning/estimators.h"
@@ -215,42 +220,31 @@ TEST(PersistenceRestart, RestoreSkipsImputationAndServesIdenticalAnswers) {
   EXPECT_EQ(store2.Current(victim)->positions().size(), refs_before + 3);
 }
 
-TEST(PersistenceRestart, CrashBeforeRebuildConvergesToUninterruptedBytes) {
-  // Run A never crashes; run B "crashes" with its second delta window only
-  // in the WAL, restarts, and rebuilds. Both version-3 snapshot files must
-  // carry byte-equal payloads: replayed deltas get their ids at fold time,
-  // RNG forks realign at restore, and the format writes no timestamps.
-  // (Only the header's wal_watermark may differ — the restarted process
-  // opens a fresh WAL segment, shifting the rotation sequence.)
-  const std::string root_a = ScratchDir("restart_converge_a");
-  const std::string root_b = ScratchDir("restart_converge_b");
-  VenueOptions vopt;
-  vopt.num_buildings = 1;
-  vopt.floors_per_building = 1;
-  const auto shards = MakeSyntheticVenue(vopt);
-  const rmap::ShardId id = shards[0].id;
-
-  cluster::MarOnlyDifferentiator differentiator;
-  imputers::LinearInterpolationImputer imputer;
-  auto options_for = [](const std::string& root) {
-    MapUpdaterOptions opt = PersistedOptions(root);
-    opt.incremental = false;  // cold rebuilds: no warm-state divergence
-    return opt;
-  };
+/// Run A never crashes; run B "crashes" with its second delta window only
+/// in the WAL, restarts, and rebuilds. Both version-3 snapshot files must
+/// carry byte-equal payloads: replayed deltas get their ids at fold time,
+/// RNG forks realign at restore, every rebuild runs the cold pipeline over
+/// the whole folded base, and the format writes no timestamps. (Only the
+/// header's wal_watermark may differ — the restarted process opens a fresh
+/// WAL segment, shifting the rotation sequence.)
+void ExpectRestartConvergesToUninterruptedBytes(
+    const std::string& name, const cluster::Differentiator& differentiator,
+    const imputers::Imputer& imputer, const rmap::ShardId& id,
+    const rmap::RadioMap& base, const std::vector<rmap::Record>& window1,
+    const std::vector<rmap::Record>& window2) {
+  SCOPED_TRACE(name);
+  const std::string root_a = ScratchDir(name + "_a");
+  const std::string root_b = ScratchDir(name + "_b");
 
   // Run A: register (v1), fold window 1 (v2), fold window 2 (v3).
   {
     ShardedSnapshotStore store;
     MapUpdater updater(&store, &differentiator, &imputer, WknnFactory(),
-                       options_for(root_a));
-    updater.RegisterShard(id, shards[0].map);
-    for (int i = 0; i < 4; ++i) {
-      updater.Ingest(id, ObservationLike(shards[0].map, 100.0 + i));
-    }
+                       PersistedOptions(root_a));
+    updater.RegisterShard(id, base);
+    for (const rmap::Record& r : window1) updater.Ingest(id, r);
     ASSERT_TRUE(updater.RebuildNow(id));
-    for (int i = 0; i < 4; ++i) {
-      updater.Ingest(id, ObservationLike(shards[0].map, 200.0 + i));
-    }
+    for (const rmap::Record& r : window2) updater.Ingest(id, r);
     ASSERT_TRUE(updater.RebuildNow(id));
     ASSERT_EQ(store.Current(id)->version, 3u);
   }
@@ -260,24 +254,20 @@ TEST(PersistenceRestart, CrashBeforeRebuildConvergesToUninterruptedBytes) {
   {
     ShardedSnapshotStore store;
     MapUpdater updater(&store, &differentiator, &imputer, WknnFactory(),
-                       options_for(root_b));
-    updater.RegisterShard(id, shards[0].map);
-    for (int i = 0; i < 4; ++i) {
-      updater.Ingest(id, ObservationLike(shards[0].map, 100.0 + i));
-    }
+                       PersistedOptions(root_b));
+    updater.RegisterShard(id, base);
+    for (const rmap::Record& r : window1) updater.Ingest(id, r);
     ASSERT_TRUE(updater.RebuildNow(id));
-    for (int i = 0; i < 4; ++i) {
-      updater.Ingest(id, ObservationLike(shards[0].map, 200.0 + i));
-    }
+    for (const rmap::Record& r : window2) updater.Ingest(id, r);
   }
 
   // Run B, process 2: restore v2, replay window 2, rebuild v3.
   {
     ShardedSnapshotStore store;
     MapUpdater updater(&store, &differentiator, &imputer, WknnFactory(),
-                       options_for(root_b));
-    updater.RegisterShard(id, shards[0].map);
-    EXPECT_EQ(updater.Stats().wal_records_replayed, 4u);
+                       PersistedOptions(root_b));
+    updater.RegisterShard(id, base);
+    EXPECT_EQ(updater.Stats().wal_records_replayed, window2.size());
     ASSERT_TRUE(updater.RebuildNow(id));
     ASSERT_EQ(store.Current(id)->version, 3u);
   }
@@ -304,6 +294,63 @@ TEST(PersistenceRestart, CrashBeforeRebuildConvergesToUninterruptedBytes) {
   EXPECT_EQ(mapped_a->header().payload_crc, mapped_b->header().payload_crc);
   EXPECT_EQ(mapped_a->header().num_refs, mapped_b->header().num_refs);
   EXPECT_EQ(mapped_a->header().base_records, mapped_b->header().base_records);
+}
+
+TEST(PersistenceRestart, CrashBeforeRebuildConvergesToUninterruptedBytes) {
+  VenueOptions vopt;
+  vopt.num_buildings = 1;
+  vopt.floors_per_building = 1;
+  const auto shards = MakeSyntheticVenue(vopt);
+  const rmap::ShardId id = shards[0].id;
+  const rmap::RadioMap& venue = shards[0].map;
+  cluster::MarOnlyDifferentiator differentiator;
+
+  // Input 1: LI over the complete venue map, complete deltas.
+  {
+    std::vector<rmap::Record> window1, window2;
+    for (int i = 0; i < 4; ++i) {
+      window1.push_back(ObservationLike(venue, 100.0 + i));
+      window2.push_back(ObservationLike(venue, 200.0 + i));
+    }
+    imputers::LinearInterpolationImputer imputer;
+    ExpectRestartConvergesToUninterruptedBytes(
+        "restart_converge_li", differentiator, imputer, id, venue, window1,
+        window2);
+  }
+
+  // Input 2: MICE over a sparse copy of the venue map, with deltas that
+  // carry nulls and missing RPs — the imputer really fills cells in every
+  // rebuild, so any state carried between rebuilds would show in the bytes.
+  {
+    rmap::RadioMap sparse = venue;
+    Rng holes(17);
+    for (size_t i = 0; i < sparse.size(); ++i) {
+      rmap::Record& r = sparse.record(i);
+      for (size_t j = 1; j < r.rssi.size(); ++j) {
+        if (holes.Bernoulli(0.3)) r.rssi[j] = kNull;
+      }
+      if (holes.Bernoulli(0.2)) {
+        r.has_rp = false;
+        r.rp = geom::Point{};
+      }
+    }
+    std::vector<rmap::Record> window1, window2;
+    for (size_t i = 0; i < 8; ++i) {
+      rmap::Record r = venue.record((i * 13) % venue.size());
+      r.id = rmap::Record::kUnassignedId;
+      r.time = 100.0 + double(i);
+      r.rssi[1 + i % (r.rssi.size() - 1)] = kNull;
+      if (i % 2 == 0) {
+        r.has_rp = false;
+        r.rp = geom::Point{};
+      }
+      (i < 4 ? window1 : window2).push_back(r);
+    }
+    imputers::MiceImputer imputer;
+    ExpectRestartConvergesToUninterruptedBytes(
+        "restart_converge_mice", differentiator, imputer, id, sparse,
+        window1, window2);
+  }
 }
 
 TEST(PersistenceRestart, WidthMismatchedSnapshotIsRefusedAndRebuildsCold) {

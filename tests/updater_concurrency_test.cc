@@ -317,7 +317,6 @@ TEST(UpdaterConcurrencyTest, PhaseStatsBreakDownTheRebuild) {
   ASSERT_EQ(stats.per_shard.count(id), 1u);
   const RebuildStats& shard = stats.per_shard.at(id);
   EXPECT_EQ(shard.completed, 2u);  // registration + RebuildNow
-  EXPECT_EQ(shard.warm, 1u);       // only the second offered a warm start
   EXPECT_GT(shard.last_impute_seconds, 0.0);
   EXPECT_GT(shard.last_fit_seconds, 0.0);
   EXPECT_GE(shard.last_publish_seconds, 0.0);
@@ -331,8 +330,8 @@ TEST(UpdaterConcurrencyTest, PhaseStatsBreakDownTheRebuild) {
 TEST(UpdaterConcurrencyTest, WorkspaceArenaReusedAcrossConsecutiveRebuilds) {
   // Like the tape's steady-state test (threading_determinism_test): after
   // a warm-up rebuild, further rebuilds of a same-shaped shard must be
-  // served entirely from the calling thread's Workspace pool. incremental
-  // is off so every rebuild runs the full training loop.
+  // served entirely from the calling thread's Workspace pool. Every
+  // rebuild runs the full training loop.
   ShardedSnapshotStore store;
   cluster::MarOnlyDifferentiator differentiator;
   bisim::BiSimConfig cfg;
@@ -341,9 +340,7 @@ TEST(UpdaterConcurrencyTest, WorkspaceArenaReusedAcrossConsecutiveRebuilds) {
   cfg.epochs = 3;
   cfg.num_threads = 1;  // all tape work on this thread
   bisim::BiSimImputer imputer(cfg);
-  MapUpdaterOptions opt;
-  opt.incremental = false;
-  MapUpdater updater(&store, &differentiator, &imputer, WknnFactory(), opt);
+  MapUpdater updater(&store, &differentiator, &imputer, WknnFactory());
 
   const rmap::ShardId id{4, 0};
   updater.RegisterShard(id, MakeSyntheticServingMap(6, 5, 5, 66));

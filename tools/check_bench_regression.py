@@ -2,7 +2,7 @@
 """CI perf-regression gate for the serving benches.
 
 Compares freshly produced BENCH_serving.json / BENCH_sharded.json /
-BENCH_rebuild.json / BENCH_scaling.json / BENCH_obs.json / BENCH_soak.json /
+BENCH_scaling.json / BENCH_obs.json / BENCH_soak.json /
 BENCH_persistence.json against the committed baselines in bench/baselines/
 and fails when any gated metric regresses by more than the allowed
 fraction (default 15%). The soak's SLO fields additionally gate against
@@ -10,11 +10,11 @@ absolute ceilings (p999 latency, staleness p95, handover error), and the
 persistence bench gates its acceptance bar (restart speedup) as an
 absolute floor — an acceptance bar, not a baseline-relative ratio.
 
-Only higher-is-better metrics gate (qps, publish throughput, and the
-rebuild bench's speedup ratios); latency percentiles and accuracy numbers
-are printed as non-gating context — they are far noisier on shared CI
-runners, and a real latency cliff always shows up as a qps/speedup drop on
-these closed-loop benches.
+Only higher-is-better metrics gate (qps and the multicore speedup
+ratios); latency percentiles and accuracy numbers are printed as
+non-gating context — they are far noisier on shared CI runners, and a real
+latency cliff always shows up as a qps/speedup drop on these closed-loop
+benches.
 
 Caveat for heterogeneous CI fleets: the baselines are absolute qps from
 the machine that recorded them. Runners of a different hardware class
@@ -31,19 +31,16 @@ Usage:
 Refreshing baselines after an intentional perf change:
     ./build/bench_serving_throughput --smoke &&
     ./build/bench_sharded_serving --smoke &&
-    ./build/bench_rebuild_latency --smoke &&
     ./build/bench_obs_overhead --smoke &&
     ./build/bench_soak --smoke &&
     ./build/bench_persistence --smoke &&
     cp build/BENCH_serving.json bench/baselines/serving.json &&
     cp build/BENCH_sharded.json bench/baselines/sharded.json &&
-    cp build/BENCH_rebuild.json bench/baselines/rebuild.json &&
     cp build/BENCH_obs.json bench/baselines/obs.json &&
     cp build/BENCH_soak.json bench/baselines/soak.json &&
     cp build/BENCH_persistence.json bench/baselines/persistence.json
-(For the rebuild and persistence baselines, prefer the most conservative
-of a few runs — gated speedup ratios and fsync-adjacent qps wobble more
-than closed-loop qps numbers.)
+(For the persistence baseline, prefer the most conservative of a few
+runs — fsync-adjacent numbers wobble more than closed-loop qps.)
 """
 import argparse
 import json
@@ -80,29 +77,6 @@ BENCHES = [
             "baseline_qps",
         ],
         ["update_scenario.stale_ape_m", "update_scenario.updated_ape_m"],
-    ),
-    # Rebuild-path latencies are lower-is-better, so the gate watches the
-    # higher-is-better derived metrics: the p95/staleness speedups of the
-    # parallel-incremental path over the serialized-cold reference, and its
-    # publish throughput. The acceptance bar of PR 5 is speedup_p95 >= 3;
-    # the committed baseline ratios are deliberately *below* typical
-    # measurements (~5.5-7x here) so the 15% floor lands just above the
-    # acceptance bar instead of chasing a best run — these ratios wobble
-    # more than closed-loop qps.
-    (
-        "BENCH_rebuild.json",
-        "rebuild.json",
-        [
-            "speedup_p95",
-            "speedup_staleness",
-            "eight_shard.parallel_incremental.publishes_per_sec",
-        ],
-        [
-            "eight_shard.serialized_cold.p95_ms",
-            "eight_shard.parallel_incremental.p95_ms",
-            "eight_shard.parallel_incremental.mean_staleness_ms",
-            "one_shard.incremental.p95_ms",
-        ],
     ),
     # Multicore scaling. The single-thread qps gate everywhere; the
     # 4-thread-vs-1-thread speedup ratios (5th tuple element) only measure
