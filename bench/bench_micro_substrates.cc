@@ -1,13 +1,15 @@
 // Micro-benchmarks of the substrates (google-benchmark): dense matmul, the
 // reproducible Gemm at the BiSIM tape's shapes, k-means (alone and as
 // DasaKM runs it), convex hull, TopoAC topological checks, WKNN queries,
-// and one BiSIM forward/backward step.
+// one BiSIM forward/backward step and one Adam step over its parameters.
 // Useful for tracking performance regressions in the hand-rolled numeric
 // kernels.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
+#include "autodiff/optimizer.h"
 #include "bisim/bisim.h"
 #include "clustering/differentiation.h"
 #include "clustering/kmeans.h"
@@ -36,7 +38,9 @@ BENCHMARK(BM_MatMul)->Arg(16)->Arg(64)->Arg(128);
 // One la::Gemm call at a shape the BiSIM training tape uses (Kaide at
 // scale 0.12: D = 80 APs, hidden 24, attention_hidden 24, T = 5). Args are
 // (op, m, k, n): op 0 = NN, a forward matmul (beta 0); op 1 = NT, an input
-// gradient (beta 1); op 2 = TN, a weight gradient (beta 1).
+// gradient (beta 1); op 2 = TN, a weight gradient (beta 1); op 3 = the NT
+// input gradient through la::GemmNTPacked on B^T, as the tape runs it for a
+// parameter's packed transpose.
 void BM_GemmTapeShape(benchmark::State& state) {
   const int op = static_cast<int>(state.range(0));
   const size_t m = static_cast<size_t>(state.range(1));
@@ -51,7 +55,11 @@ void BM_GemmTapeShape(benchmark::State& state) {
   la::Matrix c = la::Matrix::Random(m, n, rng);
   const double beta = op == 0 ? 0.0 : 1.0;
   for (auto _ : state) {
-    la::Gemm(1.0, a, ta, b, tb, beta, &c);
+    if (op == 3) {
+      la::GemmNTPacked(1.0, a, b, &c);
+    } else {
+      la::Gemm(1.0, a, ta, b, tb, beta, &c);
+    }
     benchmark::DoNotOptimize(c.data().data());
     benchmark::ClobberMemory();
   }
@@ -65,6 +73,9 @@ BENCHMARK(BM_GemmTapeShape)
     ->Args({1, 1, 96, 184})   // their input gradients
     ->Args({1, 1, 96, 106})
     ->Args({1, 5, 24, 104})
+    ->Args({3, 1, 96, 184})   // the same, packed
+    ->Args({3, 1, 96, 106})
+    ->Args({3, 5, 24, 104})
     ->Args({2, 184, 1, 96})   // their weight gradients
     ->Args({2, 106, 1, 96})
     ->Args({2, 104, 5, 24});
@@ -187,6 +198,33 @@ void BM_BiSimStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BiSimStep);
+
+// One Adam::Step as TrainBiSim takes it after each accumulation batch: the
+// update, the packed-transpose refresh and the gradient reset over a BiSIM
+// model's parameters at Kaide 0.12 (D = 80, hidden 24: 19 tensors, 36,667
+// values). Every step gets the same random gradients (copied outside the
+// timed region), so the update runs on realistic values.
+void BM_AdamStep(benchmark::State& state) {
+  const auto ds = survey::MakeKaideDataset(0.12, 5);
+  bisim::BiSimConfig cfg;
+  Rng rng(10);
+  bisim::BiSimModel model(ds.map.num_aps(), cfg, rng);
+  ad::Adam adam(model.Params(), cfg.lr);
+  std::vector<la::Matrix> grads;
+  for (const ad::Tensor& p : adam.params()) {
+    grads.push_back(la::Matrix::Random(p.rows(), p.cols(), rng));
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (size_t i = 0; i < grads.size(); ++i) {
+      adam.params()[i].node()->grad = grads[i];
+    }
+    state.ResumeTiming();
+    adam.Step();
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_AdamStep);
 
 }  // namespace
 }  // namespace rmi

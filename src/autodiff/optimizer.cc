@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "la/gemm_repro.h"
 
 namespace rmi::ad {
 
@@ -23,18 +24,12 @@ void Adam::Step() {
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(step_));
   for (size_t i = 0; i < params_.size(); ++i) {
     Tensor& p = params_[i];
-    const la::Matrix& g = p.grad();
-    la::Matrix& m = m_[i];
-    la::Matrix& v = v_[i];
     la::Matrix& w = p.mutable_value();
-    for (size_t j = 0; j < w.size(); ++j) {
-      const double gj = g.data()[j];
-      m.data()[j] = beta1_ * m.data()[j] + (1.0 - beta1_) * gj;
-      v.data()[j] = beta2_ * v.data()[j] + (1.0 - beta2_) * gj * gj;
-      const double mhat = m.data()[j] / bc1;
-      const double vhat = v.data()[j] / bc2;
-      w.data()[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-    }
+    RMI_CHECK(p.grad().SameShape(w) && m_[i].SameShape(w));
+    la::AdamUpdate(p.grad().data().data(), m_[i].data().data(),
+                   v_[i].data().data(), w.data().data(), w.size(), lr_, beta1_,
+                   beta2_, bc1, bc2, eps_);
+    p.Repack();
     p.ZeroGrad();
   }
 }
@@ -48,6 +43,7 @@ void Sgd::Step() {
     la::Matrix& w = p.mutable_value();
     const la::Matrix& g = p.grad();
     for (size_t j = 0; j < w.size(); ++j) w.data()[j] -= lr_ * g.data()[j];
+    p.Repack();
     p.ZeroGrad();
   }
 }

@@ -49,10 +49,25 @@ std::shared_ptr<Node> NewNode(OpKind op, la::Matrix value,
   return n;
 }
 
-/// Numerically stable logistic function.
+/// Numerically stable logistic function. exp(v) is evaluated once: under
+/// -fmath-errno GCC does not merge two calls.
 inline double StableSigmoid(double v) {
-  return v >= 0 ? 1.0 / (1.0 + std::exp(-v))
-                : std::exp(v) / (1.0 + std::exp(v));
+  if (v >= 0) return 1.0 / (1.0 + std::exp(-v));
+  const double e = std::exp(v);
+  return e / (1.0 + e);
+}
+
+/// t += g * w^T, the input gradient of x @ w (Affine, MatMul). A parameter
+/// whose packed transpose is current goes through it (la::GemmNTPacked);
+/// any other operand — an activation, or a parameter written through
+/// mutable_value() since its last Repack() — through la::Gemm's NT path on
+/// the row-major value. The two give the same bits.
+void AccumulateInputGrad(const la::Matrix& g, const Node& w, la::Matrix* t) {
+  if (w.packed_current) {
+    la::GemmNTPacked(1.0, g, w.aux, t);
+  } else {
+    la::Gemm(1.0, g, false, w.value, true, 1.0, t);
+  }
 }
 
 }  // namespace
@@ -61,9 +76,10 @@ namespace internal {
 
 Node::~Node() {
   Workspace& ws = Workspace::Get();
-  if (value.size() != 0) ws.Recycle(std::move(value));
+  const bool pooled = !is_param();
+  if (pooled && value.size() != 0) ws.Recycle(std::move(value));
   if (grad.size() != 0) ws.Recycle(std::move(grad));
-  if (aux.size() != 0) ws.Recycle(std::move(aux));
+  if (pooled && aux.size() != 0) ws.Recycle(std::move(aux));
 }
 
 void Node::EnsureGrad() {
@@ -104,9 +120,7 @@ void Node::Backprop() {
       break;
     }
     case OpKind::kMatMul: {
-      if (la::Matrix* t = GradTarget(p0)) {
-        la::Gemm(1.0, g, false, p1->value, true, 1.0, t);
-      }
+      if (la::Matrix* t = GradTarget(p0)) AccumulateInputGrad(g, *p1, t);
       if (la::Matrix* t = GradTarget(p1)) {
         la::Gemm(1.0, p0->value, true, g, false, 1.0, t);
       }
@@ -123,9 +137,7 @@ void Node::Backprop() {
     }
     case OpKind::kAffine: {
       // value = x @ w + bias; parents: [x, w, bias].
-      if (la::Matrix* t = GradTarget(p0)) {
-        la::Gemm(1.0, g, false, p1->value, true, 1.0, t);
-      }
+      if (la::Matrix* t = GradTarget(p0)) AccumulateInputGrad(g, *p1, t);
       if (la::Matrix* t = GradTarget(p1)) {
         la::Gemm(1.0, p0->value, true, g, false, 1.0, t);
       }
@@ -261,27 +273,26 @@ void Node::Backprop() {
       break;
     }
     case OpKind::kLstmGates: {
-      // value = [h | c]; parents [gates (N x 4H), c_prev (N x H)]. The
-      // gate activations are cheap to recompute from the pre-activations.
+      // value = [h | c]; parents [gates (N x 4H), c_prev (N x H)];
+      // aux = the forward pass's activations [i | f | g | o | tanh c].
       const size_t h_dim = value.cols() / 2;
       la::Matrix* tg = GradTarget(p0);
       la::Matrix* tc = GradTarget(p1);
       if (tg == nullptr && tc == nullptr) break;
       for (size_t r = 0; r < value.rows(); ++r) {
         const double* grow = g.data().data() + r * 2 * h_dim;     // [Gh|Gc]
-        const double* gate = p0->value.data().data() + r * 4 * h_dim;
+        const double* act = aux.data().data() + r * 5 * h_dim;
         const double* cprow = p1->value.data().data() + r * h_dim;
-        const double* vrow = value.data().data() + r * 2 * h_dim;  // [h|c]
         double* tgrow =
             tg != nullptr ? tg->data().data() + r * 4 * h_dim : nullptr;
         double* tcrow =
             tc != nullptr ? tc->data().data() + r * h_dim : nullptr;
         for (size_t j = 0; j < h_dim; ++j) {
-          const double iv = StableSigmoid(gate[j]);
-          const double fv = StableSigmoid(gate[h_dim + j]);
-          const double gv = std::tanh(gate[2 * h_dim + j]);
-          const double ov = StableSigmoid(gate[3 * h_dim + j]);
-          const double tanh_c = std::tanh(vrow[h_dim + j]);
+          const double iv = act[j];
+          const double fv = act[h_dim + j];
+          const double gv = act[2 * h_dim + j];
+          const double ov = act[3 * h_dim + j];
+          const double tanh_c = act[4 * h_dim + j];
           const double gh = grow[j];
           const double gc = grow[h_dim + j];
           const double dc = gc + gh * ov * (1.0 - tanh_c * tanh_c);
@@ -376,7 +387,22 @@ Tensor Tensor::Param(la::Matrix value) {
   n->value = std::move(value);
   n->requires_grad = true;
   n->EnsureGrad();
-  return Tensor(std::move(n));
+  Tensor p(std::move(n));
+  p.Repack();
+  return p;
+}
+
+void Tensor::Repack() {
+  Node& n = *node_;
+  RMI_CHECK(n.is_param());  // an op node's aux belongs to the pool
+  const size_t rows = n.value.rows(), cols = n.value.cols();
+  n.aux.Reshape(cols, rows);
+  const double* src = n.value.data().data();
+  double* dst = n.aux.data().data();
+  for (size_t j = 0; j < cols; ++j) {  // contiguous writes, row by row
+    for (size_t i = 0; i < rows; ++i) dst[j * rows + i] = src[i * cols + j];
+  }
+  n.packed_current = true;
 }
 
 Tensor Tensor::Constant(const la::Matrix& value) {
@@ -596,23 +622,34 @@ Tensor LstmGates(const Tensor& gates, const Tensor& c_prev) {
   const size_t h_dim = gates.cols() / 4;
   RMI_CHECK_EQ(c_prev.cols(), h_dim);
   RMI_CHECK_EQ(c_prev.rows(), gates.rows());
-  la::Matrix v = Workspace::Get().Acquire(gates.rows(), 2 * h_dim);
+  Workspace& ws = Workspace::Get();
+  la::Matrix v = ws.Acquire(gates.rows(), 2 * h_dim);
+  la::Matrix act = ws.Acquire(gates.rows(), 5 * h_dim);
   for (size_t r = 0; r < gates.rows(); ++r) {
     const double* gate = gates.value().data().data() + r * 4 * h_dim;
     const double* cprow = c_prev.value().data().data() + r * h_dim;
     double* vrow = v.data().data() + r * 2 * h_dim;
+    double* arow = act.data().data() + r * 5 * h_dim;
     for (size_t j = 0; j < h_dim; ++j) {
       const double iv = StableSigmoid(gate[j]);
       const double fv = StableSigmoid(gate[h_dim + j]);
       const double gv = std::tanh(gate[2 * h_dim + j]);
       const double ov = StableSigmoid(gate[3 * h_dim + j]);
       const double c = fv * cprow[j] + iv * gv;
+      const double tanh_c = std::tanh(c);
       vrow[h_dim + j] = c;
-      vrow[j] = ov * std::tanh(c);
+      vrow[j] = ov * tanh_c;
+      arow[j] = iv;
+      arow[h_dim + j] = fv;
+      arow[2 * h_dim + j] = gv;
+      arow[3 * h_dim + j] = ov;
+      arow[4 * h_dim + j] = tanh_c;
     }
   }
-  return Tensor(
-      NewNode(OpKind::kLstmGates, std::move(v), gates.node(), c_prev.node()));
+  auto n =
+      NewNode(OpKind::kLstmGates, std::move(v), gates.node(), c_prev.node());
+  n->aux = std::move(act);
+  return Tensor(std::move(n));
 }
 
 Tensor Sum(const Tensor& x) {

@@ -12,7 +12,10 @@
 //
 // Gradient accumulation is fused: matmul adjoints run through
 // la::Gemm(beta=1) straight into the parent's grad buffer, elementwise
-// adjoints through la::CwiseBinaryAccumulate.
+// adjoints through la::CwiseBinaryAccumulate. Each parameter also keeps a
+// packed transposed copy of its value, so the input gradient of x @ w
+// streams contiguous rows of w^T (la::GemmNTPacked) with the same bits as
+// la::Gemm's NT path on w.
 //
 // Sized for the paper's models: per-step vectors are 1 x K rows, sequences
 // of length T=5, latent sizes of tens — graph sizes of a few hundred nodes.
@@ -62,9 +65,14 @@ enum class OpKind : uint8_t {
 struct Node {
   la::Matrix value;
   la::Matrix grad;  ///< workspace-backed; acquired lazily, zero-initialized
-  la::Matrix aux;   ///< per-op constant payload (mask / targets)
+  /// Per-op payload: the constant mask / targets, kLstmGates' stored gate
+  /// activations, or a parameter's packed transpose value^T.
+  la::Matrix aux;
   OpKind op = OpKind::kLeaf;
   bool requires_grad = false;
+  /// A parameter's aux holds value^T as of its last Tensor::Repack();
+  /// cleared by Tensor::mutable_value().
+  bool packed_current = false;
   uint64_t visit_mark = 0;  ///< topo-sort stamp (thread-confined graphs)
   double scalar = 0.0;      ///< kScale factor / cached multiplier
   size_t index = 0;         ///< kConcatCols split / kSliceCols offset
@@ -74,8 +82,13 @@ struct Node {
   Node() = default;
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
-  /// Returns value/grad/aux buffers to the calling thread's Workspace.
+  /// Returns the pool-acquired buffers to the calling thread's Workspace:
+  /// every op node's, but only a parameter's grad — its value and packed
+  /// transpose are plain allocations, freed here.
   ~Node();
+
+  /// True for a Tensor::Param leaf.
+  bool is_param() const { return op == OpKind::kLeaf && requires_grad; }
 
   void EnsureGrad();
   /// Propagates this node's grad into its parents' grads (op switch).
@@ -90,7 +103,8 @@ class Tensor {
   Tensor() = default;
 
   /// Trainable leaf (gradient accumulated by Backward, consumed by Adam).
-  /// Not workspace-pooled: parameters persist across steps.
+  /// Not workspace-pooled: parameters persist across steps. Packs its
+  /// transposed copy (see Repack).
   static Tensor Param(la::Matrix value);
 
   /// Non-trainable leaf (inputs, masks); the value is copied into pooled
@@ -99,7 +113,18 @@ class Tensor {
 
   bool defined() const { return node_ != nullptr; }
   const la::Matrix& value() const { return node_->value; }
-  la::Matrix& mutable_value() { return node_->value; }
+  /// Writable value. Marks a parameter's packed transpose stale: input
+  /// gradients then read the row-major value (same bits, slower) until the
+  /// next Repack(). Writes through the returned reference must come before
+  /// that Repack().
+  la::Matrix& mutable_value() {
+    node_->packed_current = false;
+    return node_->value;
+  }
+  /// Rewrites a parameter's packed transpose from its value and marks it
+  /// current. The optimizers call it after every step, in the trainer's
+  /// serial section, so workers only ever read the copy.
+  void Repack();
   const la::Matrix& grad() const { return node_->grad; }
   bool requires_grad() const { return node_->requires_grad; }
 
@@ -202,8 +227,9 @@ Tensor SoftmaxRows(const Tensor& x);
 /// [i, f, g, o] block, c_prev the N x H previous cell state; returns
 /// [h | c] (N x 2H) where c = sigmoid(f)*c_prev + sigmoid(i)*tanh(g) and
 /// h = sigmoid(o)*tanh(c). One node instead of the 11-node slice/
-/// activation/combine chain; activations are recomputed pointwise in the
-/// adjoint rather than stored.
+/// activation/combine chain. The forward pass keeps the five activations
+/// (i, f, g, o, tanh c) in the node's pooled aux, and the adjoint reads
+/// them instead of recomputing them.
 Tensor LstmGates(const Tensor& gates, const Tensor& c_prev);
 
 /// Scalar sum of all entries.

@@ -1,7 +1,9 @@
 // Per-thread buffer arena for the autodiff tape.
 //
-// Every graph node's value/grad/aux matrix borrows its heap storage from
-// the calling thread's Workspace and returns it when the node is released.
+// Every op node's value/grad/aux matrix borrows its heap storage from the
+// calling thread's Workspace and returns it when the node is released. A
+// parameter borrows only its grad: its value and packed transpose are plain
+// allocations, so a dead model leaves the pool no larger than it found it.
 // Buffers are pooled by exact element count — the tape allocates the same
 // fixed set of shapes every step, so after the first training step the pool
 // holds one buffer per live shape slot and steady-state epochs perform no

@@ -1,10 +1,10 @@
-// Deterministic SIMD GEMM kernels and the k-means squared-distance kernel.
-// This file is compiled with -ffp-contract=off (CMakeLists.txt): with
-// contraction disabled, each subtract, multiply and add rounds separately,
-// so the wide target_clones below compute bit-identical sums to the
-// baseline clone — vectorizing across j lanes never reassociates an
-// out(i, j) accumulation chain, which stays a scalar reduction over k (or
-// t) ascending.
+// Deterministic SIMD GEMM kernels, the k-means squared-distance kernel and
+// the Adam update. This file is compiled with -ffp-contract=off
+// (CMakeLists.txt): with contraction disabled, each subtract, multiply and
+// add rounds separately, so the wide target_clones below compute
+// bit-identical sums to the baseline clone — vectorizing across j lanes
+// never reassociates an out(i, j) accumulation chain, which stays a scalar
+// reduction over k (or t) ascending.
 //
 // Every vector loop here runs exactly kLanes = 8 iterations, over local
 // accumulator arrays or over rows the compiler knows do not overlap. GCC's
@@ -19,6 +19,7 @@
 #include "la/gemm_repro.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 
@@ -189,6 +190,62 @@ void GemmReproNTKernel(double alpha, const double* pa, const double* pb,
   }
 }
 
+/// crow[t] += alpha * dot_t for the S * kLanes columns of S <= 4
+/// consecutive 8-column strips, where dot_t sums arow[kx] * bt(kx, t) from
+/// 0.0 over kx ascending (bt's row stride ldb), with no zero skip. NNStrips'
+/// layout under GemmReproNT's contract: the strips share each A(i, kx) and
+/// each owns an accumulator array, so S add chains run side by side.
+template <int S>
+__attribute__((always_inline)) inline void DotStrips(double alpha,
+                                                     const double* arow,
+                                                     const double* bt,
+                                                     size_t ldb, double* crow,
+                                                     size_t k) {
+  static_assert(S >= 1 && S <= 4, "one to four strips");
+  double acc0[kLanes] = {}, acc1[kLanes] = {}, acc2[kLanes] = {},
+         acc3[kLanes] = {};
+  for (size_t kx = 0; kx < k; ++kx, bt += ldb) {
+    const double av = arow[kx];
+    for (size_t t = 0; t < kLanes; ++t) {
+      acc0[t] += av * bt[t];
+      if constexpr (S > 1) acc1[t] += av * bt[kLanes + t];
+      if constexpr (S > 2) acc2[t] += av * bt[2 * kLanes + t];
+      if constexpr (S > 3) acc3[t] += av * bt[3 * kLanes + t];
+    }
+  }
+  for (size_t t = 0; t < kLanes; ++t) {
+    crow[t] += alpha * acc0[t];
+    if constexpr (S > 1) crow[kLanes + t] += alpha * acc1[t];
+    if constexpr (S > 2) crow[2 * kLanes + t] += alpha * acc2[t];
+    if constexpr (S > 3) crow[3 * kLanes + t] += alpha * acc3[t];
+  }
+}
+
+RMI_GEMM_CLONES
+void GemmReproNTPackedKernel(double alpha, const double* pa, const double* pbt,
+                             double* pc, size_t m, size_t k, size_t n) {
+  for (size_t jj = 0; jj < n; jj += kJTile) {
+    const size_t jend = std::min(jj + kJTile, n);
+    for (size_t i = 0; i < m; ++i) {
+      const double* arow = pa + i * k;
+      double* crow = pc + i * n;
+      size_t j = jj;
+      for (; j + 4 * kLanes <= jend; j += 4 * kLanes) {
+        DotStrips<4>(alpha, arow, pbt + j, n, crow + j, k);
+      }
+      const size_t strips = (jend - j) / kLanes;
+      if (strips == 3) DotStrips<3>(alpha, arow, pbt + j, n, crow + j, k);
+      if (strips == 2) DotStrips<2>(alpha, arow, pbt + j, n, crow + j, k);
+      if (strips == 1) DotStrips<1>(alpha, arow, pbt + j, n, crow + j, k);
+      for (j += strips * kLanes; j < jend; ++j) {
+        double dot = 0.0;
+        for (size_t kx = 0; kx < k; ++kx) dot += arow[kx] * pbt[kx * n + j];
+        crow[j] += alpha * dot;
+      }
+    }
+  }
+}
+
 /// One step of DistanceTile's accumulator Q, which holds row Q / S of a
 /// against strip Q % S of b: acc[u] += (a(Q / S, t) - b(t, u))^2 for the
 /// strip's lane u. A no-op for the unused accumulators of a tile.
@@ -256,6 +313,38 @@ void SquaredDistancesKernel(const double* pa, const double* pb, double* po,
   }
 }
 
+/// The Adam update (AdamUpdate's contract) over L consecutive parameters.
+/// The rows are __restrict, so at L = kLanes each line is one full-width
+/// vector operation in every clone. The sqrt vectorizes only because this
+/// file is compiled with -fno-math-errno: its argument is never negative,
+/// so errno could never be set, and the result is correctly rounded either
+/// way.
+template <size_t L>
+__attribute__((always_inline)) inline void AdamLanes(
+    const double* __restrict g, double* __restrict m, double* __restrict v,
+    double* __restrict w, double lr, double beta1, double beta2, double bc1,
+    double bc2, double eps) {
+  for (size_t t = 0; t < L; ++t) {
+    m[t] = beta1 * m[t] + (1.0 - beta1) * g[t];
+    v[t] = beta2 * v[t] + (1.0 - beta2) * g[t] * g[t];
+    w[t] -= lr * (m[t] / bc1) / (std::sqrt(v[t] / bc2) + eps);
+  }
+}
+
+RMI_GEMM_CLONES
+void AdamUpdateKernel(const double* g, double* m, double* v, double* w,
+                      size_t n, double lr, double beta1, double beta2,
+                      double bc1, double bc2, double eps) {
+  size_t j = 0;
+  for (; j + kLanes <= n; j += kLanes) {
+    AdamLanes<kLanes>(g + j, m + j, v + j, w + j, lr, beta1, beta2, bc1, bc2,
+                      eps);
+  }
+  for (; j < n; ++j) {
+    AdamLanes<1>(g + j, m + j, v + j, w + j, lr, beta1, beta2, bc1, bc2, eps);
+  }
+}
+
 #undef RMI_GEMM_CLONES
 
 }  // namespace
@@ -275,6 +364,11 @@ void GemmReproNT(double alpha, const double* a, const double* b, double* c,
   GemmReproNTKernel(alpha, a, b, c, m, k, n);
 }
 
+void GemmReproNTPacked(double alpha, const double* a, const double* bt,
+                       double* c, size_t m, size_t k, size_t n) {
+  GemmReproNTPackedKernel(alpha, a, bt, c, m, k, n);
+}
+
 }  // namespace rmi::la::internal
 
 namespace rmi::la {
@@ -283,6 +377,12 @@ void SquaredDistances(const double* a, const double* b, double* out, size_t m,
                       size_t f, size_t n) {
   RMI_CHECK_EQ(n % kDistanceLanes, 0u);
   internal::SquaredDistancesKernel(a, b, out, m, f, n);
+}
+
+void AdamUpdate(const double* g, double* m, double* v, double* w, size_t n,
+                double lr, double beta1, double beta2, double bc1, double bc2,
+                double eps) {
+  internal::AdamUpdateKernel(g, m, v, w, n, lr, beta1, beta2, bc1, bc2, eps);
 }
 
 }  // namespace rmi::la

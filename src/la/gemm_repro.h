@@ -1,7 +1,7 @@
 // Runtime-dispatched deterministic GEMM kernels — the backbone of the
 // *reproducible* float path (la::Gemm), used by autodiff training and the
 // live-rebuild re-fit — plus the squared-distance kernel behind
-// cluster::KMeans.
+// cluster::KMeans and the Adam update behind ad::Adam.
 //
 // These kernels promise the exact rounding sequence of the naive scalar
 // loops, one rounding per multiply and one per add: NN and TN accumulate
@@ -38,6 +38,14 @@ void GemmReproTN(double alpha, const double* a, const double* b, double* c,
 void GemmReproNT(double alpha, const double* a, const double* b, double* c,
                  size_t m, size_t k, size_t n);
 
+/// GemmReproNT with B supplied packed as bt = B^T (k x n, row-major): C +=
+/// alpha * A * B^T, each C(i, j) summed as dot = A(i, :) . bt(:, j) from
+/// 0.0 over k ascending, with no zero skip, then C(i, j) += alpha * dot —
+/// bit-identical to GemmReproNT on the unpacked B. The packed rows are
+/// contiguous across j, so lanes run across output columns as in NN.
+void GemmReproNTPacked(double alpha, const double* a, const double* bt,
+                       double* c, size_t m, size_t k, size_t n);
+
 }  // namespace rmi::la::internal
 
 namespace rmi::la {
@@ -60,6 +68,16 @@ inline constexpr size_t kDistanceLanes = 8;
 /// exactly as the full sum does.
 void SquaredDistances(const double* a, const double* b, double* out, size_t m,
                       size_t f, size_t n);
+
+/// One Adam step over n parameters, elementwise in this order and with one
+/// rounding per operation (the scalar loop's, bit for bit, on every clone):
+///   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g;
+///   w -= lr * (m/bc1) / (sqrt(v/bc2) + eps),
+/// where bc1 and bc2 are the bias corrections 1 - beta^step. g, m, v and w
+/// must not overlap.
+void AdamUpdate(const double* g, double* m, double* v, double* w, size_t n,
+                double lr, double beta1, double beta2, double bc1, double bc2,
+                double eps);
 
 }  // namespace rmi::la
 

@@ -88,6 +88,17 @@ void Gemm(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
   }
 }
 
+void GemmNTPacked(double alpha, const Matrix& a, const Matrix& bt,
+                  Matrix* c) {
+  RMI_CHECK_EQ(a.cols(), bt.rows());
+  RMI_CHECK_EQ(c->rows(), a.rows());
+  RMI_CHECK_EQ(c->cols(), bt.cols());
+  if (alpha == 0.0 || a.cols() == 0) return;  // as Gemm
+  internal::GemmReproNTPacked(alpha, a.data().data(), bt.data().data(),
+                              c->data().data(), a.rows(), a.cols(),
+                              bt.cols());
+}
+
 void Axpy(double alpha, const Matrix& x, Matrix* y) {
   RMI_CHECK(x.SameShape(*y));
   const double* px = x.data().data();

@@ -29,16 +29,24 @@ inline void ResizeTo(Matrix* out, size_t rows, size_t cols) {
 /// already have the product shape. C must not alias A or B.
 ///
 /// Reproducible and fast: the NN, TN and NT paths (every autodiff forward
-/// matmul and both of its Gemm(beta=1) adjoints) run through the
-/// runtime-dispatched deterministic kernels in la/gemm_repro.h —
-/// AVX2/AVX-512 target_clones compiled with fp-contract off, one rounding
-/// per op, bit-identical across ISAs and to the scalar reference loops.
+/// matmul and its Gemm(beta=1) adjoints, but the input gradients that
+/// GemmNTPacked takes) run through the runtime-dispatched deterministic
+/// kernels in la/gemm_repro.h — AVX2/AVX-512 target_clones compiled with
+/// fp-contract off, one rounding per op, bit-identical across ISAs and to
+/// the scalar reference loops.
 /// NN and TN add alpha*A(i,k)*B(k,j) into C(i,j) over k ascending, skipping
 /// terms whose alpha*A(i,k) is exactly zero; NT sums each dot product from 0
 /// over k ascending, then adds alpha*dot into C(i,j). TT is a scalar loop
 /// with NT's contract (nothing on the training path uses it).
 void Gemm(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
           bool trans_b, double beta, Matrix* c);
+
+/// C += alpha * A * B^T given bt = B^T (k x n): the result of
+/// Gemm(alpha, a, false, b, true, 1.0, c), bit for bit (each dot product
+/// summed from 0 over k ascending, then added once), but with lanes running
+/// across C's columns over bt's contiguous rows. The autodiff tape keeps a
+/// packed transpose of each parameter for this kernel.
+void GemmNTPacked(double alpha, const Matrix& a, const Matrix& bt, Matrix* c);
 
 /// y += alpha * x (same shape).
 void Axpy(double alpha, const Matrix& x, Matrix* y);

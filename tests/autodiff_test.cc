@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "autodiff/optimizer.h"
 #include "autodiff/tensor.h"
+#include "la/gemm_repro.h"
 
 namespace rmi::ad {
 namespace {
@@ -221,6 +223,67 @@ TEST(GradCheckBinaryTest, MaskedMse) {
   loss.Backward();
   EXPECT_DOUBLE_EQ(a.grad()(0, 1), 0.0);
   EXPECT_DOUBLE_EQ(a.grad()(0, 3), 0.0);
+}
+
+TEST(GradCheckBinaryTest, LstmGates) {
+  // The fused gate node's adjoint reads the activations its forward pass
+  // stored; both inputs against central differences, with upstream weights
+  // on [h | c] so both halves of the output gradient are non-trivial.
+  Rng rng(14);
+  Tensor gates = Tensor::Param(la::Matrix::Random(2, 12, rng, -2.0, 2.0));
+  Tensor c_prev = Tensor::Param(la::Matrix::Random(2, 3, rng));
+  const la::Matrix up = la::Matrix::Random(2, 6, rng);
+  auto fn = [&]() {
+    return Sum(Mul(LstmGates(gates, c_prev), Tensor::Constant(up)));
+  };
+  CheckGradient(gates, fn);
+  CheckGradient(c_prev, fn);
+}
+
+TEST(PackedWeightTest, InputGradientIsBitIdenticalFreshOrStale) {
+  // An Affine input gradient reads the weight's packed transpose while it
+  // is current, and the row-major weight once mutable_value() has marked it
+  // stale (until the next Repack). Either way it must be GemmReproNT's
+  // result, bit for bit, on the weight's current value — a stale copy is
+  // never read. x is 3 x 45, so the packed kernel runs a group of four
+  // strips, one strip and a five-column tail.
+  Rng rng(15);
+  Tensor x = Tensor::Param(la::Matrix::Random(3, 45, rng));
+  Tensor w = Tensor::Param(la::Matrix::Random(45, 19, rng));
+  Tensor bias = Tensor::Param(la::Matrix::Random(1, 19, rng));
+  const la::Matrix up = la::Matrix::Random(3, 19, rng);  // = dLoss/dy
+  auto input_grad = [&]() {
+    x.ZeroGrad();
+    Sum(Mul(Affine(x, w, bias), Tensor::Constant(up))).Backward();
+    return x.grad();
+  };
+  auto reference = [&]() {
+    la::Matrix want(3, 45);
+    la::internal::GemmReproNT(1.0, up.data().data(),
+                              w.value().data().data(), want.data().data(), 3,
+                              19, 45);
+    return want;
+  };
+  auto expect_bits = [](const la::Matrix& got, const la::Matrix& want,
+                        const char* what) {
+    ASSERT_TRUE(got.SameShape(want));
+    EXPECT_EQ(0, std::memcmp(got.data().data(), want.data().data(),
+                             got.size() * sizeof(double)))
+        << what;
+  };
+
+  expect_bits(input_grad(), reference(), "fresh copy");
+  w.mutable_value()(7, 3) += 0.5;  // the copy is now stale
+  expect_bits(input_grad(), reference(), "stale copy, new weight");
+  w.Repack();
+  expect_bits(input_grad(), reference(), "repacked");
+  // The optimizers repack after writing, so the next pass reads a fresh
+  // copy of the updated weight.
+  Sgd sgd({w}, 0.1);
+  w.ZeroGrad();
+  Sum(Mul(Affine(x, w, bias), Tensor::Constant(up))).Backward();
+  sgd.Step();
+  expect_bits(input_grad(), reference(), "after an optimizer step");
 }
 
 TEST(GradCheckBinaryTest, BceWithLogits) {

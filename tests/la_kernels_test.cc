@@ -1,6 +1,7 @@
 // Kernel-layer tests: every Gemm transpose variant, beta accumulation, the
-// k-means squared-distance kernel and the fused elementwise kernels, all
-// validated against naive reference implementations on random matrices.
+// packed NT kernel, the k-means squared-distance kernel, the Adam update and
+// the fused elementwise kernels, all validated against naive reference
+// implementations on random matrices.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -116,10 +117,11 @@ TEST(GemmTest, SimdNNAndTNKernelsBitMatchScalarOrderEverywhere) {
   // The deterministic target_clones kernels (la/gemm_repro.cc) promise the
   // exact rounding sequence of the scalar reference loops: for NN and TN the
   // alpha pre-multiply, the beta accumulate and the alpha*A(i,k) == 0
-  // sparsity skip; for NT a dot product from 0 over k ascending, with no
-  // skip, then one C += alpha*dot. The widths reach every strip group of
-  // one to four 8-lane strips, the scalar column tail and the 8-wide NT
-  // blocks; k = 1 makes the zero skip decide an entry on its own.
+  // sparsity skip; for NT, and for NT on a packed B^T (GemmNTPacked), a dot
+  // product from 0 over k ascending, with no skip, then one C += alpha*dot.
+  // The widths reach every strip group of one to four 8-lane strips, the
+  // scalar column tail and the 8-wide NT blocks; k = 1 makes the zero skip
+  // decide an entry on its own.
   Rng rng(117);
   const double alpha = 1.75;
   for (size_t m : {1, 5}) {
@@ -158,10 +160,11 @@ TEST(GemmTest, SimdNNAndTNKernelsBitMatchScalarOrderEverywhere) {
             }
           }
 
-          Matrix c_nn = c0, c_tn = c0, c_nt = c0;
+          Matrix c_nn = c0, c_tn = c0, c_nt = c0, c_ntp = start;
           Gemm(alpha, a, false, b, false, beta, &c_nn);
           Gemm(alpha, at, true, b, false, beta, &c_tn);
           Gemm(alpha, a, false, bt, true, beta, &c_nt);
+          GemmNTPacked(alpha, a, b, &c_ntp);  // b is bt's transpose
           // Streamed only when an expectation fails.
           auto where = [&](size_t i) {
             return std::to_string(m) + "x" + std::to_string(k) + "x" +
@@ -175,8 +178,53 @@ TEST(GemmTest, SimdNNAndTNKernelsBitMatchScalarOrderEverywhere) {
                 << "TN " << where(i);
             EXPECT_EQ(Bits(c_nt.data()[i]), Bits(want_nt.data()[i]))
                 << "NT " << where(i);
+            EXPECT_EQ(Bits(c_ntp.data()[i]), Bits(want_nt.data()[i]))
+                << "packed NT " << where(i);
           }
         }
+      }
+    }
+  }
+}
+
+TEST(AdamUpdateTest, BitMatchesScalarLoopOverSteps) {
+  // la::AdamUpdate (la/gemm_repro.cc, built with -fno-math-errno) runs the
+  // update in 8-lane blocks; every parameter must keep the scalar loop's
+  // expression order and rounding, step after step. The lengths reach the
+  // tail alone, one block, a block plus tail, and the BiSIM parameter count
+  // at Kaide 0.12 in one call. Gradients include +-0.0 and large values.
+  Rng rng(119);
+  const double lr = 1e-3, beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
+  for (size_t n : {1, 7, 8, 9, 36667}) {
+    std::vector<double> w(n), m(n, 0.0), v(n, 0.0), g(n);
+    for (double& x : w) x = rng.Uniform(-1.0, 1.0);
+    std::vector<double> w_ref = w, m_ref = m, v_ref = v;
+    for (int step = 1; step <= 4; ++step) {
+      for (size_t j = 0; j < n; ++j) {
+        g[j] = j % 5 == 0 ? (j % 2 == 0 ? 0.0 : -0.0)
+             : j % 7 == 0 ? rng.Uniform(-1e3, 1e3)
+                          : rng.Uniform(-1.0, 1.0);
+      }
+      const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(step));
+      const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(step));
+      AdamUpdate(g.data(), m.data(), v.data(), w.data(), n, lr, beta1, beta2,
+                 bc1, bc2, eps);
+      for (size_t j = 0; j < n; ++j) {
+        m_ref[j] = beta1 * m_ref[j] + (1.0 - beta1) * g[j];
+        v_ref[j] = beta2 * v_ref[j] + (1.0 - beta2) * g[j] * g[j];
+        const double mhat = m_ref[j] / bc1;
+        const double vhat = v_ref[j] / bc2;
+        w_ref[j] -= lr * mhat / (std::sqrt(vhat) + eps);
+      }
+      // Streamed only when an assertion fails.
+      auto where = [&](size_t j) {
+        return "n " + std::to_string(n) + " step " + std::to_string(step) +
+               " entry " + std::to_string(j);
+      };
+      for (size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(Bits(m[j]), Bits(m_ref[j])) << "m " << where(j);
+        ASSERT_EQ(Bits(v[j]), Bits(v_ref[j])) << "v " << where(j);
+        ASSERT_EQ(Bits(w[j]), Bits(w_ref[j])) << "w " << where(j);
       }
     }
   }

@@ -5,7 +5,9 @@
 //  * a fixed (seed, num_threads) pair is byte-stable run-to-run, including
 //    through OnlineBiSimImputer::ImputeFingerprint;
 //  * steady-state training epochs perform no fresh matrix allocations
-//    (the Workspace pool serves every tape buffer after warm-up).
+//    (the Workspace pool serves every tape buffer after warm-up), and a
+//    dead model returns only pool-acquired buffers, so training one model
+//    after another leaves the pool the same size.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -157,6 +159,35 @@ TEST(WorkspaceTest, SteadyStateTrainingAllocatesNoMatrices) {
   EXPECT_GT(steady.acquires, warm.acquires);
   EXPECT_EQ(steady.fresh_allocs, warm.fresh_allocs)
       << "training epochs after warm-up must not allocate matrix buffers";
+}
+
+TEST(WorkspaceTest, ConsecutiveModelsAllocateNoMatricesAndKeepThePool) {
+  // As a MapUpdater rebuild does: each model is built, trained and dropped.
+  // A parameter's value and packed transpose are not pool buffers; if a
+  // dead model recycled them, every model would grow the pool for good.
+  const auto map = SyntheticMap();
+  const auto mask = MarMask(map);
+  const auto seqs = BuildSequences(map, mask, SmallConfig(1));
+  auto train_one_model = [&]() {
+    BiSimConfig cfg = SmallConfig(1);  // serial: all tape work here
+    cfg.epochs = 2;
+    Rng rng(cfg.seed);
+    BiSimModel model(map.num_aps(), cfg, rng);
+    Rng train_rng(5);
+    TrainBiSim(model, seqs, cfg, train_rng);
+  };
+
+  ad::Workspace& ws = ad::Workspace::Get();
+  train_one_model();  // warm-up: the pool learns every shape
+  const auto warm = ws.stats();
+  train_one_model();
+  train_one_model();
+  const auto steady = ws.stats();
+  EXPECT_GT(steady.acquires, warm.acquires);
+  EXPECT_EQ(steady.fresh_allocs, warm.fresh_allocs)
+      << "a second model must be served entirely from the pool";
+  EXPECT_EQ(steady.pooled_buffers, warm.pooled_buffers)
+      << "a dead model must not leave its parameters in the pool";
 }
 
 }  // namespace

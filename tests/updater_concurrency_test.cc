@@ -330,8 +330,8 @@ TEST(UpdaterConcurrencyTest, PhaseStatsBreakDownTheRebuild) {
 TEST(UpdaterConcurrencyTest, WorkspaceArenaReusedAcrossConsecutiveRebuilds) {
   // Like the tape's steady-state test (threading_determinism_test): after
   // a warm-up rebuild, further rebuilds of a same-shaped shard must be
-  // served entirely from the calling thread's Workspace pool. Every
-  // rebuild runs the full training loop.
+  // served entirely from the calling thread's Workspace pool, and leave it
+  // no larger. Every rebuild trains a new model.
   ShardedSnapshotStore store;
   cluster::MarOnlyDifferentiator differentiator;
   bisim::BiSimConfig cfg;
@@ -354,6 +354,8 @@ TEST(UpdaterConcurrencyTest, WorkspaceArenaReusedAcrossConsecutiveRebuilds) {
   EXPECT_GT(steady.acquires, warm.acquires);
   EXPECT_EQ(steady.fresh_allocs, warm.fresh_allocs)
       << "steady-state rebuilds must not allocate tape matrix buffers";
+  EXPECT_EQ(steady.pooled_buffers, warm.pooled_buffers)
+      << "each rebuild's dead model must not leave buffers in the pool";
 }
 
 }  // namespace
