@@ -1,9 +1,9 @@
 // Micro-benchmarks of the substrates (google-benchmark): dense matmul, the
 // reproducible Gemm at the BiSIM tape's shapes, k-means (alone and as
 // DasaKM runs it), convex hull, TopoAC topological checks, WKNN queries,
-// one BiSIM forward/backward step and one Adam step over its parameters.
-// Useful for tracking performance regressions in the hand-rolled numeric
-// kernels.
+// one BiSIM forward/backward step, one Adam step over its parameters and
+// one whole BiSIM training epoch per thread count. Useful for tracking
+// performance regressions in the hand-rolled numeric kernels.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -14,7 +14,9 @@
 #include "clustering/differentiation.h"
 #include "clustering/kmeans.h"
 #include "clustering/strategies.h"
+#include "eval/factories.h"
 #include "geometry/geometry.h"
+#include "imputers/imputer.h"
 #include "la/kernels.h"
 #include "la/matrix.h"
 #include "positioning/estimators.h"
@@ -225,6 +227,38 @@ void BM_AdamStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AdamStep);
+
+// One TrainBiSim epoch on the mall_burst set-up's input: Kaide at scale
+// 0.12 (dataset seed 5; D = 80, hidden 24), the DasaKM mask after the MNAR
+// fill and the default config. The arg is num_threads. The time is process
+// CPU time, every worker included, so it prices the whole training loop
+// (fan-out, per-sequence gradient sinks, their slot-order sum and the Adam
+// steps) at each thread count, not just one kernel.
+void BM_TrainBiSimEpoch(benchmark::State& state) {
+  const auto ds = survey::MakeKaideDataset(0.12, 5);
+  eval::BenchEnv env;
+  env.scale = 0.12;
+  env.epochs = 1;
+  bisim::BiSimConfig cfg = eval::DefaultBiSimConfig(ds.venue, env);
+  cfg.num_threads = static_cast<size_t>(state.range(0));
+  Rng rng(7);
+  rmap::MaskMatrix mask =
+      eval::MakeDifferentiator("DasaKM", &ds.venue)->Differentiate(ds.map, rng);
+  rmap::RadioMap working = ds.map;
+  imputers::FillMnar(&working, &mask);
+  const auto seqs = bisim::BuildSequences(working, mask, cfg);
+  bisim::BiSimModel model(working.num_aps(), cfg, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bisim::TrainBiSim(model, seqs, cfg, rng));
+  }
+  state.counters["sequences"] = static_cast<double>(seqs.size());
+}
+BENCHMARK(BM_TrainBiSimEpoch)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace rmi

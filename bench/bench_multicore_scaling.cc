@@ -222,7 +222,7 @@ int main(int argc, char** argv) {
       // Fan the per-shard rebuilds over the pool directly (RebuildNow runs
       // on the calling thread; independent shards overlap, same-shard
       // ordering is the updater's rebuild_mu).
-      pool.ParallelForDynamic(venue.size(), [&](size_t /*worker*/, size_t s) {
+      pool.ParallelFor(venue.size(), [&](size_t /*worker*/, size_t s) {
         updater.RebuildNow(venue[s].id);
       });
     }

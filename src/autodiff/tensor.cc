@@ -373,7 +373,6 @@ la::Matrix* GradSink::Find(const internal::Node* node) {
 
 void GradSink::ZeroAll() {
   for (la::Matrix& g : grads_) la::Fill(&g, 0.0);
-  loss_sum = 0.0;
 }
 
 ScopedGradSink::ScopedGradSink(GradSink* sink) : previous_(tls_grad_sink) {

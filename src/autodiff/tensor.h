@@ -146,11 +146,13 @@ class Tensor {
   std::shared_ptr<internal::Node> node_;
 };
 
-/// Redirects leaf-parameter gradient accumulation into per-thread shadow
-/// buffers so several workers can run Backward() on graphs sharing the
-/// same parameters without racing. Install with ScopedGradSink; merge the
-/// shards into the real parameter grads between batches (fixed order keeps
-/// training deterministic for a given thread count).
+/// Redirects leaf-parameter gradient accumulation into shadow buffers so
+/// several workers can run Backward() on graphs sharing the same parameters
+/// without racing. Install with ScopedGradSink on the thread that runs
+/// Backward(). TrainBiSim keeps one sink per position in an Adam batch,
+/// whichever worker fills it, and adds the sinks into the parameter grads
+/// in position order, so the batch gradient has the same bits at every
+/// thread count.
 class GradSink {
  public:
   explicit GradSink(const std::vector<Tensor>& params);
@@ -161,9 +163,6 @@ class GradSink {
   /// Shadow grads, parallel to the constructor's params order.
   std::vector<la::Matrix>& grads() { return grads_; }
   void ZeroAll();
-
-  /// Scratch accumulator for the caller (per-thread loss sums).
-  double loss_sum = 0.0;
 
  private:
   std::vector<const internal::Node*> nodes_;

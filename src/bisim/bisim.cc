@@ -25,6 +25,7 @@ double DenormRssi(double v) { return v * 100.0 - 100.0; }
 std::vector<Sequence> BuildSequences(const rmap::RadioMap& map,
                                      const rmap::MaskMatrix& amended_mask,
                                      const BiSimConfig& config) {
+  RMI_CHECK_GT(config.seq_len, 0u);  // a zero stride would slice forever
   const size_t d = map.num_aps();
   std::vector<Sequence> out;
   for (const std::vector<size_t>& path : map.PathSequences()) {
@@ -33,9 +34,6 @@ std::vector<Sequence> BuildSequences(const rmap::RadioMap& map,
       const size_t end = std::min(start + config.seq_len, path.size());
       Sequence seq;
       seq.reserve(end - start);
-      la::Matrix prev_delta(1, d);
-      la::Matrix prev_m(1, d, 1.0);
-      double prev_time = 0.0;
       for (size_t t = start; t < end; ++t) {
         const rmap::Record& r = map.record(path[t]);
         StepFeatures sf;
@@ -44,7 +42,6 @@ std::vector<Sequence> BuildSequences(const rmap::RadioMap& map,
         sf.f = la::Matrix(1, d);
         sf.m = la::Matrix(1, d);
         sf.m_att = la::Matrix(1, d);
-        sf.delta = la::Matrix(1, d);
         for (size_t j = 0; j < d; ++j) {
           const bool observed =
               amended_mask.at(path[t], j) == rmap::MaskValue::kObserved;
@@ -55,13 +52,6 @@ std::vector<Sequence> BuildSequences(const rmap::RadioMap& map,
           // value only arises from the MNAR fill.
           sf.m_att(0, j) =
               (observed && r.rssi[j] > kMnarFillDbm + 0.5) ? 1.0 : 0.0;
-          if (t == start) {
-            sf.delta(0, j) = 0.0;  // Eq. 1, first unit
-          } else {
-            const double dt = (r.time - prev_time) * config.time_scale;
-            sf.delta(0, j) =
-                prev_m(0, j) == 1.0 ? dt : prev_delta(0, j) + dt;
-          }
         }
         sf.l = la::Matrix(1, 2);
         sf.k = la::Matrix(1, 2);
@@ -70,24 +60,33 @@ std::vector<Sequence> BuildSequences(const rmap::RadioMap& map,
           sf.l(0, 1) = r.rp.y * config.loc_scale;
           sf.k(0, 0) = sf.k(0, 1) = 1.0;
         }
-        sf.delta_l = la::Matrix(1, 2);
-        if (t != start) {
-          const double dt = (r.time - prev_time) * config.time_scale;
-          const StepFeatures& prev_sf = seq.back();
-          for (size_t j = 0; j < 2; ++j) {
-            sf.delta_l(0, j) =
-                prev_sf.k(0, j) == 1.0 ? dt : prev_sf.delta_l(0, j) + dt;
-          }
-        }
-        prev_delta = sf.delta;
-        prev_m = sf.m;
-        prev_time = r.time;
         seq.push_back(std::move(sf));
       }
       if (!seq.empty()) out.push_back(std::move(seq));
     }
   }
   return out;
+}
+
+std::vector<la::Matrix> TimeLags(const Sequence& seq, bool reversed,
+                                 la::Matrix StepFeatures::*mask) {
+  const size_t t_len = seq.size();
+  std::vector<la::Matrix> lags;
+  lags.reserve(t_len);
+  for (size_t t = 0; t < t_len; ++t) {
+    const StepFeatures& sf = seq[reversed ? t_len - 1 - t : t];
+    const size_t width = (sf.*mask).cols();
+    la::Matrix lag(1, width);  // Eq. 1, first unit: 0
+    if (t > 0) {
+      const StepFeatures& prev = seq[reversed ? t_len - t : t - 1];
+      const double dt = std::fabs(sf.time - prev.time);
+      for (size_t j = 0; j < width; ++j) {
+        lag(0, j) = (prev.*mask)(0, j) == 1.0 ? dt : lags.back()(0, j) + dt;
+      }
+    }
+    lags.push_back(std::move(lag));
+  }
+  return lags;
 }
 
 BiSimModel::BiSimModel(size_t num_aps, const BiSimConfig& config, Rng& rng)
@@ -128,11 +127,14 @@ BiSimModel::DirectionOutput BiSimModel::RunDirection(const Sequence& seq,
   const bool dec_lag = config_.time_lag == BiSimConfig::TimeLag::kDecoder ||
                        config_.time_lag == BiSimConfig::TimeLag::kBoth;
 
-  // Order of original positions this direction visits. Note: the time-lag
-  // vectors are direction-specific (Eq. 1 over the reversed sequence); we
-  // recompute them for the backward pass from the stored per-step data.
+  // Order of original positions this direction visits, and Eq. 1's time
+  // lags along it (the backward pass sees the sequence reversed, so its
+  // lags track the time to the *next* observation in original order).
   std::vector<size_t> order(t_len);
   for (size_t t = 0; t < t_len; ++t) order[t] = reversed ? t_len - 1 - t : t;
+  std::vector<la::Matrix> delta, delta_l;
+  if (enc_lag) delta = TimeLags(seq, reversed, &StepFeatures::m);
+  if (dec_lag) delta_l = TimeLags(seq, reversed, &StepFeatures::k);
 
   DirectionOutput out;
   out.f_pred.resize(t_len);
@@ -143,24 +145,8 @@ BiSimModel::DirectionOutput BiSimModel::RunDirection(const Sequence& seq,
   // ---- Encoder over the fingerprint sequence.
   std::vector<Tensor> latents(t_len);  // h_1..h_T
   nn::LstmCell::State enc_state{h0_, enc_cell_.InitialState().c};
-  la::Matrix prev_delta(1, d);  // recomputed lags for the visiting order
-  la::Matrix prev_m(1, d, 1.0);
   for (size_t t = 0; t < t_len; ++t) {
     const StepFeatures& sf = seq[order[t]];
-    // Direction-specific time lag: Eq. 1 applied along the visiting order
-    // (the backward pass sees the sequence reversed, so its lags track the
-    // time to the *next* observation in original order).
-    la::Matrix delta(1, d);
-    if (t > 0) {
-      const double dt_raw =
-          std::fabs(seq[order[t]].time - seq[order[t - 1]].time);
-      for (size_t j = 0; j < d; ++j) {
-        delta(0, j) = prev_m(0, j) == 1.0 ? dt_raw : prev_delta(0, j) + dt_raw;
-      }
-    }
-    prev_delta = delta;
-    prev_m = sf.m;
-
     Tensor m = Tensor::Constant(sf.m);
 
     // Eq. 2: f' from the previous latent (fused affine node).
@@ -170,7 +156,7 @@ BiSimModel::DirectionOutput BiSimModel::RunDirection(const Sequence& seq,
     // Eq. 4: temporal decay (vector-valued, applied to h elementwise).
     if (enc_lag) {
       Tensor gamma = ad::Exp(ad::Scale(
-          ad::Relu(ad::Affine(Tensor::Constant(delta), w_gamma_, b_gamma_)),
+          ad::Relu(ad::Affine(Tensor::Constant(delta[t]), w_gamma_, b_gamma_)),
           -1.0));
       enc_state.h = ad::Mul(enc_state.h, gamma);
     }
@@ -199,8 +185,6 @@ BiSimModel::DirectionOutput BiSimModel::RunDirection(const Sequence& seq,
   // ---- Decoder over the RP sequence. s_0 = h_T (and the encoder's final
   // cell state seeds the decoder cell).
   nn::LstmCell::State dec_state = enc_state;
-  la::Matrix prev_delta_l(1, 2);
-  la::Matrix prev_k(1, 2, 1.0);
   Tensor zero_context;  // shared constant for the no-attention ablation
   if (config_.attention == BiSimConfig::Attention::kNone) {
     zero_context = Tensor::Constant(la::Matrix(1, d));
@@ -228,20 +212,9 @@ BiSimModel::DirectionOutput BiSimModel::RunDirection(const Sequence& seq,
 
     // Optional decoder time lag (ablation).
     if (dec_lag) {
-      la::Matrix delta_l(1, 2);
-      if (t > 0) {
-        const double dt_raw =
-            std::fabs(seq[order[t]].time - seq[order[t - 1]].time);
-        for (size_t j = 0; j < 2; ++j) {
-          delta_l(0, j) =
-              prev_k(0, j) == 1.0 ? dt_raw : prev_delta_l(0, j) + dt_raw;
-        }
-      }
-      prev_delta_l = delta_l;
-      prev_k = sf.k;
       Tensor gamma_s = ad::Exp(ad::Scale(
           ad::Relu(
-              ad::Affine(Tensor::Constant(delta_l), w_gamma_s_, b_gamma_s_)),
+              ad::Affine(Tensor::Constant(delta_l[t]), w_gamma_s_, b_gamma_s_)),
           -1.0));
       dec_state.h = ad::Mul(dec_state.h, gamma_s);
     }
@@ -312,75 +285,45 @@ size_t ResolveThreads(const BiSimConfig& config, size_t cap) {
 
 double TrainBiSim(const BiSimModel& model, const std::vector<Sequence>& seqs,
                   const BiSimConfig& config, Rng& rng) {
+  RMI_CHECK_GT(config.batch_size, 0u);  // an empty batch would never step
   ad::Adam adam(model.Params(), config.lr);
+  const std::vector<ad::Tensor>& params = adam.params();
   std::vector<size_t> idx(seqs.size());
   for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
 
-  size_t nt = ResolveThreads(config, config.batch_size);
-  std::unique_ptr<ThreadPool> pool;
-  if (nt > 1) {
-    pool = std::make_unique<ThreadPool>(nt);
-    // A nested fan-out (pool created inside another pool's worker) is
-    // forced inline; fall back to the serial reference path then.
-    nt = pool->num_threads();
-  }
-  double last_loss = 0.0;
-
-  if (nt <= 1) {
-    // Serial reference path (bit-identical run-to-run).
-    size_t in_batch = 0;
-    for (size_t epoch = 0; epoch < config.epochs; ++epoch) {
-      rng.Shuffle(&idx);
-      double epoch_loss = 0.0;
-      for (size_t i : idx) {
-        auto out = model.Forward(seqs[i], /*compute_loss=*/true);
-        epoch_loss += out.loss.value()(0, 0);
-        out.loss.Backward();
-        if (++in_batch >= config.batch_size) {
-          ad::ClipGradNorm(adam.params(), config.grad_clip);
-          adam.Step();
-          in_batch = 0;
-        }
-      }
-      if (in_batch > 0) {
-        ad::ClipGradNorm(adam.params(), config.grad_clip);
-        adam.Step();
-        in_batch = 0;
-      }
-      last_loss = seqs.empty() ? 0.0
-                               : epoch_loss / static_cast<double>(seqs.size());
-    }
-    return last_loss;
-  }
-
-  // Parallel path: the sequences of each accumulation batch fan out over
-  // the pool; every worker accumulates parameter gradients into its own
-  // shard (ScopedGradSink), and shards merge in worker order before the
-  // Adam step — deterministic for a fixed (seed, num_threads) pair.
+  // One gradient sink and one loss per batch position (slot), whichever
+  // worker runs it. The slots add into the parameter grads and the epoch
+  // loss in slot order, so num_threads changes speed only, never bits.
+  const size_t num_slots = std::min(config.batch_size, seqs.size());
   std::vector<ad::GradSink> sinks;
-  sinks.reserve(nt);
-  for (size_t w = 0; w < nt; ++w) sinks.emplace_back(adam.params());
-  const std::vector<ad::Tensor>& params = adam.params();
+  sinks.reserve(num_slots);
+  for (size_t i = 0; i < num_slots; ++i) sinks.emplace_back(params);
+  std::vector<double> losses(num_slots);
+  std::vector<const double*> rows(num_slots);
+  ThreadPool pool(ResolveThreads(config, num_slots));
+  double last_loss = 0.0;
 
   for (size_t epoch = 0; epoch < config.epochs; ++epoch) {
     rng.Shuffle(&idx);
     double epoch_loss = 0.0;
     for (size_t start = 0; start < idx.size(); start += config.batch_size) {
       const size_t count = std::min(config.batch_size, idx.size() - start);
-      pool->ParallelFor(count, [&](size_t w, size_t i) {
-        ad::ScopedGradSink scoped(&sinks[w]);
+      pool.ParallelFor(count, [&](size_t /*worker*/, size_t i) {
+        sinks[i].ZeroAll();
+        ad::ScopedGradSink scoped(&sinks[i]);
         auto out = model.Forward(seqs[idx[start + i]], /*compute_loss=*/true);
-        sinks[w].loss_sum += out.loss.value()(0, 0);
+        losses[i] = out.loss.value()(0, 0);
         out.loss.Backward();
       });
-      for (size_t w = 0; w < nt; ++w) {
-        std::vector<la::Matrix>& shard = sinks[w].grads();
-        for (size_t p = 0; p < params.size(); ++p) {
-          la::Axpy(1.0, shard[p], &params[p].node()->grad);
+      for (size_t p = 0; p < params.size(); ++p) {
+        la::Matrix& grad = params[p].node()->grad;
+        for (size_t i = 0; i < count; ++i) {
+          rows[i] = sinks[i].grads()[p].data().data();
         }
-        epoch_loss += sinks[w].loss_sum;
-        sinks[w].ZeroAll();
+        la::AddSlots(rows.data(), count, grad.size(), grad.data().data());
       }
+      for (size_t i = 0; i < count; ++i) rows[i] = &losses[i];
+      la::AddSlots(rows.data(), count, 1, &epoch_loss);
       ad::ClipGradNorm(params, config.grad_clip);
       adam.Step();
     }
@@ -461,20 +404,10 @@ std::vector<double> OnlineBiSimImputer::ImputeFingerprint(
     }
     sf.l = la::Matrix(1, 2);  // online device location unknown
     sf.k = la::Matrix(1, 2);
-    sf.delta = la::Matrix(1, d);
-    sf.delta_l = la::Matrix(1, 2);
     return sf;
   };
   for (const TimedScan& scan : recent_scans) seq.push_back(to_step(scan));
   seq.push_back(to_step(online));
-  // Time-lag vectors over the assembled sequence (Eq. 1).
-  for (size_t t = 1; t < seq.size(); ++t) {
-    const double dt = std::fabs(seq[t].time - seq[t - 1].time);
-    for (size_t j = 0; j < d; ++j) {
-      seq[t].delta(0, j) =
-          seq[t - 1].m(0, j) == 1.0 ? dt : seq[t - 1].delta(0, j) + dt;
-    }
-  }
 
   const auto out = model_->Forward(seq, /*compute_loss=*/false);
   const la::Matrix& f_hat = out.f_hat.back();

@@ -37,21 +37,21 @@ namespace rmi::bisim {
 struct BiSimConfig {
   size_t hidden = 24;            ///< latent size (paper: 64)
   size_t attention_hidden = 24;  ///< alignment-MLP hidden size
-  size_t seq_len = 5;            ///< T (paper-tuned optimum)
+  size_t seq_len = 5;            ///< T (paper-tuned optimum; must be > 0)
   size_t epochs = 25;            ///< paper: 500
-  /// Sequences accumulated per Adam step. The paper uses 32 with 500
-  /// epochs; with the reduced CPU epoch budgets here, smaller batches give
-  /// the optimizer enough steps to converge.
+  /// Sequences accumulated per Adam step (must be > 0). The paper uses 32
+  /// with 500 epochs; with the reduced CPU epoch budgets here, smaller
+  /// batches give the optimizer enough steps to converge.
   size_t batch_size = 8;
   double lr = 4e-3;
   double grad_clip = 5.0;
   uint64_t seed = 11;
-  /// Training/inference worker threads: 0 = all hardware threads, 1 =
-  /// serial (bit-identical to the reference single-thread path). Each
-  /// worker runs whole sequences forward/backward; per-thread gradient
-  /// shards are merged in fixed order before every Adam step, so results
-  /// are reproducible for a given thread count (and agree across thread
-  /// counts to floating-point reassociation tolerance).
+  /// Training/inference worker threads: 0 = all hardware threads. Each
+  /// worker runs whole sequences forward/backward; every sequence of an
+  /// Adam batch backprops into the gradient sink of its batch position, and
+  /// the positions add into the batch gradient in position order. The
+  /// trained model and every imputed value therefore have the same bits at
+  /// every thread count: this setting changes speed only.
   size_t num_threads = 0;
 
   /// Attention variants (Fig. 17 ablation).
@@ -86,20 +86,27 @@ struct StepFeatures {
   /// sparsity-friendly attention (Eq. 9) applies: the attention should focus
   /// on what was actually seen, not on the fill value.
   la::Matrix m_att;
-  la::Matrix delta;    ///< 1 x D time-lag vector (Eq. 1), scaled
   la::Matrix l;        ///< 1 x 2 normalized RP (null as 0)
   la::Matrix k;        ///< 1 x 2 RP mask
-  la::Matrix delta_l;  ///< 1 x 2 decoder time-lag (ablation variants only)
   double time = 0.0;   ///< collection time, scaled by time_scale
   size_t record_index = 0;
 };
 using Sequence = std::vector<StepFeatures>;
 
-/// Builds normalized, sliced sequences (with Eq. 1 time lags) from a radio
-/// map and its amended mask.
+/// Builds normalized sequences from a radio map and its amended mask, each
+/// path sliced into chunks of config.seq_len steps.
 std::vector<Sequence> BuildSequences(const rmap::RadioMap& map,
                                      const rmap::MaskMatrix& amended_mask,
                                      const BiSimConfig& config);
+
+/// Eq. 1's time lags along one direction of `seq` (reversed: last step
+/// first), one 1 x W row per visited step: 0 at the first step, then, with
+/// dt the time since the previous visited step, dt where that step's mask
+/// is 1 and the previous lag + dt where it is 0. `mask` selects the encoder
+/// lags (&StepFeatures::m, W = D) or the decoder lags (&StepFeatures::k,
+/// W = 2). These are the lags the model reads.
+std::vector<la::Matrix> TimeLags(const Sequence& seq, bool reversed,
+                                 la::Matrix StepFeatures::*mask);
 
 /// The trainable network.
 class BiSimModel {
@@ -153,7 +160,7 @@ class BiSimModel {
 
 /// Trains `model` on the prepared sequences with Adam + gradient clipping
 /// (reconstruction objective; no held-out ground truth needed). Returns the
-/// mean training loss of the final epoch.
+/// mean training loss of the final epoch. config.batch_size must be > 0.
 double TrainBiSim(const BiSimModel& model, const std::vector<Sequence>& seqs,
                   const BiSimConfig& config, Rng& rng);
 

@@ -1,33 +1,29 @@
-// Fixed-size thread pool with two fan-out schedules and concurrent
+// Fixed-size thread pool with one work-stealing fan-out and concurrent
 // submitters.
 //
-//  * ParallelFor — the deterministic schedule. [0, count) is partitioned
-//    statically into num_threads() *lanes*; lane w handles the indices
-//    congruent to w modulo the lane count, in increasing order, so the
-//    (lane, index) assignment — and therefore any per-lane accumulation
-//    order — is a pure function of (count, num_threads). Training loops
-//    that merge per-lane gradient shards in lane order stay reproducible
-//    run-to-run for a fixed thread count. (A lane is a unit of work, not a
-//    thread: under load one OS thread may execute several lanes back to
-//    back, which changes nothing about per-lane order.)
+// ParallelFor(count, fn) runs fn(worker, index) for every index in
+// [0, count) exactly once. [0, count) is split into per-participant index
+// ranges; each participant claims chunks off the *front* of its own range
+// and, when it runs dry, steals half of the largest remaining victim range
+// off the *back* (a Chase–Lev-style owner-front/thief-back split collapsed
+// onto one CAS word per range). Skewed per-index costs rebalance instead of
+// idling workers. Which worker runs which index depends on scheduling, so
+// callers write only to disjoint pre-sized slots or otherwise commute; a
+// result that must not depend on the thread count is keyed by `index`,
+// never by `worker` (TrainBiSim gives each batch position its own gradient
+// sink this way).
 //
-//  * ParallelForDynamic — the throughput schedule for order-independent
-//    work (per-shard query groups, rebuild batches, evaluation chunks).
-//    [0, count) is split into per-participant index ranges; each
-//    participant claims chunks off the *front* of its own range and, when
-//    it runs dry, steals half of the largest remaining victim range off
-//    the *back* (a Chase–Lev-style owner-front/thief-back split collapsed
-//    onto one CAS word per range). Skewed per-index costs rebalance
-//    instead of idling workers, at the price of a nondeterministic
-//    (worker, index) assignment — callers must only write to disjoint
-//    pre-sized slots or otherwise commute.
+// With count == num_threads(), every participant's range holds exactly one
+// index and no participant steals before its own body returns, so
+// num_threads() bodies that block run at once: LocalizationServer gives
+// each pool worker its own DispatchLoop like this.
 //
-// Both entry points may be called from any number of threads concurrently:
-// jobs queue inside the pool, every submitter participates in its own job
-// (so two concurrent callers always overlap instead of serializing), and
-// idle pool workers help whichever job is in front. With num_threads <= 1,
-// or from inside another pool's worker (the oversubscription guard), both
-// run inline on the caller.
+// ParallelFor may be called from any number of threads concurrently: jobs
+// queue inside the pool, every submitter participates in its own job (so
+// two concurrent callers always overlap instead of serializing), and idle
+// pool workers help whichever job is in front. With num_threads <= 1, or
+// from inside another pool's worker (the oversubscription guard), it runs
+// inline on the caller.
 #ifndef RMI_COMMON_THREAD_POOL_H_
 #define RMI_COMMON_THREAD_POOL_H_
 
@@ -57,8 +53,7 @@ struct PoolMetrics {
   obs::Counter& jobs = obs::GetCounter(
       "rmi_pool_jobs_total", "Fan-out jobs submitted to any thread pool");
   obs::Counter& steals = obs::GetCounter(
-      "rmi_pool_steals_total",
-      "Successful back-half range steals in dynamic scheduling");
+      "rmi_pool_steals_total", "Successful back-half range steals");
   obs::Counter& helps = obs::GetCounter(
       "rmi_pool_help_front_total",
       "Times an idle pool worker joined the front job");
@@ -107,61 +102,14 @@ class ThreadPool {
     return hc == 0 ? 1 : static_cast<size_t>(hc);
   }
 
-  /// Deterministic schedule: runs fn(lane, index) for every index in
-  /// [0, count), lane w handling the indices congruent to w modulo
-  /// num_threads() in increasing order. Blocks until all indices complete.
-  /// Safe to call from several threads at once (each call is one queued
-  /// job; the caller works on its own job, so concurrent calls overlap).
-  /// fn must not throw.
+  /// Runs fn(worker, index) for every index in [0, count) exactly once and
+  /// blocks until all complete. `worker` is in [0, num_threads()) and owned
+  /// by one thread while fn runs, but which index it gets depends on
+  /// scheduling. Safe to call from several threads at once (each call is
+  /// one queued job; the caller works on its own job, so concurrent calls
+  /// overlap). fn must not throw.
   void ParallelFor(size_t count,
                    const std::function<void(size_t worker, size_t index)>& fn) {
-    Run(count, fn, /*dynamic=*/false);
-  }
-
-  /// Work-stealing schedule: runs fn(slot, index) for every index in
-  /// [0, count) exactly once, with chunked dynamic load balancing. `slot`
-  /// is in [0, num_threads()) and exclusively owned by one thread while it
-  /// runs, but the (slot, index) assignment depends on scheduling — use
-  /// only for order-independent work. fn must not throw.
-  void ParallelForDynamic(
-      size_t count, const std::function<void(size_t worker, size_t index)>& fn) {
-    Run(count, fn, /*dynamic=*/true);
-  }
-
- private:
-  /// One packed work range [begin, end) — begin in the high 32 bits, end in
-  /// the low — so owner front-claims and thief back-steals both commit with
-  /// a single CAS. Cache-line padded: every slot's range mutates hot.
-  struct alignas(64) PackedRange {
-    std::atomic<uint64_t> span{0};
-    static uint64_t Pack(uint64_t begin, uint64_t end) {
-      return (begin << 32) | end;
-    }
-    static uint64_t Begin(uint64_t s) { return s >> 32; }
-    static uint64_t End(uint64_t s) { return s & 0xffffffffull; }
-  };
-
-  struct Job {
-    const std::function<void(size_t, size_t)>* fn = nullptr;
-    size_t count = 0;
-    size_t lanes = 0;
-    bool dynamic = false;
-    std::atomic<size_t> next_lane{0};   ///< static lane / dynamic slot claim
-    std::vector<PackedRange> ranges;    ///< dynamic mode only
-    std::atomic<size_t> pending{0};     ///< indices not yet executed
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    bool done = false;
-  };
-
-  static bool& InsideWorkerFlag() {
-    thread_local bool inside = false;
-    return inside;
-  }
-  static bool InsideWorker() { return InsideWorkerFlag(); }
-
-  void Run(size_t count, const std::function<void(size_t, size_t)>& fn,
-           bool dynamic) {
     if (count == 0) return;
     pool_detail::PoolMetrics::Get().jobs.Add();
     if (num_threads_ <= 1 || InsideWorker()) {
@@ -171,18 +119,14 @@ class ThreadPool {
     RMI_CHECK_LE(count, size_t{0xffffffff});  // ranges pack into 32+32 bits
     auto job = std::make_shared<Job>();
     job->fn = &fn;
-    job->count = count;
-    job->lanes = num_threads_;
-    job->dynamic = dynamic;
+    job->slots = num_threads_;
     job->pending.store(count, std::memory_order_relaxed);
-    if (dynamic) {
-      job->ranges = std::vector<PackedRange>(num_threads_);
-      for (size_t s = 0; s < num_threads_; ++s) {
-        const uint64_t b = s * count / num_threads_;
-        const uint64_t e = (s + 1) * count / num_threads_;
-        job->ranges[s].span.store(PackedRange::Pack(b, e),
-                                  std::memory_order_relaxed);
-      }
+    job->ranges = std::vector<PackedRange>(num_threads_);
+    for (size_t s = 0; s < num_threads_; ++s) {
+      const uint64_t b = s * count / num_threads_;
+      const uint64_t e = (s + 1) * count / num_threads_;
+      job->ranges[s].span.store(PackedRange::Pack(b, e),
+                                std::memory_order_relaxed);
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -205,6 +149,36 @@ class ThreadPool {
     }
   }
 
+ private:
+  /// One packed work range [begin, end) — begin in the high 32 bits, end in
+  /// the low — so owner front-claims and thief back-steals both commit with
+  /// a single CAS. Cache-line padded: every slot's range mutates hot.
+  struct alignas(64) PackedRange {
+    std::atomic<uint64_t> span{0};
+    static uint64_t Pack(uint64_t begin, uint64_t end) {
+      return (begin << 32) | end;
+    }
+    static uint64_t Begin(uint64_t s) { return s >> 32; }
+    static uint64_t End(uint64_t s) { return s & 0xffffffffull; }
+  };
+
+  struct Job {
+    const std::function<void(size_t, size_t)>* fn = nullptr;
+    size_t slots = 0;                   ///< participants at most (pool size)
+    std::atomic<size_t> next_slot{0};   ///< participant slot claim
+    std::vector<PackedRange> ranges;    ///< one per participant slot
+    std::atomic<size_t> pending{0};     ///< indices not yet executed
+    std::mutex done_mu;
+    std::condition_variable done_cv;
+    bool done = false;
+  };
+
+  static bool& InsideWorkerFlag() {
+    thread_local bool inside = false;
+    return inside;
+  }
+  static bool InsideWorker() { return InsideWorkerFlag(); }
+
   static void SignalDone(Job* job) {
     {
       std::lock_guard<std::mutex> lock(job->done_mu);
@@ -220,22 +194,10 @@ class ThreadPool {
     bool& inside = InsideWorkerFlag();
     const bool was_inside = inside;
     inside = true;
-    if (job->dynamic) {
-      const size_t slot = job->next_lane.fetch_add(1);
-      // At most `lanes` threads ever participate (lanes == pool size); a
-      // worker that re-encounters an exhausted job claims no second slot.
-      if (slot < job->lanes) RunStealing(job, slot);
-    } else {
-      size_t lane;
-      while ((lane = job->next_lane.fetch_add(1)) < job->lanes) {
-        size_t ran = 0;
-        for (size_t i = lane; i < job->count; i += job->lanes) {
-          (*job->fn)(lane, i);
-          ++ran;
-        }
-        Complete(job, ran);
-      }
-    }
+    const size_t slot = job->next_slot.fetch_add(1);
+    // At most `slots` threads ever participate (slots == pool size); a
+    // worker that re-encounters an exhausted job claims no second slot.
+    if (slot < job->slots) RunStealing(job, slot);
     inside = was_inside;
   }
 
@@ -250,7 +212,7 @@ class ThreadPool {
         // tail degrades to single indices so a thief always finds a fair
         // back half to take.
         const uint64_t chunk =
-            std::max<uint64_t>(1, (e - b) / (2 * job->lanes));
+            std::max<uint64_t>(1, (e - b) / (2 * job->slots));
         if (own.span.compare_exchange_weak(
                 s, PackedRange::Pack(b + chunk, e), std::memory_order_acq_rel,
                 std::memory_order_acquire)) {
@@ -262,10 +224,10 @@ class ThreadPool {
         }
       }
       // Own range dry: steal the back half of the largest victim range.
-      size_t victim = job->lanes;
+      size_t victim = job->slots;
       uint64_t victim_span = 0;
       uint64_t best_size = 0;
-      for (size_t v = 0; v < job->lanes; ++v) {
+      for (size_t v = 0; v < job->slots; ++v) {
         if (v == slot) continue;
         const uint64_t vs = job->ranges[v].span.load(std::memory_order_acquire);
         const uint64_t size = PackedRange::End(vs) - PackedRange::Begin(vs);
@@ -275,7 +237,7 @@ class ThreadPool {
           victim_span = vs;
         }
       }
-      if (victim == job->lanes) return;  // nothing left anywhere
+      if (victim == job->slots) return;  // nothing left anywhere
       const uint64_t vb = PackedRange::Begin(victim_span);
       const uint64_t ve = PackedRange::End(victim_span);
       const uint64_t mid = ve - (ve - vb + 1) / 2;  // steal the back half

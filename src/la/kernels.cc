@@ -107,6 +107,31 @@ void Axpy(double alpha, const Matrix& x, Matrix* y) {
   for (size_t i = 0; i < n; ++i) py[i] += alpha * px[i];
 }
 
+void AddSlots(const double* const* slots, size_t num_slots, size_t n,
+              double* y) {
+  constexpr size_t kLanes = 8;
+  size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    // Fully unrolled, so the eight sums stay in registers across the slots
+    // (a rolled lane loop keeps them on the stack at -O2).
+    double acc[kLanes];
+#pragma GCC unroll 8
+    for (size_t t = 0; t < kLanes; ++t) acc[t] = y[i + t];
+    for (size_t s = 0; s < num_slots; ++s) {
+      const double* x = slots[s] + i;
+#pragma GCC unroll 8
+      for (size_t t = 0; t < kLanes; ++t) acc[t] += x[t];
+    }
+#pragma GCC unroll 8
+    for (size_t t = 0; t < kLanes; ++t) y[i + t] = acc[t];
+  }
+  for (; i < n; ++i) {
+    double acc = y[i];
+    for (size_t s = 0; s < num_slots; ++s) acc += slots[s][i];
+    y[i] = acc;
+  }
+}
+
 void ScaleInPlace(double alpha, Matrix* x) {
   double* v = x->data().data();
   const size_t n = x->size();

@@ -54,6 +54,16 @@ void Axpy(double alpha, const Matrix& x, Matrix* y);
 /// x *= alpha.
 void ScaleInPlace(double alpha, Matrix* x);
 
+/// y[i] = ((y[i] + slots[0][i]) + slots[1][i]) + ... for i in [0, n): per
+/// element the sum starts from y[i] and adds the slots in slot order, one
+/// rounding per add. Lanes run across i, eight sums held in registers while
+/// the slots stream past; the kernel only adds elementwise, so its bits
+/// depend on neither the ISA nor the blocking. TrainBiSim sums each Adam
+/// batch's per-sequence gradients and losses with it. y must not overlap
+/// any slot.
+void AddSlots(const double* const* slots, size_t num_slots, size_t n,
+              double* y);
+
 /// Every entry of x set to `value` (shape preserved).
 void Fill(Matrix* x, double value);
 

@@ -336,7 +336,7 @@ ShardRouter::BatchResult ShardRouter::LocalizeBatch(
   // own pool job and the caller works on it too.
   {
     obs::ScopedSpan fanout_span(trace, "rank-fanout");
-    pool_.ParallelForDynamic(groups.size(), [&](size_t /*worker*/, size_t gi) {
+    pool_.ParallelFor(groups.size(), [&](size_t /*worker*/, size_t gi) {
       Group& g = groups[gi];
       const std::vector<geom::Point> points =
           BatchLocalizer::LocalizeBatchOn(*g.snapshot, g.block);

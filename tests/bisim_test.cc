@@ -79,7 +79,11 @@ TEST(BuildSequencesTest, ReproducesPaperTableIV) {
     }
   }
 
-  // Time-lag vectors delta1..delta5 (Table IV).
+  // Time-lag vectors delta1..delta5 (Table IV), as the encoder reads them
+  // in the forward direction.
+  const std::vector<la::Matrix> delta =
+      TimeLags(s, /*reversed=*/false, &StepFeatures::m);
+  ASSERT_EQ(delta.size(), 5u);
   const double d_expect[5][5] = {{0, 0, 0, 0, 0},
                                  {2, 2, 2, 2, 2},
                                  {5, 7, 5, 7, 7},
@@ -92,7 +96,7 @@ TEST(BuildSequencesTest, ReproducesPaperTableIV) {
   // accumulated lag.
   for (size_t i = 0; i < 5; ++i) {
     for (size_t j = 0; j < 5; ++j) {
-      EXPECT_DOUBLE_EQ(s[i].delta(0, j), d_expect[i][j]) << i << "," << j;
+      EXPECT_DOUBLE_EQ(delta[i](0, j), d_expect[i][j]) << i << "," << j;
     }
   }
 
@@ -102,6 +106,24 @@ TEST(BuildSequencesTest, ReproducesPaperTableIV) {
   EXPECT_DOUBLE_EQ(s[2].k(0, 0), 1);
   EXPECT_DOUBLE_EQ(s[3].k(0, 0), 0);
   EXPECT_DOUBLE_EQ(s[4].k(0, 0), 1);
+
+  // The same recurrence over k gives the decoder's 2-wide lags, and over
+  // the reversed visiting order the backward direction's (dt = 4, 4, 5, 2
+  // from the last record back).
+  const double l_expect[5] = {0, 2, 7, 4, 8};
+  const std::vector<la::Matrix> delta_l =
+      TimeLags(s, /*reversed=*/false, &StepFeatures::k);
+  const double r_expect[5] = {0, 4, 8, 5, 2};  // AP 3: m5, m4 miss it
+  const std::vector<la::Matrix> delta_r =
+      TimeLags(s, /*reversed=*/true, &StepFeatures::m);
+  ASSERT_EQ(delta_l.size(), 5u);
+  ASSERT_EQ(delta_r.size(), 5u);
+  for (size_t i = 0; i < 5; ++i) {
+    ASSERT_EQ(delta_l[i].cols(), 2u);
+    EXPECT_DOUBLE_EQ(delta_l[i](0, 0), l_expect[i]) << i;
+    EXPECT_DOUBLE_EQ(delta_l[i](0, 1), l_expect[i]) << i;
+    EXPECT_DOUBLE_EQ(delta_r[i](0, 2), r_expect[i]) << i;
+  }
 }
 
 TEST(BuildSequencesTest, NormalizesRssiAndLocation) {
@@ -121,8 +143,40 @@ TEST(BuildSequencesTest, SlicesLongPaths) {
   ASSERT_EQ(seqs.size(), 3u);  // 2 + 2 + 1
   EXPECT_EQ(seqs[0].size(), 2u);
   EXPECT_EQ(seqs[2].size(), 1u);
-  // Each slice restarts its time lags (first unit delta = 0).
-  EXPECT_DOUBLE_EQ(seqs[1][0].delta(0, 0), 0.0);
+  // Each slice restarts its time lags (first unit delta = 0), although its
+  // first record (t = 8) follows the previous slice's last (t = 3).
+  EXPECT_DOUBLE_EQ(seqs[1][0].time, 8.0);
+  const std::vector<la::Matrix> delta =
+      TimeLags(seqs[1], /*reversed=*/false, &StepFeatures::m);
+  for (size_t j = 0; j < 5; ++j) EXPECT_DOUBLE_EQ(delta[0](0, j), 0.0) << j;
+  // m3 misses AP 1: 0 + 4 within the slice, where the whole path has 5 + 4.
+  EXPECT_DOUBLE_EQ(delta[1](0, 0), 4.0);
+}
+
+TEST(BiSimConfigDeathTest, ZeroSeqLenIsRejected) {
+  // A zero slice length would never advance along a path.
+  const auto map = PaperTableIIIMap();
+  const auto mask = AllMarMask(map);
+  BiSimConfig cfg = TestConfig();
+  cfg.seq_len = 0;
+  EXPECT_DEATH(BuildSequences(map, mask, cfg), "seq_len");
+  OnlineBiSimImputer online(cfg);
+  Rng rng(3);
+  EXPECT_DEATH(online.Fit(map, mask, rng), "seq_len");
+}
+
+TEST(BiSimConfigDeathTest, ZeroBatchSizeIsRejected) {
+  // An empty Adam batch would never step.
+  const auto map = PaperTableIIIMap();
+  const auto mask = AllMarMask(map);
+  BiSimConfig cfg = TestConfig();
+  const auto seqs = BuildSequences(map, mask, cfg);
+  cfg.batch_size = 0;
+  Rng rng(4);
+  BiSimModel model(map.num_aps(), cfg, rng);
+  EXPECT_DEATH(TrainBiSim(model, seqs, cfg, rng), "batch_size");
+  BiSimImputer imputer(cfg);
+  EXPECT_DEATH(imputer.Impute(map, mask, rng), "batch_size");
 }
 
 TEST(BiSimModelTest, ForwardShapesAndFiniteness) {

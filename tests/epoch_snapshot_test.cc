@@ -6,9 +6,9 @@
 //    swap as Current, a reader pinned across many publishes never
 //    observes a freed snapshot, and slow-path shared_ptr holders outlive
 //    reclamation;
-//  * ThreadPool — the work-stealing schedule runs every index exactly
-//    once, the static schedule keeps its deterministic lane assignment,
-//    and two concurrent submitters genuinely overlap;
+//  * ThreadPool — ParallelFor runs every index exactly once, runs n
+//    blocking bodies at once on an n-thread pool (the server's dispatch
+//    loops rely on it), and two concurrent submitters genuinely overlap;
 //  * ShardRouter — the regression test for the removed pool mutex: two
 //    threads inside LocalizeBatch at the same time.
 #include <gtest/gtest.h>
@@ -270,12 +270,12 @@ TEST(PinnedSnapshotTest, ConcurrentPublishesAndPinnedReadersStayConsistent) {
   EXPECT_TRUE(ok.load());
 }
 
-TEST(ThreadPoolTest, DynamicScheduleRunsEveryIndexExactlyOnce) {
+TEST(ThreadPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   const size_t count = 1000;
   std::vector<std::atomic<int>> hits(count);
   for (std::atomic<int>& h : hits) h.store(0);
-  pool.ParallelForDynamic(count, [&](size_t /*slot*/, size_t i) {
+  pool.ParallelFor(count, [&](size_t /*worker*/, size_t i) {
     hits[i].fetch_add(1);
   });
   for (size_t i = 0; i < count; ++i) {
@@ -283,14 +283,27 @@ TEST(ThreadPoolTest, DynamicScheduleRunsEveryIndexExactlyOnce) {
   }
 }
 
-TEST(ThreadPoolTest, StaticScheduleKeepsLaneAssignmentDeterministic) {
-  ThreadPool pool(3);
-  if (pool.num_threads() != 3) GTEST_SKIP() << "pool forced inline";
-  const size_t count = 20;
-  std::vector<size_t> lane_of(count, size_t{999});
-  pool.ParallelFor(count, [&](size_t lane, size_t i) { lane_of[i] = lane; });
-  for (size_t i = 0; i < count; ++i) {
-    EXPECT_EQ(lane_of[i], i % 3) << "index " << i;
+TEST(ThreadPoolTest, OneIndexPerThreadRunsEveryBlockingBodyAtOnce) {
+  // LocalizationServer's launcher runs ParallelFor(n) on its n-thread pool
+  // and each body is a DispatchLoop that blocks until shutdown. Every body
+  // here waits, with a timeout, until all n have started; a schedule that
+  // ran two indices on one thread would leave the waits timing out.
+  for (size_t n : {2, 3, 4}) {
+    ThreadPool pool(n);
+    if (pool.num_threads() != n) GTEST_SKIP() << "pool forced inline";
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t started = 0;
+    std::atomic<size_t> met{0};
+    pool.ParallelFor(n, [&](size_t /*worker*/, size_t /*index*/) {
+      std::unique_lock<std::mutex> lock(mu);
+      if (++started == n) cv.notify_all();
+      if (cv.wait_for(lock, std::chrono::seconds(10),
+                      [&] { return started == n; })) {
+        met.fetch_add(1);
+      }
+    });
+    EXPECT_EQ(met.load(), n) << "pool of " << n;
   }
 }
 
@@ -304,7 +317,7 @@ TEST(ThreadPoolTest, ConcurrentSubmittersOverlapInsteadOfSerializing) {
   std::vector<std::thread> submitters;
   for (int s = 0; s < 2; ++s) {
     submitters.emplace_back([&] {
-      pool.ParallelForDynamic(1, [&](size_t, size_t) {
+      pool.ParallelFor(1, [&](size_t, size_t) {
         if (rendezvous.Arrive()) met.fetch_add(1);
       });
     });

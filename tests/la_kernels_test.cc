@@ -1,7 +1,7 @@
 // Kernel-layer tests: every Gemm transpose variant, beta accumulation, the
-// packed NT kernel, the k-means squared-distance kernel, the Adam update and
-// the fused elementwise kernels, all validated against naive reference
-// implementations on random matrices.
+// packed NT kernel, the k-means squared-distance kernel, the Adam update,
+// the slot-order gradient sum and the fused elementwise kernels, all
+// validated against naive reference implementations on random matrices.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -225,6 +225,51 @@ TEST(AdamUpdateTest, BitMatchesScalarLoopOverSteps) {
         ASSERT_EQ(Bits(m[j]), Bits(m_ref[j])) << "m " << where(j);
         ASSERT_EQ(Bits(v[j]), Bits(v_ref[j])) << "v " << where(j);
         ASSERT_EQ(Bits(w[j]), Bits(w_ref[j])) << "w " << where(j);
+      }
+    }
+  }
+}
+
+TEST(AddSlotsTest, BitMatchesSlotOrderLoop) {
+  // la::AddSlots adds the slots into y in slot order (y, then slot 0, then
+  // slot 1, ...), eight lanes at a time; its bits must match the plain
+  // loop. The cases cover every slot count an Adam batch of 8 can leave,
+  // lengths that reach the tail alone, one block, blocks plus a tail, and
+  // the BiSIM parameter count at Kaide 0.12. Values near 1 mix with values
+  // near 1e8, so another association would round differently, and +-0.0
+  // entries in y and the slots check that each sum starts from y
+  // (-0.0 + -0.0 is -0.0, but 0.0 + -0.0 is 0.0).
+  Rng rng(131);
+  auto value = [&](size_t j) -> double {
+    switch (j % 6) {
+      case 0: return -0.0;
+      case 1: return rng.Uniform(0.0, 1.0) < 0.5 ? 0.0 : -0.0;
+      case 2: return rng.Uniform(-1e8, 1e8);
+      default: return rng.Uniform(-1.0, 1.0);
+    }
+  };
+  std::vector<size_t> lengths;
+  for (size_t n = 1; n <= 17; ++n) lengths.push_back(n);
+  lengths.push_back(36667);
+  for (size_t num_slots = 1; num_slots <= 8; ++num_slots) {
+    for (size_t n : lengths) {
+      std::vector<std::vector<double>> slots(num_slots,
+                                             std::vector<double>(n));
+      std::vector<const double*> rows;
+      for (std::vector<double>& slot : slots) {
+        for (size_t j = 0; j < n; ++j) slot[j] = value(j);
+        rows.push_back(slot.data());
+      }
+      std::vector<double> y(n);
+      for (size_t j = 0; j < n; ++j) y[j] = value(j);
+      std::vector<double> want = y;
+      for (size_t j = 0; j < n; ++j) {
+        for (size_t s = 0; s < num_slots; ++s) want[j] += slots[s][j];
+      }
+      AddSlots(rows.data(), num_slots, n, y.data());
+      for (size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(Bits(y[j]), Bits(want[j]))
+            << num_slots << " slots, n " << n << ", entry " << j;
       }
     }
   }

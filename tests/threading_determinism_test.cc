@@ -1,9 +1,10 @@
 // Determinism of the data-parallel training path and the workspace arena:
-//  * TrainBiSim with num_threads=1 vs num_threads=4 agrees on a fixed seed
-//    (same Adam step count, same shuffles; gradients differ only by
-//    floating-point reassociation of the per-thread shard merge);
-//  * a fixed (seed, num_threads) pair is byte-stable run-to-run, including
-//    through OnlineBiSimImputer::ImputeFingerprint;
+//  * TrainBiSim, BiSimImputer::Impute and OnlineBiSimImputer give the same
+//    bits at every thread count: each sequence of an Adam batch backprops
+//    into the gradient sink of its batch position, and the positions add
+//    into the batch gradient in position order, whichever worker ran them;
+//  * a fixed seed is byte-stable run-to-run, including through
+//    OnlineBiSimImputer::ImputeFingerprint;
 //  * steady-state training epochs perform no fresh matrix allocations
 //    (the Workspace pool serves every tape buffer after warm-up), and a
 //    dead model returns only pool-acquired buffers, so training one model
@@ -78,18 +79,78 @@ double TrainWithThreads(size_t num_threads, double* first_loss = nullptr) {
   return TrainBiSim(model, seqs, cfg, train_rng);
 }
 
+/// True when a and b hold the same bits.
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
 TEST(ThreadingDeterminismTest, SerialAndFourThreadLossesAgree) {
   double first1 = 0.0, first4 = 0.0;
   const double loss1 = TrainWithThreads(1, &first1);
   const double loss4 = TrainWithThreads(4, &first4);
   // Identical models before training (the fan-out must not perturb
   // initialization or sequence building).
-  EXPECT_DOUBLE_EQ(first1, first4);
-  // After training: same batches, same step count; only the gradient
-  // merge order differs, so losses agree to reassociation tolerance.
+  EXPECT_TRUE(SameBits(first1, first4));
+  // After training: same batches, same step count, and every batch
+  // gradient summed in batch-position order, so the losses are identical.
   EXPECT_TRUE(std::isfinite(loss1));
   EXPECT_TRUE(std::isfinite(loss4));
-  EXPECT_NEAR(loss1, loss4, 1e-6 * (1.0 + std::fabs(loss1)));
+  EXPECT_TRUE(SameBits(loss1, loss4)) << loss1 << " vs " << loss4;
+}
+
+TEST(ThreadingDeterminismTest, ImputedMapsAreBitIdenticalAtEveryThreadCount) {
+  const auto map = SyntheticMap();
+  const auto mask = MarMask(map);
+  struct Run {
+    double loss = 0.0;
+    rmap::RadioMap imputed;
+  };
+  auto impute = [&](size_t num_threads) {
+    const BiSimImputer imputer(SmallConfig(num_threads));
+    Rng rng(23);
+    Run run;
+    run.imputed = imputer.Impute(map, mask, rng);
+    run.loss = imputer.last_training_loss();
+    return run;
+  };
+  const Run serial = impute(1);
+  for (size_t num_threads : {2, 3, 4}) {
+    const Run run = impute(num_threads);
+    EXPECT_TRUE(SameBits(run.loss, serial.loss))
+        << num_threads << " threads: " << run.loss << " vs " << serial.loss;
+    ASSERT_EQ(run.imputed.size(), serial.imputed.size());
+    for (size_t i = 0; i < serial.imputed.size(); ++i) {
+      const rmap::Record& a = run.imputed.record(i);
+      const rmap::Record& b = serial.imputed.record(i);
+      ASSERT_EQ(a.rssi.size(), b.rssi.size());
+      EXPECT_EQ(0, std::memcmp(a.rssi.data(), b.rssi.data(),
+                               b.rssi.size() * sizeof(double)))
+          << num_threads << " threads, record " << i;
+      EXPECT_EQ(a.has_rp, b.has_rp);
+      EXPECT_TRUE(SameBits(a.rp.x, b.rp.x) && SameBits(a.rp.y, b.rp.y))
+          << num_threads << " threads, record " << i;
+    }
+  }
+
+  // The online imputer trains through the same loop: its completed
+  // fingerprint does not depend on the thread count either.
+  auto complete = [&](size_t num_threads) {
+    OnlineBiSimImputer imputer(SmallConfig(num_threads));
+    Rng rng(29);
+    imputer.Fit(map, mask, rng);
+    OnlineBiSimImputer::TimedScan prev;
+    prev.rssi = {-58.0, kNull, -70.0, kNull};
+    prev.time = 20.0;
+    OnlineBiSimImputer::TimedScan scan;
+    scan.rssi = {kNull, -66.0, kNull, kNull};
+    scan.time = 24.0;
+    return imputer.ImputeFingerprint(scan, {prev});
+  };
+  const std::vector<double> one = complete(1);
+  const std::vector<double> four = complete(4);
+  ASSERT_EQ(one.size(), four.size());
+  EXPECT_EQ(0,
+            std::memcmp(one.data(), four.data(), one.size() * sizeof(double)));
 }
 
 TEST(ThreadingDeterminismTest, FixedThreadCountIsRunToRunIdentical) {
@@ -115,8 +176,8 @@ TEST(ThreadingDeterminismTest, OnlineImputeFingerprintByteStable) {
     return imputer.ImputeFingerprint(scan, {prev});
   };
 
-  // Two independent fits with the same seed and thread count must produce
-  // byte-identical imputations (training is deterministic end-to-end).
+  // Two independent fits with the same seed must produce byte-identical
+  // imputations (training is deterministic end-to-end).
   const std::vector<double> x = fit_and_impute(4);
   const std::vector<double> y = fit_and_impute(4);
   ASSERT_EQ(x.size(), y.size());
