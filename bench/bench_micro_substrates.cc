@@ -17,6 +17,7 @@
 #include "eval/factories.h"
 #include "geometry/geometry.h"
 #include "imputers/imputer.h"
+#include "la/gemm_repro.h"
 #include "la/kernels.h"
 #include "la/matrix.h"
 #include "positioning/estimators.h"
@@ -40,25 +41,36 @@ BENCHMARK(BM_MatMul)->Arg(16)->Arg(64)->Arg(128);
 // One la::Gemm call at a shape the BiSIM training tape uses (Kaide at
 // scale 0.12: D = 80 APs, hidden 24, attention_hidden 24, T = 5). Args are
 // (op, m, k, n): op 0 = NN, a forward matmul (beta 0); op 1 = NT, an input
-// gradient (beta 1); op 2 = TN, a weight gradient (beta 1); op 3 = the NT
-// input gradient through la::GemmNTPacked on B^T, as the tape runs it for a
-// parameter's packed transpose.
+// gradient (beta 1); op 2 = TN, one rank-1 weight-gradient update (beta 1);
+// op 3 = the NT input gradient through la::GemmNTPacked on B^T, as the tape
+// runs it for a parameter's packed transpose; op 4 = a parameter's k
+// stacked weight-gradient rows through la::GemmTNRows, as the tape applies
+// them once per pass (A and B passed as row pointers, adding onto C), the
+// work of k op-2 calls.
 void BM_GemmTapeShape(benchmark::State& state) {
   const int op = static_cast<int>(state.range(0));
   const size_t m = static_cast<size_t>(state.range(1));
   const size_t k = static_cast<size_t>(state.range(2));
   const size_t n = static_cast<size_t>(state.range(3));
-  const bool ta = op == 2, tb = op == 1;
+  const bool ta = op == 2 || op == 4, tb = op == 1;
   Rng rng(9);
   la::Matrix a = ta ? la::Matrix::Random(k, m, rng)
                     : la::Matrix::Random(m, k, rng);
   la::Matrix b = tb ? la::Matrix::Random(n, k, rng)
                     : la::Matrix::Random(k, n, rng);
   la::Matrix c = la::Matrix::Random(m, n, rng);
+  std::vector<const double*> a_rows, b_rows;
+  for (size_t r = 0; r < k; ++r) {
+    a_rows.push_back(a.data().data() + r * m);
+    b_rows.push_back(b.data().data() + r * n);
+  }
   const double beta = op == 0 ? 0.0 : 1.0;
   for (auto _ : state) {
     if (op == 3) {
       la::GemmNTPacked(1.0, a, b, &c);
+    } else if (op == 4) {
+      la::GemmTNRows(1.0, a_rows.data(), b_rows.data(), c.data().data(), m, k,
+                     n, /*from_zero=*/false);
     } else {
       la::Gemm(1.0, a, ta, b, tb, beta, &c);
     }
@@ -78,9 +90,12 @@ BENCHMARK(BM_GemmTapeShape)
     ->Args({3, 1, 96, 184})   // the same, packed
     ->Args({3, 1, 96, 106})
     ->Args({3, 5, 24, 104})
-    ->Args({2, 184, 1, 96})   // their weight gradients
+    ->Args({2, 184, 1, 96})   // their weight gradients, one step's
     ->Args({2, 106, 1, 96})
-    ->Args({2, 104, 5, 24});
+    ->Args({2, 104, 5, 24})
+    ->Args({4, 184, 10, 96})  // and a pass's (T steps, two directions)
+    ->Args({4, 106, 10, 96})
+    ->Args({4, 104, 50, 24});
 
 void BM_CholeskySolve(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -48,10 +48,6 @@ void Sgd::Step() {
   }
 }
 
-void Sgd::ZeroGrad() {
-  for (Tensor& p : params_) p.ZeroGrad();
-}
-
 void ClipGradNorm(const std::vector<Tensor>& params, double max_norm) {
   double total = 0.0;
   for (const Tensor& p : params) {

@@ -40,7 +40,6 @@ class Sgd {
       : params_(std::move(params)), lr_(lr) {}
 
   void Step();
-  void ZeroGrad();
 
  private:
   std::vector<Tensor> params_;

@@ -6,6 +6,7 @@
 
 #include "autodiff/workspace.h"
 #include "common/check.h"
+#include "la/gemm_repro.h"
 #include "la/kernels.h"
 
 namespace rmi::ad {
@@ -15,19 +16,109 @@ using internal::OpKind;
 
 namespace {
 
+using internal::GradAccumulator;
+using internal::kNoRow;
+
 /// Active gradient sink of the calling thread (see GradSink).
 thread_local GradSink* tls_grad_sink = nullptr;
 
-/// Where a parent's gradient should accumulate: the sink's shadow buffer
-/// for tracked leaf parameters, the node's own grad otherwise. Returns
-/// nullptr when the parent does not participate in training.
+/// One deferred weight-gradient row: grad += x^T g, for the x and g rows
+/// starting here. `next` chains a parameter's rows in tape order.
+struct DeferredRow {
+  const double* x;
+  const double* g;
+  uint32_t next;
+};
+
+/// This thread's deferred rows in tape order, and the accumulators that
+/// hold a chain of them; Backward applies and clears both before it
+/// returns. Both keep their capacity, so after a thread's first pass the
+/// deferral allocates nothing.
+thread_local std::vector<DeferredRow> tls_rows;
+thread_local std::vector<GradAccumulator*> tls_pending;
+/// One parameter's chain, gathered into the kernel's row-pointer arrays.
+thread_local std::vector<const double*> tls_x_rows;
+thread_local std::vector<const double*> tls_g_rows;
+/// Heap allocations the four vectors above have made on this thread.
+thread_local size_t tls_row_allocations = 0;
+
+/// v->push_back(x), counting the allocation when v is full.
+template <typename T>
+void Append(std::vector<T>* v, const T& x) {
+  if (v->size() == v->capacity()) ++tls_row_allocations;
+  v->push_back(x);
+}
+
+/// A bias's x row: its gradient adds 1.0 * g(r, :), which is g(r, :).
+constexpr double kOne = 1.0;
+
+/// Where parameter p's gradient accumulates on this thread: its slot in
+/// the installed sink, else its own accumulator onto p->grad.
+GradAccumulator* AccumulatorOf(Node* p) {
+  if (tls_grad_sink != nullptr) {
+    if (GradAccumulator* slot = tls_grad_sink->Slot(p)) return slot;
+  }
+  p->EnsureGrad();
+  return &p->param->own_grad;
+}
+
+/// Applies acc's deferred rows to its grad in one pass, in tape order:
+/// from 0.0 into an unwritten sink slot, onto the grad otherwise.
+void Flush(GradAccumulator* acc) {
+  if (acc->first_row == kNoRow) return;
+  tls_x_rows.clear();
+  tls_g_rows.clear();
+  for (uint32_t r = acc->first_row; r != kNoRow;
+       r = tls_rows[r].next) {
+    Append(&tls_x_rows, tls_rows[r].x);
+    Append(&tls_g_rows, tls_rows[r].g);
+  }
+  la::Matrix& grad = *acc->grad;
+  la::GemmTNRows(1.0, tls_x_rows.data(), tls_g_rows.data(),
+                 grad.data().data(), grad.rows(), tls_x_rows.size(),
+                 grad.cols(), /*from_zero=*/!acc->written);
+  acc->written = true;
+  acc->first_row = acc->last_row = kNoRow;
+}
+
+/// Where a parent's gradient should accumulate now: a parameter's
+/// accumulator (its deferred rows applied first, an unwritten sink slot
+/// zeroed), the node's own grad otherwise. Returns nullptr when the parent
+/// does not participate in training.
 la::Matrix* GradTarget(Node* p) {
   if (!p->requires_grad) return nullptr;
-  if (tls_grad_sink != nullptr && p->op == OpKind::kLeaf) {
-    if (la::Matrix* shadow = tls_grad_sink->Find(p)) return shadow;
+  if (p->is_param()) {
+    GradAccumulator* acc = AccumulatorOf(p);
+    Flush(acc);
+    if (!acc->written) {
+      la::Fill(acc->grad, 0.0);
+      acc->written = true;
+    }
+    return acc->grad;
   }
   p->EnsureGrad();
   return &p->grad;
+}
+
+/// Defers parameter w's gradient x^T g: chains the row pointers
+/// x + r * x_stride and g(r, :), for every row r of g in order, onto w's
+/// accumulator.
+void DeferRows(Node* w, const double* x, size_t x_stride, const la::Matrix& g) {
+  GradAccumulator* acc = AccumulatorOf(w);
+  if (acc->first_row == kNoRow) Append(&tls_pending, acc);
+  const double* pg = g.data().data();
+  for (size_t r = 0; r < g.rows(); ++r) {
+    RMI_CHECK_LT(tls_rows.size(), size_t{kNoRow});
+    const auto row = static_cast<uint32_t>(tls_rows.size());
+    Append(&tls_rows,
+           DeferredRow{x + r * x_stride, pg + r * g.cols(), kNoRow});
+    if (acc->first_row == kNoRow) {
+      acc->first_row = row;
+    } else {
+      tls_rows[acc->last_row].next = row;
+    }
+    acc->last_row = row;
+  }
 }
 
 std::shared_ptr<Node> NewNode(OpKind op, la::Matrix value,
@@ -57,6 +148,27 @@ inline double StableSigmoid(double v) {
   return e / (1.0 + e);
 }
 
+/// The weight gradient x^T g of x @ w (Affine, MatMul): deferred for a
+/// parameter, added now through la::Gemm's TN path for any other operand.
+void AccumulateWeightGrad(const la::Matrix& x, const la::Matrix& g, Node* w) {
+  if (w->is_param()) {
+    DeferRows(w, x.data().data(), x.cols(), g);
+  } else if (la::Matrix* t = GradTarget(w)) {
+    la::Gemm(1.0, x, true, g, false, 1.0, t);
+  }
+}
+
+/// The gradient of a 1 x C row broadcast over g's rows (a bias; also
+/// AddRowBroadcast's row and RepeatRows' input): g's column sums, deferred
+/// for a parameter like a weight gradient over x rows of 1.0.
+void AccumulateBiasGrad(const la::Matrix& g, Node* bias) {
+  if (bias->is_param()) {
+    DeferRows(bias, &kOne, 0, g);
+  } else if (la::Matrix* t = GradTarget(bias)) {
+    la::AccumulateColSums(g, t);
+  }
+}
+
 /// t += g * w^T, the input gradient of x @ w (Affine, MatMul). A parameter
 /// whose packed transpose is current goes through it (la::GemmNTPacked);
 /// any other operand — an activation, or a parameter written through
@@ -73,6 +185,8 @@ void AccumulateInputGrad(const la::Matrix& g, const Node& w, la::Matrix* t) {
 }  // namespace
 
 namespace internal {
+
+size_t DeferredRowAllocationsForTesting() { return tls_row_allocations; }
 
 Node::~Node() {
   Workspace& ws = Workspace::Get();
@@ -121,9 +235,7 @@ void Node::Backprop() {
     }
     case OpKind::kMatMul: {
       if (la::Matrix* t = GradTarget(p0)) AccumulateInputGrad(g, *p1, t);
-      if (la::Matrix* t = GradTarget(p1)) {
-        la::Gemm(1.0, p0->value, true, g, false, 1.0, t);
-      }
+      if (p1->requires_grad) AccumulateWeightGrad(p0->value, g, p1);
       break;
     }
     case OpKind::kScale: {
@@ -132,16 +244,14 @@ void Node::Backprop() {
     }
     case OpKind::kAddRowBroadcast: {
       if (la::Matrix* t = GradTarget(p0)) la::Axpy(1.0, g, t);
-      if (la::Matrix* t = GradTarget(p1)) la::AccumulateColSums(g, t);
+      if (p1->requires_grad) AccumulateBiasGrad(g, p1);
       break;
     }
     case OpKind::kAffine: {
       // value = x @ w + bias; parents: [x, w, bias].
       if (la::Matrix* t = GradTarget(p0)) AccumulateInputGrad(g, *p1, t);
-      if (la::Matrix* t = GradTarget(p1)) {
-        la::Gemm(1.0, p0->value, true, g, false, 1.0, t);
-      }
-      if (la::Matrix* t = GradTarget(p2)) la::AccumulateColSums(g, t);
+      if (p1->requires_grad) AccumulateWeightGrad(p0->value, g, p1);
+      if (p2->requires_grad) AccumulateBiasGrad(g, p2);
       break;
     }
     case OpKind::kScaleBy: {
@@ -226,7 +336,7 @@ void Node::Backprop() {
       break;
     }
     case OpKind::kRepeatRows: {
-      if (la::Matrix* t = GradTarget(p0)) la::AccumulateColSums(g, t);
+      if (p0->requires_grad) AccumulateBiasGrad(g, p0);
       break;
     }
     case OpKind::kTranspose: {
@@ -357,25 +467,21 @@ void Node::Backprop() {
 GradSink::GradSink(const std::vector<Tensor>& params) {
   nodes_.reserve(params.size());
   grads_.reserve(params.size());
-  for (const Tensor& p : params) {
-    RMI_CHECK(p.requires_grad());
-    nodes_.push_back(p.node().get());
-    grads_.emplace_back(p.rows(), p.cols());
+  for (size_t i = 0; i < params.size(); ++i) {
+    Node* n = params[i].node().get();
+    RMI_CHECK(n->is_param());
+    size_t& slot = n->param->sink_slot;
+    RMI_CHECK(slot == SIZE_MAX || slot == i);
+    slot = i;
+    nodes_.push_back(n);
+    grads_.emplace_back(n->value.rows(), n->value.cols());
   }
-}
-
-la::Matrix* GradSink::Find(const internal::Node* node) {
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i] == node) return &grads_[i];
-  }
-  return nullptr;
-}
-
-void GradSink::ZeroAll() {
-  for (la::Matrix& g : grads_) la::Fill(&g, 0.0);
+  slots_.resize(params.size());
+  for (size_t i = 0; i < params.size(); ++i) slots_[i].grad = &grads_[i];
 }
 
 ScopedGradSink::ScopedGradSink(GradSink* sink) : previous_(tls_grad_sink) {
+  for (GradAccumulator& slot : sink->slots()) slot.written = false;
   tls_grad_sink = sink;
 }
 
@@ -386,6 +492,8 @@ Tensor Tensor::Param(la::Matrix value) {
   n->value = std::move(value);
   n->requires_grad = true;
   n->EnsureGrad();
+  n->param = std::make_unique<internal::ParamState>();
+  n->param->own_grad.grad = &n->grad;
   Tensor p(std::move(n));
   p.Repack();
   return p;
@@ -434,9 +542,10 @@ void Tensor::Backward() const {
   Node* root = node_.get();
   root->EnsureGrad();
   la::Fill(&root->grad, 1.0);
-  if (root->num_parents == 0) return;
-  root->visit_mark = mark;
-  stack.emplace_back(root, 0);
+  if (root->num_parents > 0) {
+    root->visit_mark = mark;
+    stack.emplace_back(root, 0);
+  }
   while (!stack.empty()) {
     auto& [n, idx] = stack.back();
     if (idx < n->num_parents) {
@@ -455,6 +564,20 @@ void Tensor::Backward() const {
   // acquired (zeroed) on first accumulation by its consumers, which all
   // run before the node itself.
   for (auto it = order.rbegin(); it != order.rend(); ++it) (*it)->Backprop();
+  // Then the deferred parameter rows, each parameter's in one pass; they
+  // point into this graph's values and grads, which are still alive. A
+  // sink slot the pass never reached reads as zero.
+  for (GradAccumulator* acc : tls_pending) Flush(acc);
+  tls_pending.clear();
+  tls_rows.clear();
+  if (tls_grad_sink != nullptr) {
+    for (GradAccumulator& slot : tls_grad_sink->slots()) {
+      if (!slot.written) {
+        la::Fill(slot.grad, 0.0);
+        slot.written = true;
+      }
+    }
+  }
 }
 
 Tensor Add(const Tensor& a, const Tensor& b) {

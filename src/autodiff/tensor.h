@@ -10,12 +10,16 @@
 // calling thread's Workspace — steady-state training epochs perform no
 // per-op matrix allocations.
 //
-// Gradient accumulation is fused: matmul adjoints run through
+// Gradient accumulation is fused: input-gradient adjoints run through
 // la::Gemm(beta=1) straight into the parent's grad buffer, elementwise
 // adjoints through la::CwiseBinaryAccumulate. Each parameter also keeps a
 // packed transposed copy of its value, so the input gradient of x @ w
 // streams contiguous rows of w^T (la::GemmNTPacked) with the same bits as
-// la::Gemm's NT path on w.
+// la::Gemm's NT path on w. A parameter's weight and bias gradients are
+// deferred: the adjoints record (x row, g row) pointers in tape order, and
+// each parameter's rows land in one la::GemmTNRows pass at the end of
+// Backward (or before any other term reaches that parameter), bit for bit
+// the rank-1 updates they replace.
 //
 // Sized for the paper's models: per-step vectors are 1 x K rows, sequences
 // of length T=5, latent sizes of tens — graph sizes of a few hundred nodes.
@@ -62,6 +66,35 @@ enum class OpKind : uint8_t {
   kBceWithLogits,  // stable BCE vs constant targets, aux = targets
 };
 
+/// Marks the end of a chain of deferred rows (GradAccumulator).
+inline constexpr uint32_t kNoRow = UINT32_MAX;
+
+/// Where one parameter's gradient lands during Backward: its buffer, and
+/// the chain of its weight-gradient rows deferred to the end of the pass in
+/// the calling thread's row log. Row r adds the outer product
+/// x_r^T g_r (a bias's x row is the single value 1.0). The rows are
+/// applied in tape order, in one la::GemmTNRows pass, before the pass ends
+/// and before any other term lands in `grad`.
+struct GradAccumulator {
+  la::Matrix* grad = nullptr;
+  uint32_t first_row = kNoRow;  ///< oldest deferred row, kNoRow if none
+  uint32_t last_row = kNoRow;   ///< newest deferred row
+  /// `grad` holds a sum to add onto. False only for a GradSink slot that
+  /// nothing has written since the sink was installed: its stale contents
+  /// are never read, the first write starts from 0.0.
+  bool written = true;
+};
+
+/// A parameter's gradient bookkeeping (Tensor::Param nodes only).
+struct ParamState {
+  /// Its own accumulator (onto Node::grad), used when no installed GradSink
+  /// tracks the parameter.
+  GradAccumulator own_grad;
+  /// Its position in every GradSink built over it; SIZE_MAX before the
+  /// first.
+  size_t sink_slot = SIZE_MAX;
+};
+
 struct Node {
   la::Matrix value;
   la::Matrix grad;  ///< workspace-backed; acquired lazily, zero-initialized
@@ -76,6 +109,7 @@ struct Node {
   uint64_t visit_mark = 0;  ///< topo-sort stamp (thread-confined graphs)
   double scalar = 0.0;      ///< kScale factor / cached multiplier
   size_t index = 0;         ///< kConcatCols split / kSliceCols offset
+  std::unique_ptr<ParamState> param;  ///< set for a Tensor::Param leaf
   std::array<std::shared_ptr<Node>, 3> parents;  ///< up to 3 (kAffine)
   size_t num_parents = 0;
 
@@ -94,6 +128,12 @@ struct Node {
   /// Propagates this node's grad into its parents' grads (op switch).
   void Backprop();
 };
+
+/// Test hook: heap allocations the calling thread's deferred-row storage
+/// has made. The storage grows to the longest pass the thread has run and
+/// keeps its capacity, so training allocates nothing for the deferral after
+/// its first epoch.
+size_t DeferredRowAllocationsForTesting();
 
 }  // namespace internal
 
@@ -149,27 +189,43 @@ class Tensor {
 /// Redirects leaf-parameter gradient accumulation into shadow buffers so
 /// several workers can run Backward() on graphs sharing the same parameters
 /// without racing. Install with ScopedGradSink on the thread that runs
-/// Backward(). TrainBiSim keeps one sink per position in an Adam batch,
-/// whichever worker fills it, and adds the sinks into the parameter grads
-/// in position order, so the batch gradient has the same bits at every
-/// thread count.
+/// Backward(). Installing a sink starts its sums over without touching its
+/// buffers: each Backward writes every shadow grad, the first term of each
+/// starting from 0.0, so after the first Backward under a ScopedGradSink
+/// the grads hold the sum of that scope's passes. TrainBiSim keeps one sink
+/// per position in an Adam batch, whichever worker fills it, and adds the
+/// sinks into the parameter grads in position order, so the batch gradient
+/// has the same bits at every thread count.
 class GradSink {
  public:
+  /// Every parameter keeps one position in all the sinks built over it
+  /// (checked), so the tape finds its slot without a search.
   explicit GradSink(const std::vector<Tensor>& params);
-
-  /// Shadow grad for `node`, or nullptr if it is not a tracked parameter.
-  la::Matrix* Find(const internal::Node* node);
+  // Movable but not copyable: the slots point into this sink's own grads.
+  GradSink(GradSink&&) = default;
+  GradSink(const GradSink&) = delete;
+  GradSink& operator=(const GradSink&) = delete;
 
   /// Shadow grads, parallel to the constructor's params order.
   std::vector<la::Matrix>& grads() { return grads_; }
-  void ZeroAll();
+
+  /// Internal (the tape): the slot of the parameter `node`, or nullptr if
+  /// this sink does not track it.
+  internal::GradAccumulator* Slot(const internal::Node* node) {
+    const size_t i = node->param->sink_slot;
+    return i < nodes_.size() && nodes_[i] == node ? &slots_[i] : nullptr;
+  }
+  /// Internal (the tape): every slot, parallel to grads().
+  std::vector<internal::GradAccumulator>& slots() { return slots_; }
 
  private:
   std::vector<const internal::Node*> nodes_;
   std::vector<la::Matrix> grads_;
+  std::vector<internal::GradAccumulator> slots_;  ///< write into grads_
 };
 
-/// RAII installer of the calling thread's active GradSink.
+/// RAII installer of the calling thread's active GradSink; installing marks
+/// every shadow grad unwritten (see GradSink).
 class ScopedGradSink {
  public:
   explicit ScopedGradSink(GradSink* sink);

@@ -9,14 +9,26 @@ Workspace& Workspace::Get() {
   return ws;
 }
 
+Workspace::Bucket& Workspace::BucketFor(size_t n) {
+  if (n < index_.size() && index_[n] != 0) return buckets_[index_[n] - 1];
+  for (Bucket& bucket : buckets_) {
+    if (bucket.size == n) return bucket;
+  }
+  buckets_.push_back(Bucket{n, {}});
+  if (n < kIndexedSizes && buckets_.size() <= UINT8_MAX) {
+    if (n >= index_.size()) index_.resize(n + 1, 0);
+    index_[n] = static_cast<uint8_t>(buckets_.size());
+  }
+  return buckets_.back();
+}
+
 la::Matrix Workspace::Acquire(size_t rows, size_t cols) {
   ++stats_.acquires;
-  const size_t n = rows * cols;
-  auto it = pool_.find(n);
-  if (it != pool_.end() && !it->second.empty()) {
+  std::vector<std::vector<double>>& free = BucketFor(rows * cols).free;
+  if (!free.empty()) {
     ++stats_.pool_hits;
-    std::vector<double> buf = std::move(it->second.back());
-    it->second.pop_back();
+    std::vector<double> buf = std::move(free.back());
+    free.pop_back();
     return la::Matrix::Adopt(rows, cols, std::move(buf));
   }
   ++stats_.fresh_allocs;
@@ -32,7 +44,7 @@ la::Matrix Workspace::AcquireZero(size_t rows, size_t cols) {
 void Workspace::Recycle(la::Matrix&& m) {
   const size_t n = m.size();
   if (n == 0) return;
-  pool_[n].push_back(m.TakeBuffer());
+  BucketFor(n).free.push_back(m.TakeBuffer());
 }
 
 }  // namespace rmi::ad

@@ -8,6 +8,11 @@
 // fixed set of shapes every step, so after the first training step the pool
 // holds one buffer per live shape slot and steady-state epochs perform no
 // heap allocation for matrices (fresh_allocs in stats() stops growing).
+// Each count has one LIFO bucket. A count below kIndexedSizes finds its
+// bucket through a direct index, with no hashing: a BiSIM Impute makes
+// about two million Acquire and as many Recycle calls, over a few dozen
+// counts, nearly all of them small. Larger counts (a parameter's grad) are
+// rare and are found by a scan, as is a count's bucket on first use.
 //
 // Thread model: each thread gets its own pool (thread_local singleton);
 // a graph must be built, differentiated, and released on the same thread —
@@ -16,7 +21,7 @@
 #define RMI_AUTODIFF_WORKSPACE_H_
 
 #include <cstddef>
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "la/matrix.h"
@@ -48,18 +53,31 @@ class Workspace {
   Stats stats() const {
     Stats s = stats_;
     s.pooled_buffers = 0;
-    for (const auto& [size, bucket] : pool_) {
-      s.pooled_buffers += bucket.size();
+    for (const Bucket& bucket : buckets_) {
+      s.pooled_buffers += bucket.free.size();
     }
     return s;
   }
-  void ResetStats() { stats_ = Stats(); }
-
-  /// Drops every pooled buffer (frees the memory).
-  void Clear() { pool_.clear(); }
 
  private:
-  std::unordered_map<size_t, std::vector<std::vector<double>>> pool_;
+  /// Element counts below this find their bucket through `index_`.
+  static constexpr size_t kIndexedSizes = 4096;
+
+  struct Bucket {
+    size_t size = 0;  ///< element count of every buffer in `free`
+    std::vector<std::vector<double>> free;  ///< LIFO: the newest on top
+  };
+
+  /// The bucket of element count n, created empty on first use.
+  Bucket& BucketFor(size_t n);
+
+  /// index_[n] is 1 + the position in buckets_ of count n's bucket, or 0
+  /// while count n has none (or its bucket lies past the first 255). It
+  /// grows to the largest indexed count the thread has used, on the heap:
+  /// a Workspace lives in static thread-local storage, which every thread
+  /// of the process gets a copy of, tape or not.
+  std::vector<uint8_t> index_;
+  std::vector<Bucket> buckets_;  ///< in first-use order
   Stats stats_;
 };
 

@@ -292,8 +292,10 @@ double TrainBiSim(const BiSimModel& model, const std::vector<Sequence>& seqs,
   for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
 
   // One gradient sink and one loss per batch position (slot), whichever
-  // worker runs it. The slots add into the parameter grads and the epoch
-  // loss in slot order, so num_threads changes speed only, never bits.
+  // worker runs it. Each sequence's Backward writes every grad of its slot
+  // (nothing zeroes them first); the slots add into the parameter grads and
+  // the epoch loss in slot order, so num_threads changes speed only, never
+  // bits.
   const size_t num_slots = std::min(config.batch_size, seqs.size());
   std::vector<ad::GradSink> sinks;
   sinks.reserve(num_slots);
@@ -309,7 +311,6 @@ double TrainBiSim(const BiSimModel& model, const std::vector<Sequence>& seqs,
     for (size_t start = 0; start < idx.size(); start += config.batch_size) {
       const size_t count = std::min(config.batch_size, idx.size() - start);
       pool.ParallelFor(count, [&](size_t /*worker*/, size_t i) {
-        sinks[i].ZeroAll();
         ad::ScopedGradSink scoped(&sinks[i]);
         auto out = model.Forward(seqs[idx[start + i]], /*compute_loss=*/true);
         losses[i] = out.loss.value()(0, 0);

@@ -1,10 +1,11 @@
-// Deterministic SIMD GEMM kernels, the k-means squared-distance kernel and
-// the Adam update. This file is compiled with -ffp-contract=off
-// (CMakeLists.txt): with contraction disabled, each subtract, multiply and
-// add rounds separately, so the wide target_clones below compute
-// bit-identical sums to the baseline clone — vectorizing across j lanes
-// never reassociates an out(i, j) accumulation chain, which stays a scalar
-// reduction over k (or t) ascending.
+// Deterministic SIMD GEMM kernels (NN, TN, NT, packed NT and TN over row
+// pointers), the k-means squared-distance kernel and the Adam update. This
+// file is compiled with -ffp-contract=off (CMakeLists.txt): with
+// contraction disabled, each subtract, multiply and add rounds separately,
+// so the wide target_clones below compute bit-identical sums to the
+// baseline clone — vectorizing across j lanes never reassociates an
+// out(i, j) accumulation chain, which stays a scalar reduction over k (or
+// t) ascending.
 //
 // Every vector loop here runs exactly kLanes = 8 iterations, over local
 // accumulator arrays or over rows the compiler knows do not overlap. GCC's
@@ -140,6 +141,85 @@ void GemmReproTNKernel(double alpha, const double* pa, const double* pb,
         AxpyLanes(aki, brow + j, crow + j);
       }
       for (; j < n; ++j) crow[j] += aki * brow[j];
+    }
+  }
+}
+
+/// RowStrips' starting values for a sum from 0.0.
+alignas(64) constexpr double kZeroStrips[4 * kLanes] = {};
+
+/// NNStrips over row pointers: crow[0, S * kLanes) = start[0, S * kLanes) +
+/// alpha*a_rows[r][i] * b_rows[r][j, j + S * kLanes) over r ascending,
+/// skipping any r whose alpha*a_rows[r][i] is exactly zero; `start` is
+/// crow itself or kZeroStrips. The strips share each term and its zero
+/// skip, and each owns an accumulator array, so C is read and written once
+/// for all the rows, where k rank-1 updates would stream it k times. The
+/// start is a pointer, not a flag: with the arrays always loaded from
+/// memory GCC 12 keeps them in registers in every clone, while a zero fill
+/// chosen at compile time breaks the AVX-512 clone's 3-strip case into
+/// scalar code.
+template <int S>
+__attribute__((always_inline)) inline void RowStrips(
+    double alpha, const double* const* a_rows, size_t i,
+    const double* const* b_rows, size_t j, const double* start,
+    double* crow, size_t k) {
+  static_assert(S >= 1 && S <= 4, "one to four strips");
+  double acc0[kLanes], acc1[kLanes], acc2[kLanes], acc3[kLanes];
+  for (size_t t = 0; t < kLanes; ++t) {
+    acc0[t] = start[t];
+    if constexpr (S > 1) acc1[t] = start[kLanes + t];
+    if constexpr (S > 2) acc2[t] = start[2 * kLanes + t];
+    if constexpr (S > 3) acc3[t] = start[3 * kLanes + t];
+  }
+  for (size_t r = 0; r < k; ++r) {
+    const double ari = alpha * a_rows[r][i];
+    if (ari == 0.0) continue;  // TN's sparsity skip
+    const double* b = b_rows[r] + j;
+    for (size_t t = 0; t < kLanes; ++t) {
+      acc0[t] += ari * b[t];
+      if constexpr (S > 1) acc1[t] += ari * b[kLanes + t];
+      if constexpr (S > 2) acc2[t] += ari * b[2 * kLanes + t];
+      if constexpr (S > 3) acc3[t] += ari * b[3 * kLanes + t];
+    }
+  }
+  for (size_t t = 0; t < kLanes; ++t) {
+    crow[t] = acc0[t];
+    if constexpr (S > 1) crow[kLanes + t] = acc1[t];
+    if constexpr (S > 2) crow[2 * kLanes + t] = acc2[t];
+    if constexpr (S > 3) crow[3 * kLanes + t] = acc3[t];
+  }
+}
+
+RMI_GEMM_CLONES
+void GemmTNRowsKernel(double alpha, const double* const* a_rows,
+                      const double* const* b_rows, double* pc, size_t m,
+                      size_t k, size_t n, bool from_zero) {
+  for (size_t i = 0; i < m; ++i) {
+    double* crow = pc + i * n;
+    size_t j = 0;
+    for (; j + 4 * kLanes <= n; j += 4 * kLanes) {
+      RowStrips<4>(alpha, a_rows, i, b_rows, j,
+                   from_zero ? kZeroStrips : crow + j, crow + j, k);
+    }
+    const size_t strips = (n - j) / kLanes;
+    const double* start = from_zero ? kZeroStrips : crow + j;
+    if (strips == 3) {
+      RowStrips<3>(alpha, a_rows, i, b_rows, j, start, crow + j, k);
+    }
+    if (strips == 2) {
+      RowStrips<2>(alpha, a_rows, i, b_rows, j, start, crow + j, k);
+    }
+    if (strips == 1) {
+      RowStrips<1>(alpha, a_rows, i, b_rows, j, start, crow + j, k);
+    }
+    for (j += strips * kLanes; j < n; ++j) {
+      double acc = from_zero ? 0.0 : crow[j];
+      for (size_t r = 0; r < k; ++r) {
+        const double ari = alpha * a_rows[r][i];
+        if (ari == 0.0) continue;
+        acc += ari * b_rows[r][j];
+      }
+      crow[j] = acc;
     }
   }
 }
@@ -383,6 +463,12 @@ void AdamUpdate(const double* g, double* m, double* v, double* w, size_t n,
                 double lr, double beta1, double beta2, double bc1, double bc2,
                 double eps) {
   internal::AdamUpdateKernel(g, m, v, w, n, lr, beta1, beta2, bc1, bc2, eps);
+}
+
+void GemmTNRows(double alpha, const double* const* a_rows,
+                const double* const* b_rows, double* c, size_t m, size_t k,
+                size_t n, bool from_zero) {
+  internal::GemmTNRowsKernel(alpha, a_rows, b_rows, c, m, k, n, from_zero);
 }
 
 }  // namespace rmi::la

@@ -1,6 +1,7 @@
 // Runtime-dispatched deterministic GEMM kernels — the backbone of the
 // *reproducible* float path (la::Gemm), used by autodiff training and the
-// live-rebuild re-fit — plus the squared-distance kernel behind
+// live-rebuild re-fit — plus the row-pointer TN kernel that applies the
+// tape's deferred weight gradients, the squared-distance kernel behind
 // cluster::KMeans and the Adam update behind ad::Adam.
 //
 // These kernels promise the exact rounding sequence of the naive scalar
@@ -68,6 +69,20 @@ inline constexpr size_t kDistanceLanes = 8;
 /// exactly as the full sum does.
 void SquaredDistances(const double* a, const double* b, double* out, size_t m,
                       size_t f, size_t n);
+
+/// GemmReproTN with A and B given as k row pointers: for every i < m,
+/// j < n, C(i, j) adds alpha*a_rows[r][i] * b_rows[r][j] over r ascending,
+/// skipping any r whose alpha*a_rows[r][i] is exactly zero — k rank-1
+/// GemmReproTN calls, one per row in order, bit for bit, on every ISA
+/// clone. With from_zero the sums start from 0.0 and C's old contents are
+/// never read (every entry is written, 0.0 where every term was skipped);
+/// otherwise they start from C. Each C strip stays in registers across the
+/// rows. The autodiff tape applies a parameter's deferred weight-gradient
+/// rows (a_rows: the inputs x, b_rows: the output gradients g) with it.
+/// C must not overlap any row.
+void GemmTNRows(double alpha, const double* const* a_rows,
+                const double* const* b_rows, double* c, size_t m, size_t k,
+                size_t n, bool from_zero);
 
 /// One Adam step over n parameters, elementwise in this order and with one
 /// rounding per operation (the scalar loop's, bit for bit, on every clone):

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "la/kernels.h"
 
@@ -234,17 +233,6 @@ double Matrix::MaxAbsDiff(const Matrix& a, const Matrix& b) {
     m = std::max(m, std::fabs(a.data_[i] - b.data_[i]));
   }
   return m;
-}
-
-std::string Matrix::ToString(int prec) const {
-  std::ostringstream os;
-  os.precision(prec);
-  for (size_t i = 0; i < rows_; ++i) {
-    os << (i ? "\n[" : "[");
-    for (size_t j = 0; j < cols_; ++j) os << (j ? ", " : "") << (*this)(i, j);
-    os << "]";
-  }
-  return os.str();
 }
 
 Matrix CholeskySolve(const Matrix& a, const Matrix& b, double ridge) {

@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -152,8 +151,6 @@ class Matrix {
   bool AllFinite() const;
   /// Max |a-b| over entries; matrices must be same shape.
   static double MaxAbsDiff(const Matrix& a, const Matrix& b);
-
-  std::string ToString(int prec = 4) const;
 
  private:
   size_t rows_ = 0;

@@ -3,10 +3,12 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <vector>
 
 #include "autodiff/optimizer.h"
 #include "autodiff/tensor.h"
 #include "la/gemm_repro.h"
+#include "la/kernels.h"
 
 namespace rmi::ad {
 namespace {
@@ -284,6 +286,114 @@ TEST(PackedWeightTest, InputGradientIsBitIdenticalFreshOrStale) {
   Sum(Mul(Affine(x, w, bias), Tensor::Constant(up))).Backward();
   sgd.Step();
   expect_bits(input_grad(), reference(), "after an optimizer step");
+}
+
+/// True when a and b have the same shape and bits.
+bool SameBits(const la::Matrix& a, const la::Matrix& b) {
+  return a.SameShape(b) && std::memcmp(a.data().data(), b.data().data(),
+                                       a.size() * sizeof(double)) == 0;
+}
+
+/// grad += x^T g as rank-1 GemmReproTN updates, one per row of x and g in
+/// order: the weight-gradient terms a tape adds, in the tape's order.
+void AddRankOneRows(const la::Matrix& x, const la::Matrix& g,
+                    la::Matrix* grad) {
+  for (size_t r = 0; r < x.rows(); ++r) {
+    la::internal::GemmReproTN(1.0, x.data().data() + r * x.cols(),
+                              g.data().data() + r * g.cols(),
+                              grad->data().data(), x.cols(), 1, g.cols());
+  }
+}
+
+TEST(DeferredWeightGradTest, MatchesRankOneUpdatesInTapeOrder) {
+  // Weight and bias gradients are deferred to the end of Backward and
+  // applied per parameter in one la::GemmTNRows pass. They must equal the
+  // rank-1 updates applied in tape order, bit for bit. The graph reuses W
+  // and b over a two-step recurrence and runs two 3-row Affines with weight
+  // V and bias c; V also takes a direct elementwise term between them in
+  // tape order, so its earlier rows must land before that term and its
+  // later rows after it. Inputs hold exact zeros of both signs, so TN's
+  // zero skip decides terms.
+  Rng rng(16);
+  la::Matrix u0 = la::Matrix::Random(1, 3, rng);
+  u0(0, 1) = -0.0;
+  la::Matrix q = la::Matrix::Random(3, 3, rng);
+  q(1, 1) = 0.0;
+  q(2, 0) = -0.0;
+  const la::Matrix up = la::Matrix::Random(3, 3, rng);
+  Tensor w = Tensor::Param(la::Matrix::Random(3, 3, rng));
+  Tensor b = Tensor::Param(la::Matrix::Random(1, 3, rng));
+  Tensor v = Tensor::Param(la::Matrix::Random(3, 3, rng));
+  Tensor c = Tensor::Param(la::Matrix::Random(1, 3, rng));
+  Tensor unused = Tensor::Param(la::Matrix::Random(2, 2, rng));
+  const std::vector<Tensor> params = {w, b, v, c, unused};
+
+  struct Pass {
+    Tensor loss, a1, s1, a2, aq, d, e;
+  };
+  auto forward = [&]() {
+    Pass p;
+    p.a1 = Affine(Tensor::Constant(u0), w, b);
+    p.s1 = Tanh(p.a1);
+    p.a2 = Affine(p.s1, w, b);
+    p.aq = Affine(Tensor::Constant(q), v, c);
+    p.d = Mul(p.aq, v);
+    p.e = Affine(p.d, v, c);
+    p.loss = Sum(Mul(Add(p.e, RepeatRows(Tanh(p.a2), 3)),
+                     Tensor::Constant(up)));
+    return p;
+  };
+  // The grads the tape must produce onto `start` (one per parameter).
+  // Backward reaches a2, a1, e, d and aq in that order.
+  auto reference = [&](const Pass& p, std::vector<la::Matrix> start) {
+    const la::Matrix one{{1.0}};
+    AddRankOneRows(p.s1.value(), p.a2.grad(), &start[0]);
+    AddRankOneRows(u0, p.a1.grad(), &start[0]);
+    AddRankOneRows(one, p.a2.grad(), &start[1]);
+    AddRankOneRows(one, p.a1.grad(), &start[1]);
+    AddRankOneRows(p.d.value(), p.e.grad(), &start[2]);
+    for (size_t i = 0; i < q.size(); ++i) {
+      start[2].data()[i] += p.d.grad().data()[i] * p.aq.value().data()[i];
+    }
+    AddRankOneRows(q, p.aq.grad(), &start[2]);
+    const la::Matrix ones(3, 1, 1.0);
+    AddRankOneRows(ones, p.e.grad(), &start[3]);
+    AddRankOneRows(ones, p.aq.grad(), &start[3]);
+    return start;
+  };
+
+  // Without a sink: onto the parameters' own, non-zero grads.
+  std::vector<la::Matrix> start;
+  for (const Tensor& p : params) {
+    p.node()->grad = la::Matrix::Random(p.rows(), p.cols(), rng);
+    start.push_back(p.grad());
+  }
+  Pass p = forward();
+  p.loss.Backward();
+  const std::vector<la::Matrix> own = reference(p, start);
+  for (size_t i = 0; i < params.size(); ++i) {
+    EXPECT_TRUE(SameBits(params[i].grad(), own[i])) << "own grad " << i;
+  }
+
+  // Under a sink: every shadow grad is written from 0.0, whatever it held
+  // (the unreached parameter's reads as zero), and the parameters' own
+  // grads are left alone.
+  GradSink sink(params);
+  for (la::Matrix& g : sink.grads()) la::Fill(&g, 1e300);
+  {
+    ScopedGradSink scoped(&sink);
+    p = forward();
+    p.loss.Backward();
+  }
+  std::vector<la::Matrix> zeros;
+  for (const Tensor& param : params) {
+    zeros.emplace_back(param.rows(), param.cols());
+  }
+  const std::vector<la::Matrix> slots = reference(p, zeros);
+  for (size_t i = 0; i < params.size(); ++i) {
+    EXPECT_TRUE(SameBits(sink.grads()[i], slots[i])) << "sink slot " << i;
+    EXPECT_TRUE(SameBits(params[i].grad(), own[i])) << "own grad " << i;
+  }
 }
 
 TEST(GradCheckBinaryTest, BceWithLogits) {

@@ -1,7 +1,8 @@
 // Kernel-layer tests: every Gemm transpose variant, beta accumulation, the
-// packed NT kernel, the k-means squared-distance kernel, the Adam update,
-// the slot-order gradient sum and the fused elementwise kernels, all
-// validated against naive reference implementations on random matrices.
+// packed NT kernel, the row-pointer TN kernel, the k-means squared-distance
+// kernel, the Adam update, the slot-order gradient sum and the fused
+// elementwise kernels, all validated against naive reference
+// implementations on random matrices.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -270,6 +271,67 @@ TEST(AddSlotsTest, BitMatchesSlotOrderLoop) {
       for (size_t j = 0; j < n; ++j) {
         ASSERT_EQ(Bits(y[j]), Bits(want[j]))
             << num_slots << " slots, n " << n << ", entry " << j;
+      }
+    }
+  }
+}
+
+TEST(GemmTNRowsTest, BitMatchesRankOneTNCallsInRowOrder) {
+  // la::GemmTNRows applies k rows, given as row pointers, in one pass; its
+  // bits must be those of k rank-1 GemmReproTN calls in row order: onto C,
+  // or, with from_zero, onto a zeroed C without reading C's stale
+  // contents (here random values, which a sum started from C would keep).
+  // The row counts are one step, a direction's T = 5, a pass's 10 and an
+  // attention layer's 50; the widths reach every group of one to four
+  // 8-lane strips, the column tail and the BiSIM gradient widths. Each row
+  // lives in its own buffer, as the tape's do. Exact zeros of both signs in
+  // the A rows make TN's zero skip decide terms, and column 2 of A is zero
+  // in every row: from_zero must write C's row 2 as +0.0, and adding must
+  // leave it as it was, -0.0 included.
+  Rng rng(137);
+  const size_t m = 5;
+  std::vector<size_t> widths;
+  for (size_t n = 1; n <= 40; ++n) widths.push_back(n);
+  for (size_t n : {80, 96, 184}) widths.push_back(n);
+  for (double alpha : {1.0, 1.75}) {
+    for (size_t k : {1, 5, 10, 50}) {
+      for (size_t n : widths) {
+        std::vector<std::vector<double>> a(k, std::vector<double>(m));
+        std::vector<std::vector<double>> b(k, std::vector<double>(n));
+        std::vector<const double*> a_rows, b_rows;
+        for (size_t r = 0; r < k; ++r) {
+          for (size_t i = 0; i < m; ++i) {
+            const bool zero = i == 2 || (r + i) % 3 == 0;
+            a[r][i] = zero ? ((r + i) % 2 == 0 ? 0.0 : -0.0)
+                           : rng.Uniform(-1.0, 1.0);
+          }
+          for (size_t j = 0; j < n; ++j) {
+            b[r][j] = j % 7 == 3 ? -0.0 : rng.Uniform(-1.0, 1.0);
+          }
+          a_rows.push_back(a[r].data());
+          b_rows.push_back(b[r].data());
+        }
+        std::vector<double> c0(m * n);
+        for (size_t e = 0; e < c0.size(); ++e) {
+          c0[e] = e % 4 == 0 ? -0.0 : rng.Uniform(-1.0, 1.0);
+        }
+        for (bool from_zero : {true, false}) {
+          std::vector<double> want(m * n, 0.0);
+          if (!from_zero) want = c0;
+          for (size_t r = 0; r < k; ++r) {
+            internal::GemmReproTN(alpha, a_rows[r], b_rows[r], want.data(), m,
+                                  1, n);
+          }
+          std::vector<double> got = c0;
+          GemmTNRows(alpha, a_rows.data(), b_rows.data(), got.data(), m, k, n,
+                     from_zero);
+          for (size_t e = 0; e < want.size(); ++e) {
+            ASSERT_EQ(Bits(got[e]), Bits(want[e]))
+                << "alpha " << alpha << " k " << k << " n " << n
+                << (from_zero ? " from zero" : " onto C") << ", entry ("
+                << e / n << ", " << e % n << ")";
+          }
+        }
       }
     }
   }

@@ -6,15 +6,17 @@
 //  * a fixed seed is byte-stable run-to-run, including through
 //    OnlineBiSimImputer::ImputeFingerprint;
 //  * steady-state training epochs perform no fresh matrix allocations
-//    (the Workspace pool serves every tape buffer after warm-up), and a
-//    dead model returns only pool-acquired buffers, so training one model
-//    after another leaves the pool the same size.
+//    (the Workspace pool serves every tape buffer after warm-up), the
+//    deferred weight-gradient rows allocate nothing after the first epoch,
+//    and a dead model returns only pool-acquired buffers, so training one
+//    model after another leaves the pool the same size.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <vector>
 
+#include "autodiff/tensor.h"
 #include "autodiff/workspace.h"
 #include "bisim/bisim.h"
 #include "common/missing.h"
@@ -220,6 +222,33 @@ TEST(WorkspaceTest, SteadyStateTrainingAllocatesNoMatrices) {
   EXPECT_GT(steady.acquires, warm.acquires);
   EXPECT_EQ(steady.fresh_allocs, warm.fresh_allocs)
       << "training epochs after warm-up must not allocate matrix buffers";
+}
+
+TEST(WorkspaceTest, DeferredWeightGradientsAllocateNothingAfterFirstEpoch) {
+  // Backward defers each parameter's weight-gradient rows to its end, in
+  // storage that lives as long as the thread and keeps its capacity. The
+  // first epoch grows it to the longest pass; later epochs, and later
+  // models, must not allocate for it again.
+  const auto map = SyntheticMap();
+  const auto mask = MarMask(map);
+  BiSimConfig cfg = SmallConfig(1);  // serial: all tape work on this thread
+  Rng rng(cfg.seed);
+  BiSimModel model(map.num_aps(), cfg, rng);
+  const auto seqs = BuildSequences(map, mask, cfg);
+
+  cfg.epochs = 1;
+  Rng warm_rng(5);
+  TrainBiSim(model, seqs, cfg, warm_rng);
+  const size_t warm = ad::internal::DeferredRowAllocationsForTesting();
+  EXPECT_GT(warm, 0u);
+
+  cfg.epochs = 3;
+  Rng steady_rng(6);
+  TrainBiSim(model, seqs, cfg, steady_rng);
+  BiSimModel next(map.num_aps(), cfg, rng);
+  TrainBiSim(next, seqs, cfg, steady_rng);
+  EXPECT_EQ(ad::internal::DeferredRowAllocationsForTesting(), warm)
+      << "epochs after the first must not allocate for the deferral";
 }
 
 TEST(WorkspaceTest, ConsecutiveModelsAllocateNoMatricesAndKeepThePool) {
