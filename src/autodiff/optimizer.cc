@@ -38,16 +38,6 @@ void Adam::ZeroGrad() {
   for (Tensor& p : params_) p.ZeroGrad();
 }
 
-void Sgd::Step() {
-  for (Tensor& p : params_) {
-    la::Matrix& w = p.mutable_value();
-    const la::Matrix& g = p.grad();
-    for (size_t j = 0; j < w.size(); ++j) w.data()[j] -= lr_ * g.data()[j];
-    p.Repack();
-    p.ZeroGrad();
-  }
-}
-
 void ClipGradNorm(const std::vector<Tensor>& params, double max_norm) {
   double total = 0.0;
   for (const Tensor& p : params) {

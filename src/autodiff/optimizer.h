@@ -1,4 +1,4 @@
-// First-order optimizers over autodiff parameters.
+// Adam and gradient clipping over autodiff parameters.
 #ifndef RMI_AUTODIFF_OPTIMIZER_H_
 #define RMI_AUTODIFF_OPTIMIZER_H_
 
@@ -31,19 +31,6 @@ class Adam {
   std::vector<la::Matrix> v_;
   double lr_, beta1_, beta2_, eps_;
   long step_ = 0;
-};
-
-/// Plain SGD (used by tests and the MF baseline's dense variant).
-class Sgd {
- public:
-  explicit Sgd(std::vector<Tensor> params, double lr = 1e-2)
-      : params_(std::move(params)), lr_(lr) {}
-
-  void Step();
-
- private:
-  std::vector<Tensor> params_;
-  double lr_;
 };
 
 /// Gradient clipping by global L2 norm (applied before Step when training

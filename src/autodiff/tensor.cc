@@ -32,8 +32,8 @@ struct DeferredRow {
 
 /// This thread's deferred rows in tape order, and the accumulators that
 /// hold a chain of them; Backward applies and clears both before it
-/// returns. Both keep their capacity, so after a thread's first pass the
-/// deferral allocates nothing.
+/// returns. Both keep their capacity until the run ends (ScopedTapeRun),
+/// so after a run's first pass the deferral allocates nothing.
 thread_local std::vector<DeferredRow> tls_rows;
 thread_local std::vector<GradAccumulator*> tls_pending;
 /// One parameter's chain, gathered into the kernel's row-pointer arrays.
@@ -41,6 +41,16 @@ thread_local std::vector<const double*> tls_x_rows;
 thread_local std::vector<const double*> tls_g_rows;
 /// Heap allocations the four vectors above have made on this thread.
 thread_local size_t tls_row_allocations = 0;
+
+/// Backward's topological-sort scratch: the post-order and the DFS stack.
+thread_local std::vector<Node*> tls_order;
+thread_local std::vector<std::pair<Node*, size_t>> tls_stack;
+
+/// Frees v's storage (clear() keeps the capacity).
+template <typename T>
+void FreeStorage(std::vector<T>* v) {
+  std::vector<T>().swap(*v);
+}
 
 /// v->push_back(x), counting the allocation when v is full.
 template <typename T>
@@ -159,8 +169,8 @@ void AccumulateWeightGrad(const la::Matrix& x, const la::Matrix& g, Node* w) {
 }
 
 /// The gradient of a 1 x C row broadcast over g's rows (a bias; also
-/// AddRowBroadcast's row and RepeatRows' input): g's column sums, deferred
-/// for a parameter like a weight gradient over x rows of 1.0.
+/// RepeatRows' input): g's column sums, deferred for a parameter like a
+/// weight gradient over x rows of 1.0.
 void AccumulateBiasGrad(const la::Matrix& g, Node* bias) {
   if (bias->is_param()) {
     DeferRows(bias, &kOne, 0, g);
@@ -188,20 +198,32 @@ namespace internal {
 
 size_t DeferredRowAllocationsForTesting() { return tls_row_allocations; }
 
+size_t TapeScratchBytesForTesting() {
+  return tls_rows.capacity() * sizeof(DeferredRow) +
+         tls_pending.capacity() * sizeof(GradAccumulator*) +
+         (tls_x_rows.capacity() + tls_g_rows.capacity()) *
+             sizeof(const double*) +
+         tls_order.capacity() * sizeof(Node*) +
+         tls_stack.capacity() * sizeof(std::pair<Node*, size_t>);
+}
+
 Node::~Node() {
+  if (is_param()) return;  // plain allocations, freed with the node
   Workspace& ws = Workspace::Get();
-  const bool pooled = !is_param();
-  if (pooled && value.size() != 0) ws.Recycle(std::move(value));
+  if (value.size() != 0) ws.Recycle(std::move(value));
   if (grad.size() != 0) ws.Recycle(std::move(grad));
-  if (pooled && aux.size() != 0) ws.Recycle(std::move(aux));
+  if (aux.size() != 0) ws.Recycle(std::move(aux));
 }
 
 void Node::EnsureGrad() {
-  if (grad.rows() != value.rows() || grad.cols() != value.cols()) {
-    Workspace& ws = Workspace::Get();
-    if (grad.size() != 0) ws.Recycle(std::move(grad));
-    grad = ws.AcquireZero(value.rows(), value.cols());
+  if (grad.rows() == value.rows() && grad.cols() == value.cols()) return;
+  if (is_param()) {
+    grad = la::Matrix(value.rows(), value.cols());
+    return;
   }
+  Workspace& ws = Workspace::Get();
+  if (grad.size() != 0) ws.Recycle(std::move(grad));
+  grad = ws.AcquireZero(value.rows(), value.cols());
 }
 
 void Node::Backprop() {
@@ -242,29 +264,11 @@ void Node::Backprop() {
       if (la::Matrix* t = GradTarget(p0)) la::Axpy(scalar, g, t);
       break;
     }
-    case OpKind::kAddRowBroadcast: {
-      if (la::Matrix* t = GradTarget(p0)) la::Axpy(1.0, g, t);
-      if (p1->requires_grad) AccumulateBiasGrad(g, p1);
-      break;
-    }
     case OpKind::kAffine: {
       // value = x @ w + bias; parents: [x, w, bias].
       if (la::Matrix* t = GradTarget(p0)) AccumulateInputGrad(g, *p1, t);
       if (p1->requires_grad) AccumulateWeightGrad(p0->value, g, p1);
       if (p2->requires_grad) AccumulateBiasGrad(g, p2);
-      break;
-    }
-    case OpKind::kScaleBy: {
-      // parents: [scalar, x].
-      const double sv = p0->value(0, 0);
-      if (la::Matrix* t = GradTarget(p1)) la::Axpy(sv, g, t);
-      if (la::Matrix* t = GradTarget(p0)) {
-        double dot = 0.0;
-        const double* pg = g.data().data();
-        const double* px = p1->value.data().data();
-        for (size_t i = 0; i < g.size(); ++i) dot += pg[i] * px[i];
-        (*t)(0, 0) += dot;
-      }
       break;
     }
     case OpKind::kSigmoid: {
@@ -487,11 +491,21 @@ ScopedGradSink::ScopedGradSink(GradSink* sink) : previous_(tls_grad_sink) {
 
 ScopedGradSink::~ScopedGradSink() { tls_grad_sink = previous_; }
 
+ScopedTapeRun::~ScopedTapeRun() {
+  Workspace::Get().Release();
+  FreeStorage(&tls_rows);
+  FreeStorage(&tls_pending);
+  FreeStorage(&tls_x_rows);
+  FreeStorage(&tls_g_rows);
+  FreeStorage(&tls_order);
+  FreeStorage(&tls_stack);
+}
+
 Tensor Tensor::Param(la::Matrix value) {
   auto n = std::make_shared<Node>();
   n->value = std::move(value);
   n->requires_grad = true;
-  n->EnsureGrad();
+  n->EnsureGrad();  // is_param() already: a plain allocation
   n->param = std::make_unique<internal::ParamState>();
   n->param->own_grad.grad = &n->grad;
   Tensor p(std::move(n));
@@ -529,12 +543,12 @@ void Tensor::Backward() const {
   RMI_CHECK_EQ(node_->value.rows(), 1u);
   RMI_CHECK_EQ(node_->value.cols(), 1u);
   // Iterative post-order topological sort (graphs can be deep for long
-  // sequences; avoid recursion). Scratch vectors and the visit counter are
-  // thread-local: graphs are built and differentiated on one thread, and
-  // leaves (shared parameters) are never stamped.
+  // sequences; avoid recursion). The scratch vectors and the visit counter
+  // are thread-local, and leaves (shared parameters) are never stamped. No
+  // run resets the counter: a live node may keep an old stamp.
   thread_local uint64_t mark_counter = 0;
-  thread_local std::vector<Node*> order;
-  thread_local std::vector<std::pair<Node*, size_t>> stack;
+  std::vector<Node*>& order = tls_order;
+  std::vector<std::pair<Node*, size_t>>& stack = tls_stack;
   const uint64_t mark = ++mark_counter;
   order.clear();
   stack.clear();
@@ -618,15 +632,6 @@ Tensor Scale(const Tensor& x, double s) {
   return Tensor(std::move(n));
 }
 
-Tensor AddRowBroadcast(const Tensor& x, const Tensor& bias) {
-  RMI_CHECK_EQ(bias.rows(), 1u);
-  RMI_CHECK_EQ(bias.cols(), x.cols());
-  la::Matrix v = Workspace::Get().Acquire(x.rows(), x.cols());
-  la::AddRowBroadcastInto(x.value(), bias.value(), &v);
-  return Tensor(
-      NewNode(OpKind::kAddRowBroadcast, std::move(v), x.node(), bias.node()));
-}
-
 Tensor Affine(const Tensor& x, const Tensor& w, const Tensor& bias) {
   RMI_CHECK_EQ(x.cols(), w.rows());
   RMI_CHECK_EQ(bias.rows(), 1u);
@@ -636,16 +641,6 @@ Tensor Affine(const Tensor& x, const Tensor& w, const Tensor& bias) {
   la::AddRowBroadcastInPlace(&v, bias.value());
   return Tensor(NewNode(OpKind::kAffine, std::move(v), x.node(), w.node(),
                         bias.node()));
-}
-
-Tensor ScaleBy(const Tensor& scalar, const Tensor& x) {
-  RMI_CHECK_EQ(scalar.rows(), 1u);
-  RMI_CHECK_EQ(scalar.cols(), 1u);
-  const double s = scalar.value()(0, 0);
-  la::Matrix v = Workspace::Get().Acquire(x.rows(), x.cols());
-  la::CwiseUnaryInto(x.value(), &v, [s](double xv) { return xv * s; });
-  return Tensor(
-      NewNode(OpKind::kScaleBy, std::move(v), scalar.node(), x.node()));
 }
 
 Tensor Sigmoid(const Tensor& x) {

@@ -5,10 +5,11 @@
 // topologically sorts the reachable graph and accumulates gradients into
 // every node that requires them, dispatching each op's adjoint through a
 // switch (no std::function anywhere on the tape). Parameters (leaves
-// created with Tensor::Param) persist across steps; op nodes are released
-// when the last handle drops, returning their matrix buffers to the
-// calling thread's Workspace — steady-state training epochs perform no
-// per-op matrix allocations.
+// created with Tensor::Param) persist across steps and borrow nothing from
+// the pool: their value, grad and packed transpose are plain allocations
+// that die with the model. Op nodes are released when the last handle
+// drops, returning their matrix buffers to the calling thread's Workspace
+// — steady-state training epochs perform no per-op matrix allocations.
 //
 // Gradient accumulation is fused: input-gradient adjoints run through
 // la::Gemm(beta=1) straight into the parent's grad buffer, elementwise
@@ -20,6 +21,8 @@
 // each parameter's rows land in one la::GemmTNRows pass at the end of
 // Backward (or before any other term reaches that parameter), bit for bit
 // the rank-1 updates they replace.
+//
+// The pool and the row log live for one run: see ScopedTapeRun.
 //
 // Sized for the paper's models: per-step vectors are 1 x K rows, sequences
 // of length T=5, latent sizes of tens — graph sizes of a few hundred nodes.
@@ -46,9 +49,7 @@ enum class OpKind : uint8_t {
   kMul,              // a ⊙ b
   kMatMul,           // a @ b
   kScale,            // a * scalar
-  kAddRowBroadcast,  // a + row
   kAffine,           // x @ w + row  (fused Linear)
-  kScaleBy,          // (1x1 tensor) * x
   kSigmoid,
   kTanh,
   kRelu,
@@ -97,7 +98,7 @@ struct ParamState {
 
 struct Node {
   la::Matrix value;
-  la::Matrix grad;  ///< workspace-backed; acquired lazily, zero-initialized
+  la::Matrix grad;  ///< zero-initialized; plain for a parameter, else pooled
   /// Per-op payload: the constant mask / targets, kLstmGates' stored gate
   /// activations, or a parameter's packed transpose value^T.
   la::Matrix aux;
@@ -116,9 +117,8 @@ struct Node {
   Node() = default;
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
-  /// Returns the pool-acquired buffers to the calling thread's Workspace:
-  /// every op node's, but only a parameter's grad — its value and packed
-  /// transpose are plain allocations, freed here.
+  /// Returns an op node's buffers to the calling thread's Workspace. A
+  /// parameter's are plain allocations, freed here.
   ~Node();
 
   /// True for a Tensor::Param leaf.
@@ -130,10 +130,14 @@ struct Node {
 };
 
 /// Test hook: heap allocations the calling thread's deferred-row storage
-/// has made. The storage grows to the longest pass the thread has run and
-/// keeps its capacity, so training allocates nothing for the deferral after
-/// its first epoch.
+/// has made. Within a run the storage grows to the longest pass and keeps
+/// its capacity, so training allocates nothing for the deferral after its
+/// first epoch.
 size_t DeferredRowAllocationsForTesting();
+
+/// Test hook: bytes of capacity in the calling thread's row log, gather
+/// arrays and sort scratch; zero after a ScopedTapeRun ends.
+size_t TapeScratchBytesForTesting();
 
 }  // namespace internal
 
@@ -143,8 +147,8 @@ class Tensor {
   Tensor() = default;
 
   /// Trainable leaf (gradient accumulated by Backward, consumed by Adam).
-  /// Not workspace-pooled: parameters persist across steps. Packs its
-  /// transposed copy (see Repack).
+  /// Borrows nothing from the Workspace: it outlives a run's pool. Packs
+  /// its transposed copy (see Repack).
   static Tensor Param(la::Matrix value);
 
   /// Non-trainable leaf (inputs, masks); the value is copied into pooled
@@ -162,7 +166,7 @@ class Tensor {
     return node_->value;
   }
   /// Rewrites a parameter's packed transpose from its value and marks it
-  /// current. The optimizers call it after every step, in the trainer's
+  /// current. Adam::Step calls it after every step, in the trainer's
   /// serial section, so workers only ever read the copy.
   void Repack();
   const la::Matrix& grad() const { return node_->grad; }
@@ -237,6 +241,19 @@ class ScopedGradSink {
   GradSink* previous_;
 };
 
+/// Scopes the calling thread's tape memory to one run. Each public trainer
+/// entry declares one first, so it outlives every tensor of the run. When
+/// the run returns or throws, it frees the thread's pooled Workspace
+/// buffers, deferred-row log, gather arrays and Backward's sort scratch;
+/// the next run warms them again. Safe anywhere outside Backward.
+class ScopedTapeRun {
+ public:
+  ScopedTapeRun() = default;
+  ~ScopedTapeRun();
+  ScopedTapeRun(const ScopedTapeRun&) = delete;
+  ScopedTapeRun& operator=(const ScopedTapeRun&) = delete;
+};
+
 /// --- Ops (shape-checked; broadcast rules documented per op). -------------
 
 /// Elementwise a + b (same shape).
@@ -249,13 +266,9 @@ Tensor Mul(const Tensor& a, const Tensor& b);
 Tensor MatMul(const Tensor& a, const Tensor& b);
 /// x * s for a compile-time-known scalar s.
 Tensor Scale(const Tensor& x, double s);
-/// Adds a 1 x C bias row to every row of x (N x C).
-Tensor AddRowBroadcast(const Tensor& x, const Tensor& bias);
-/// Fused affine map x @ w + bias (one node instead of MatMul +
-/// AddRowBroadcast; the adjoint accumulates via Gemm(beta=1)).
+/// Affine map x @ w + bias, the 1 x C bias row added to every row of x @ w
+/// (one node; the adjoint accumulates via Gemm(beta=1)).
 Tensor Affine(const Tensor& x, const Tensor& w, const Tensor& bias);
-/// scalar (1x1 tensor) * x, broadcast.
-Tensor ScaleBy(const Tensor& scalar, const Tensor& x);
 
 Tensor Sigmoid(const Tensor& x);
 Tensor Tanh(const Tensor& x);

@@ -47,4 +47,10 @@ void Workspace::Recycle(la::Matrix&& m) {
   BucketFor(n).free.push_back(m.TakeBuffer());
 }
 
+void Workspace::Release() {
+  // Swapped with empty vectors, not cleared: clear() keeps the capacity.
+  std::vector<Bucket>().swap(buckets_);
+  std::vector<uint8_t>().swap(index_);
+}
+
 }  // namespace rmi::ad

@@ -2,8 +2,8 @@
 //
 // Every op node's value/grad/aux matrix borrows its heap storage from the
 // calling thread's Workspace and returns it when the node is released. A
-// parameter borrows only its grad: its value and packed transpose are plain
-// allocations, so a dead model leaves the pool no larger than it found it.
+// parameter borrows nothing: its value, grad and packed transpose are plain
+// allocations that die with the model.
 // Buffers are pooled by exact element count — the tape allocates the same
 // fixed set of shapes every step, so after the first training step the pool
 // holds one buffer per live shape slot and steady-state epochs perform no
@@ -11,8 +11,13 @@
 // Each count has one LIFO bucket. A count below kIndexedSizes finds its
 // bucket through a direct index, with no hashing: a BiSIM Impute makes
 // about two million Acquire and as many Recycle calls, over a few dozen
-// counts, nearly all of them small. Larger counts (a parameter's grad) are
-// rare and are found by a scan, as is a count's bucket on first use.
+// counts, nearly all of them small. Larger counts are rare and are found by
+// a scan, as is a count's bucket on first use.
+//
+// The pool lives for one run: the ad::ScopedTapeRun that each trainer entry
+// declares calls Release() when the run ends, so a process that trains once
+// and then only serves keeps no tape memory. Pool workers free theirs when
+// they exit.
 //
 // Thread model: each thread gets its own pool (thread_local singleton);
 // a graph must be built, differentiated, and released on the same thread —
@@ -49,6 +54,11 @@ class Workspace {
 
   /// Returns a matrix's storage to the pool. Empty matrices are ignored.
   void Recycle(la::Matrix&& m);
+
+  /// Frees every pooled buffer, the buckets and the size index. Matrices
+  /// acquired earlier stay valid and may still be recycled; the counters
+  /// in stats() keep counting.
+  void Release();
 
   Stats stats() const {
     Stats s = stats_;

@@ -337,6 +337,7 @@ double TrainBiSim(const BiSimModel& model, const std::vector<Sequence>& seqs,
 rmap::RadioMap BiSimImputer::Impute(const rmap::RadioMap& map,
                                     const rmap::MaskMatrix& amended_mask,
                                     Rng& rng) const {
+  ad::ScopedTapeRun tape_run;  // first: outlives every tensor of the run
   const BiSimConfig cfg = config_;
   Rng model_rng(cfg.seed ^ rng.engine()());
   BiSimModel model(map.num_aps(), cfg, model_rng);
@@ -375,6 +376,7 @@ rmap::RadioMap BiSimImputer::Impute(const rmap::RadioMap& map,
 
 void OnlineBiSimImputer::Fit(const rmap::RadioMap& map,
                              const rmap::MaskMatrix& amended_mask, Rng& rng) {
+  ad::ScopedTapeRun tape_run;  // the model keeps its parameters, not the pool
   Rng model_rng(config_.seed ^ rng.engine()());
   model_ = std::make_unique<BiSimModel>(map.num_aps(), config_, model_rng);
   const auto sequences = BuildSequences(map, amended_mask, config_);

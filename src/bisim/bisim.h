@@ -168,7 +168,7 @@ double TrainBiSim(const BiSimModel& model, const std::vector<Sequence>& seqs,
 /// held-out ground truth needed) and imputes MAR cells and null RPs. Every
 /// call trains from a fresh initialization drawn from `rng`: a
 /// serving::MapUpdater rebuild retrains on the whole merged map, exactly as
-/// the offline pipeline does.
+/// the offline pipeline does. Its tape memory dies with the run.
 class BiSimImputer : public imputers::Imputer {
  public:
   explicit BiSimImputer(BiSimConfig config) : config_(config) {}
@@ -202,13 +202,14 @@ class OnlineBiSimImputer {
   explicit OnlineBiSimImputer(BiSimConfig config) : config_(config) {}
 
   /// Trains the model on the offline radio map (amended mask: MNARs already
-  /// filled; see imputers::FillMnar).
+  /// filled; see imputers::FillMnar). Its tape memory dies with the run.
   void Fit(const rmap::RadioMap& map, const rmap::MaskMatrix& amended_mask,
            Rng& rng);
 
   /// Completes one online fingerprint (nulls imputed; observed preserved).
   /// `recent_scans` optionally supplies the device's preceding scans
   /// (oldest first, with seconds-ago timestamps) as sequence context.
+  /// Runs per query, so it keeps the thread's Workspace pool warm.
   struct TimedScan {
     std::vector<double> rssi;  ///< with nulls
     double time = 0.0;         ///< seconds on the device's clock

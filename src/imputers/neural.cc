@@ -161,6 +161,7 @@ struct RitsCore {
 rmap::RadioMap BritsImputer::Impute(const rmap::RadioMap& map,
                                     const rmap::MaskMatrix& amended_mask,
                                     Rng& rng) const {
+  ad::ScopedTapeRun tape_run;  // first: outlives every tensor of the run
   const size_t d = map.num_aps();
   Rng model_rng(params_.seed ^ rng.engine()());
   RitsCore fwd_core(d, params_.hidden, model_rng);
@@ -223,6 +224,7 @@ rmap::RadioMap BritsImputer::Impute(const rmap::RadioMap& map,
 rmap::RadioMap SsganImputer::Impute(const rmap::RadioMap& map,
                                     const rmap::MaskMatrix& amended_mask,
                                     Rng& rng) const {
+  ad::ScopedTapeRun tape_run;  // first: outlives every tensor of the run
   const size_t d = map.num_aps();
   Rng model_rng(params_.seed ^ rng.engine()());
 

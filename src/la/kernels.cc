@@ -142,21 +142,6 @@ void Fill(Matrix* x, double value) {
   std::fill(x->data().begin(), x->data().end(), value);
 }
 
-void AddRowBroadcastInto(const Matrix& a, const Matrix& row, Matrix* out) {
-  RMI_CHECK_EQ(row.rows(), 1u);
-  RMI_CHECK_EQ(row.cols(), a.cols());
-  ResizeTo(out, a.rows(), a.cols());
-  const double* pa = a.data().data();
-  const double* pr = row.data().data();
-  double* po = out->data().data();
-  const size_t cols = a.cols();
-  for (size_t i = 0; i < a.rows(); ++i) {
-    const double* arow = pa + i * cols;
-    double* orow = po + i * cols;
-    for (size_t j = 0; j < cols; ++j) orow[j] = arow[j] + pr[j];
-  }
-}
-
 void AccumulateColSums(const Matrix& a, Matrix* row) {
   RMI_CHECK_EQ(row->rows(), 1u);
   RMI_CHECK_EQ(row->cols(), a.cols());

@@ -67,9 +67,6 @@ void AddSlots(const double* const* slots, size_t num_slots, size_t n,
 /// Every entry of x set to `value` (shape preserved).
 void Fill(Matrix* x, double value);
 
-/// out = a with `row` (1 x cols) added to every row of a (bias broadcast).
-void AddRowBroadcastInto(const Matrix& a, const Matrix& row, Matrix* out);
-
 /// row(0, j) += sum_i a(i, j) — the broadcast's adjoint.
 void AccumulateColSums(const Matrix& a, Matrix* row);
 

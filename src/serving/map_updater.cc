@@ -514,10 +514,8 @@ void MapUpdater::Stop() {
 void MapUpdater::TriggerLoop() {
   const auto poll = std::chrono::duration<double, std::milli>(
       options_.poll_interval_ms);
-  // The bounded rebuild pool lives for the whole loop: its workers (and
-  // their thread_local autodiff Workspaces) persist across trigger
-  // batches, so consecutive rebuilds of same-shaped shards reuse the
-  // arena instead of re-allocating tape buffers.
+  // The bounded rebuild pool lives for the whole loop: its workers persist
+  // across trigger batches (a rebuild's tape memory dies with its run).
   ThreadPool pool(options_.rebuild_threads);
   while (true) {
     {

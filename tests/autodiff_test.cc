@@ -176,30 +176,6 @@ TEST(GradCheckBinaryTest, ConcatCols) {
   CheckGradient(b, fn);
 }
 
-TEST(GradCheckBinaryTest, AddRowBroadcast) {
-  Rng rng(10);
-  Tensor x = Tensor::Param(la::Matrix::Random(3, 2, rng));
-  Tensor bias = Tensor::Param(la::Matrix::Random(1, 2, rng));
-  auto fn = [&]() {
-    Tensor y = AddRowBroadcast(x, bias);
-    return Mean(Mul(y, y));
-  };
-  CheckGradient(x, fn);
-  CheckGradient(bias, fn);
-}
-
-TEST(GradCheckBinaryTest, ScaleBy) {
-  Rng rng(11);
-  Tensor s = Tensor::Param(la::Matrix{{0.7}});
-  Tensor x = Tensor::Param(la::Matrix::Random(1, 4, rng));
-  auto fn = [&]() {
-    Tensor y = ScaleBy(s, x);
-    return Mean(Mul(y, y));
-  };
-  CheckGradient(s, fn);
-  CheckGradient(x, fn);
-}
-
 TEST(GradCheckBinaryTest, ReluAtNonKink) {
   Rng rng(12);
   // Keep values away from the kink for finite differencing.
@@ -279,12 +255,12 @@ TEST(PackedWeightTest, InputGradientIsBitIdenticalFreshOrStale) {
   expect_bits(input_grad(), reference(), "stale copy, new weight");
   w.Repack();
   expect_bits(input_grad(), reference(), "repacked");
-  // The optimizers repack after writing, so the next pass reads a fresh
-  // copy of the updated weight.
-  Sgd sgd({w}, 0.1);
+  // Adam repacks after writing, so the next pass reads a fresh copy of the
+  // updated weight.
+  Adam adam({w}, 0.1);
   w.ZeroGrad();
   Sum(Mul(Affine(x, w, bias), Tensor::Constant(up))).Backward();
-  sgd.Step();
+  adam.Step();
   expect_bits(input_grad(), reference(), "after an optimizer step");
 }
 
@@ -433,17 +409,6 @@ TEST(AdamTest, MinimizesQuadratic) {
   }
   EXPECT_NEAR(x.value()(0, 0), 1.0, 1e-2);
   EXPECT_NEAR(x.value()(0, 1), 2.0, 1e-2);
-}
-
-TEST(SgdTest, MinimizesQuadratic) {
-  Tensor x = Tensor::Param(la::Matrix{{4.0}});
-  Sgd opt({x}, 0.1);
-  for (int i = 0; i < 200; ++i) {
-    Tensor loss = Mse(x, Tensor::Constant(la::Matrix{{-1.0}}));
-    loss.Backward();
-    opt.Step();
-  }
-  EXPECT_NEAR(x.value()(0, 0), -1.0, 1e-3);
 }
 
 TEST(ClipGradNormTest, ScalesDownLargeGradients) {

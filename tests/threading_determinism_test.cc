@@ -9,11 +9,19 @@
 //    (the Workspace pool serves every tape buffer after warm-up), the
 //    deferred weight-gradient rows allocate nothing after the first epoch,
 //    and a dead model returns only pool-acquired buffers, so training one
-//    model after another leaves the pool the same size.
+//    model after another leaves the pool the same size;
+//  * a trainer entry's tape memory lives for its run: after
+//    BiSimImputer::Impute or OnlineBiSimImputer::Fit the calling thread
+//    pools no buffer and keeps no tape scratch, and Workspace::Release
+//    leaves a pool that starts over cleanly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "autodiff/tensor.h"
@@ -278,6 +286,107 @@ TEST(WorkspaceTest, ConsecutiveModelsAllocateNoMatricesAndKeepThePool) {
       << "a second model must be served entirely from the pool";
   EXPECT_EQ(steady.pooled_buffers, warm.pooled_buffers)
       << "a dead model must not leave its parameters in the pool";
+}
+
+TEST(WorkspaceTest, TrainerEntriesLeaveNoTapeMemoryOnTheCallingThread) {
+  // BiSimImputer::Impute and OnlineBiSimImputer::Fit each run under an
+  // ad::ScopedTapeRun. When they return, the calling thread's pool holds
+  // no buffer (neither the run's tape buffers nor the dead model's
+  // parameters, which are not pool buffers) and its tape scratch no
+  // capacity. At 2 threads the caller is one of the workers. A second
+  // Impute on the same thread warms the pool again and gives the same
+  // bytes.
+  const auto map = SyntheticMap();
+  const auto mask = MarMask(map);
+  ad::Workspace& ws = ad::Workspace::Get();
+  auto expect_released = [&](const std::string& what) {
+    EXPECT_EQ(ws.stats().pooled_buffers, 0u) << what;
+    EXPECT_EQ(ad::internal::TapeScratchBytesForTesting(), 0u) << what;
+  };
+  for (size_t num_threads : {1, 2}) {
+    const std::string at = " at " + std::to_string(num_threads) + " threads";
+    const BiSimImputer imputer(SmallConfig(num_threads));
+    const size_t acquires = ws.stats().acquires;
+    Rng rng(23);
+    const rmap::RadioMap first = imputer.Impute(map, mask, rng);
+    if (num_threads == 1) {
+      EXPECT_GT(ws.stats().acquires, acquires) << "the tape ran here";
+    }
+    expect_released("after Impute" + at);
+    Rng again(23);
+    const rmap::RadioMap second = imputer.Impute(map, mask, again);
+    expect_released("after a second Impute" + at);
+    ASSERT_EQ(second.size(), first.size());
+    for (size_t i = 0; i < first.size(); ++i) {
+      const rmap::Record& a = second.record(i);
+      const rmap::Record& b = first.record(i);
+      ASSERT_EQ(a.rssi.size(), b.rssi.size());
+      EXPECT_EQ(0, std::memcmp(a.rssi.data(), b.rssi.data(),
+                               b.rssi.size() * sizeof(double)))
+          << "record " << i << at;
+      EXPECT_TRUE(SameBits(a.rp.x, b.rp.x) && SameBits(a.rp.y, b.rp.y))
+          << "record " << i << at;
+    }
+  }
+
+  OnlineBiSimImputer online(SmallConfig(1));
+  Rng rng(29);
+  online.Fit(map, mask, rng);
+  ASSERT_TRUE(online.fitted());
+  expect_released("after OnlineBiSimImputer::Fit");
+}
+
+TEST(WorkspaceTest, ReleaseFreesEveryBucketAndResetsTheIndex) {
+  // Counts below 4096 find their bucket through the direct index, larger
+  // ones by a scan. After Release every count starts over: served fresh
+  // with its own shape, then from its own bucket. An index entry left
+  // pointing at a freed bucket would read freed memory (ASan) or hand one
+  // count's buffer to another.
+  std::thread([] {  // a thread of its own, so the pool starts empty
+    ad::Workspace& ws = ad::Workspace::Get();
+    const std::vector<std::pair<size_t, size_t>> shapes = {
+        {1, 1}, {1, 24}, {5, 96}, {64, 63}, {64, 64}, {96, 184}, {1, 5000}};
+    // Acquires every shape in `order`, writes every element and recycles
+    // them all; returns each shape's buffer address.
+    auto cycle = [&](const std::vector<size_t>& order) {
+      std::vector<const double*> address(shapes.size());
+      std::vector<la::Matrix> held;
+      for (size_t i : order) {
+        const auto [rows, cols] = shapes[i];
+        la::Matrix m = ws.Acquire(rows, cols);
+        EXPECT_EQ(m.rows(), rows);
+        EXPECT_EQ(m.cols(), cols);
+        EXPECT_EQ(m.data().size(), rows * cols);
+        std::fill(m.data().begin(), m.data().end(), 1.0);
+        address[i] = m.data().data();
+        held.push_back(std::move(m));
+      }
+      for (la::Matrix& m : held) ws.Recycle(std::move(m));
+      return address;
+    };
+    std::vector<size_t> forward(shapes.size());
+    for (size_t i = 0; i < forward.size(); ++i) forward[i] = i;
+    const std::vector<size_t> backward(forward.rbegin(), forward.rend());
+
+    cycle(forward);
+    EXPECT_EQ(ws.stats().pooled_buffers, shapes.size());
+    ws.Release();
+    const auto released = ws.stats();
+    EXPECT_EQ(released.pooled_buffers, 0u);
+
+    // A new first-use order, so each count's bucket moves.
+    const std::vector<const double*> fresh = cycle(backward);
+    const auto refilled = ws.stats();
+    EXPECT_EQ(refilled.pool_hits, released.pool_hits)
+        << "a released pool must serve nothing";
+    EXPECT_EQ(refilled.fresh_allocs, released.fresh_allocs + shapes.size());
+    EXPECT_EQ(refilled.pooled_buffers, shapes.size());
+
+    const std::vector<const double*> reused = cycle(forward);
+    EXPECT_EQ(ws.stats().pool_hits, refilled.pool_hits + shapes.size());
+    EXPECT_EQ(ws.stats().fresh_allocs, refilled.fresh_allocs);
+    EXPECT_EQ(reused, fresh) << "each count must get its own buffer back";
+  }).join();
 }
 
 }  // namespace

@@ -2,10 +2,10 @@
 // independent shards, per-shard rebuilds stay serialized and deterministic
 // (private RNG streams — scheduling cannot perturb published snapshots),
 // ingest never blocks on an in-flight rebuild, Stop() drains the batch in
-// flight, per-shard phase stats are populated, and consecutive rebuilds on
-// one thread reuse the autodiff Workspace arena (zero steady-state matrix
-// allocations). This suite — with serving_test and sharded_serving_test —
-// is what the CI TSan job instruments.
+// flight, per-shard phase stats are populated, and a rebuild leaves no
+// autodiff tape memory on the thread that ran it. This suite — with
+// serving_test and sharded_serving_test — is what the CI TSan job
+// instruments.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -327,11 +327,11 @@ TEST(UpdaterConcurrencyTest, PhaseStatsBreakDownTheRebuild) {
   EXPECT_EQ(shard.last_queue_wait_seconds, 0.0);  // RebuildNow: no queue
 }
 
-TEST(UpdaterConcurrencyTest, WorkspaceArenaReusedAcrossConsecutiveRebuilds) {
-  // Like the tape's steady-state test (threading_determinism_test): after
-  // a warm-up rebuild, further rebuilds of a same-shaped shard must be
-  // served entirely from the calling thread's Workspace pool, and leave it
-  // no larger. Every rebuild trains a new model.
+TEST(UpdaterConcurrencyTest, WorkspacePoolEmptyAfterEveryRebuild) {
+  // Every rebuild trains a new model inside BiSimImputer::Impute, whose
+  // ad::ScopedTapeRun frees the calling thread's tape memory when the run
+  // ends. After each RebuildNow the thread's Workspace must pool nothing:
+  // neither that run's tape buffers nor the dead model's parameters.
   ShardedSnapshotStore store;
   cluster::MarOnlyDifferentiator differentiator;
   bisim::BiSimConfig cfg;
@@ -344,18 +344,14 @@ TEST(UpdaterConcurrencyTest, WorkspaceArenaReusedAcrossConsecutiveRebuilds) {
 
   const rmap::ShardId id{4, 0};
   updater.RegisterShard(id, MakeSyntheticServingMap(6, 5, 5, 66));
-  ASSERT_TRUE(updater.RebuildNow(id));  // warm-up: pool learns every shape
 
   ad::Workspace& ws = ad::Workspace::Get();
-  const auto warm = ws.stats();
-  ASSERT_TRUE(updater.RebuildNow(id));
-  ASSERT_TRUE(updater.RebuildNow(id));
-  const auto steady = ws.stats();
-  EXPECT_GT(steady.acquires, warm.acquires);
-  EXPECT_EQ(steady.fresh_allocs, warm.fresh_allocs)
-      << "steady-state rebuilds must not allocate tape matrix buffers";
-  EXPECT_EQ(steady.pooled_buffers, warm.pooled_buffers)
-      << "each rebuild's dead model must not leave buffers in the pool";
+  for (int rebuild = 0; rebuild < 3; ++rebuild) {
+    const size_t acquires = ws.stats().acquires;
+    ASSERT_TRUE(updater.RebuildNow(id));
+    EXPECT_GT(ws.stats().acquires, acquires) << "the tape ran on this thread";
+    EXPECT_EQ(ws.stats().pooled_buffers, 0u) << "after rebuild " << rebuild;
+  }
 }
 
 }  // namespace
