@@ -74,7 +74,9 @@ class RunningStats {
 /// Mean of a vector (0 for empty).
 double Mean(const std::vector<double>& v);
 
-/// Sample standard deviation (0 for size < 2).
+/// Sample standard deviation (0 for size < 2). Test oracle: the two-pass
+/// reference that RunningStats' merged moments are checked against; no
+/// product path calls it.
 double Stddev(const std::vector<double>& v);
 
 /// Linear-interpolated percentile, p in [0, 100]. v need not be sorted.

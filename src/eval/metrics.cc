@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/missing.h"
-#include "common/stats.h"
 
 namespace rmi::eval {
 
@@ -47,18 +46,6 @@ double RssiMae(const rmap::RadioMap& imputed,
     ++count;
   }
   return count ? sum / static_cast<double>(count) : 0.0;
-}
-
-ErrorCdf SummarizeErrors(const std::vector<double>& errors) {
-  ErrorCdf cdf;
-  if (errors.empty()) return cdf;
-  cdf.mean = Mean(errors);
-  cdf.p50 = Percentile(errors, 50);
-  cdf.p75 = Percentile(errors, 75);
-  cdf.p90 = Percentile(errors, 90);
-  cdf.p95 = Percentile(errors, 95);
-  cdf.max = Percentile(errors, 100);
-  return cdf;
 }
 
 double RpEuclideanError(const rmap::RadioMap& imputed,

@@ -26,20 +26,6 @@ double RssiMae(const rmap::RadioMap& imputed,
 double RpEuclideanError(const rmap::RadioMap& imputed,
                         const std::vector<rmap::RemovedRp>& removed);
 
-/// Positioning-error distribution summary (the CDF percentiles that indoor
-/// positioning papers report alongside the mean APE).
-struct ErrorCdf {
-  double mean = 0.0;
-  double p50 = 0.0;
-  double p75 = 0.0;
-  double p90 = 0.0;
-  double p95 = 0.0;
-  double max = 0.0;
-};
-
-/// Summarizes a vector of per-query positioning errors.
-ErrorCdf SummarizeErrors(const std::vector<double>& errors);
-
 }  // namespace rmi::eval
 
 #endif  // RMI_EVAL_METRICS_H_

@@ -71,17 +71,6 @@ double Polygon::SignedArea() const {
   return s / 2.0;
 }
 
-Point Polygon::Centroid() const {
-  RMI_CHECK(!vertices_.empty());
-  Point c;
-  for (const Point& p : vertices_) {
-    c.x += p.x;
-    c.y += p.y;
-  }
-  const double n = static_cast<double>(vertices_.size());
-  return {c.x / n, c.y / n};
-}
-
 bool Polygon::Contains(const Point& p) const {
   const size_t n = vertices_.size();
   if (n < 3) {
@@ -116,13 +105,6 @@ Polygon Polygon::Rectangle(double x0, double y0, double x1, double y1) {
   RMI_CHECK_LT(x0, x1);
   RMI_CHECK_LT(y0, y1);
   return Polygon({{x0, y0}, {x1, y0}, {x1, y1}, {x0, y1}});
-}
-
-bool MultiPolygon::Contains(const Point& p) const {
-  for (const Polygon& poly : polygons_) {
-    if (poly.Contains(p)) return true;
-  }
-  return false;
 }
 
 int MultiPolygon::CountEdgeCrossings(const Segment& s) const {

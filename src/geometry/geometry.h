@@ -54,12 +54,11 @@ class Polygon {
   size_t size() const { return vertices_.size(); }
   bool empty() const { return vertices_.empty(); }
 
-  /// Signed area (positive for counter-clockwise rings).
+  /// Signed area (positive for counter-clockwise rings). Test oracle: the
+  /// ConvexHull tests check the hull's area and winding through it; no
+  /// product path calls it.
   double SignedArea() const;
   double Area() const { return SignedArea() < 0 ? -SignedArea() : SignedArea(); }
-
-  /// Vertex centroid.
-  Point Centroid() const;
 
   /// Even–odd (ray casting) point containment; boundary counts as inside.
   bool Contains(const Point& p) const;
@@ -86,9 +85,6 @@ class MultiPolygon {
   const std::vector<Polygon>& polygons() const { return polygons_; }
   size_t size() const { return polygons_.size(); }
   bool empty() const { return polygons_.empty(); }
-
-  /// True iff any member polygon contains p.
-  bool Contains(const Point& p) const;
 
   /// Number of member-polygon edges crossed by segment s (each polygon
   /// contributes the count of its intersected edges). Proxy for the number

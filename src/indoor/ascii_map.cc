@@ -35,19 +35,7 @@ class Raster {
     grid_[rows_ - 1 - r][c] = glyph;  // top row = max y
   }
 
-  /// Paints every raster cell whose center lies inside `poly`.
-  void FillPolygon(const geom::Polygon& poly, char glyph) {
-    for (size_t r = 0; r < rows_; ++r) {
-      for (size_t c = 0; c < cols_; ++c) {
-        const double x = (static_cast<double>(c) + 0.5) / cols_ * venue_.width;
-        const double y =
-            (static_cast<double>(rows_ - 1 - r) + 0.5) / rows_ * venue_.height;
-        if (poly.Contains({x, y})) grid_[r][c] = glyph;
-      }
-    }
-  }
-
-  /// Rasterizes polygon edges (walls are thin; the fill above misses them).
+  /// Rasterizes polygon edges.
   void StrokePolygon(const geom::Polygon& poly, char glyph) {
     for (size_t e = 0; e < poly.size(); ++e) {
       const geom::Segment s = poly.Edge(e);
@@ -76,39 +64,21 @@ class Raster {
   std::vector<std::string> grid_;
 };
 
-void PaintBase(Raster* raster, const Venue& venue,
-               const AsciiMapOptions& options) {
-  if (options.show_walls) {
-    for (const geom::Polygon& wall : venue.walls.polygons()) {
-      raster->StrokePolygon(wall, '#');
-    }
-  }
-  if (options.show_rps) {
-    for (const geom::Point& rp : venue.rps) raster->Paint(rp, 'o');
-  }
-  if (options.show_aps) {
-    for (const AccessPoint& ap : venue.aps) raster->Paint(ap.position, 'A');
-  }
-}
-
 }  // namespace
 
 std::string RenderVenueAscii(const Venue& venue,
                              const AsciiMapOptions& options) {
   Raster raster(venue, options.width_chars);
-  PaintBase(&raster, venue, options);
-  return raster.ToString();
-}
-
-std::string RenderOverlayAscii(const Venue& venue,
-                               const std::vector<geom::Point>& points,
-                               const std::vector<char>& labels,
-                               const AsciiMapOptions& options) {
-  RMI_CHECK_EQ(points.size(), labels.size());
-  Raster raster(venue, options.width_chars);
-  PaintBase(&raster, venue, options);
-  for (size_t i = 0; i < points.size(); ++i) {
-    raster.Paint(points[i], labels[i]);
+  if (options.show_walls) {
+    for (const geom::Polygon& wall : venue.walls.polygons()) {
+      raster.StrokePolygon(wall, '#');
+    }
+  }
+  if (options.show_rps) {
+    for (const geom::Point& rp : venue.rps) raster.Paint(rp, 'o');
+  }
+  if (options.show_aps) {
+    for (const AccessPoint& ap : venue.aps) raster.Paint(ap.position, 'A');
   }
   return raster.ToString();
 }

@@ -1,13 +1,11 @@
 // ASCII floor-plan renderer — a dependency-free way to eyeball generated
-// venues, survey paths, AP placements, and differentiation results in a
-// terminal (the library's stand-in for the paper's Figs. 2/3/5-7).
+// venues, AP placements and reference points in a terminal (the library's
+// stand-in for the paper's Figs. 2/3).
 #ifndef RMI_INDOOR_ASCII_MAP_H_
 #define RMI_INDOOR_ASCII_MAP_H_
 
 #include <string>
-#include <vector>
 
-#include "geometry/geometry.h"
 #include "indoor/venue.h"
 
 namespace rmi::indoor {
@@ -23,14 +21,6 @@ struct AsciiMapOptions {
 /// '.' free floor, newline-terminated rows (top row = max y).
 std::string RenderVenueAscii(const Venue& venue,
                              const AsciiMapOptions& options = {});
-
-/// Renders arbitrary labeled points over the floor plan (e.g., cluster ids
-/// as 0-9a-z, estimated positions as 'x'). Each overlay point paints
-/// `labels[i]` at `points[i]`.
-std::string RenderOverlayAscii(const Venue& venue,
-                               const std::vector<geom::Point>& points,
-                               const std::vector<char>& labels,
-                               const AsciiMapOptions& options = {});
 
 }  // namespace rmi::indoor
 

@@ -43,27 +43,11 @@ void GemmNT(double alpha, const Matrix& a, const Matrix& b, Matrix* c) {
                         c->data().data(), a.rows(), a.cols(), b.rows());
 }
 
-/// C += alpha * A^T * B^T.
-void GemmTT(double alpha, const Matrix& a, const Matrix& b, Matrix* c) {
-  const size_t m = a.cols(), k = a.rows(), n = b.rows();
-  const double* pa = a.data().data();
-  const double* pb = b.data().data();
-  double* pc = c->data().data();
-  for (size_t i = 0; i < m; ++i) {
-    double* crow = pc + i * n;
-    for (size_t j = 0; j < n; ++j) {
-      const double* brow = pb + j * k;
-      double dot = 0.0;
-      for (size_t kx = 0; kx < k; ++kx) dot += pa[kx * m + i] * brow[kx];
-      crow[j] += alpha * dot;
-    }
-  }
-}
-
 }  // namespace
 
 void Gemm(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
           bool trans_b, double beta, Matrix* c) {
+  RMI_CHECK(!(trans_a && trans_b));
   const size_t m = trans_a ? a.cols() : a.rows();
   const size_t ka = trans_a ? a.rows() : a.cols();
   const size_t kb = trans_b ? b.cols() : b.rows();
@@ -77,14 +61,12 @@ void Gemm(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
   }
   ApplyBeta(beta, c);
   if (alpha == 0.0 || ka == 0) return;
-  if (!trans_a && !trans_b) {
-    GemmNN(alpha, a, b, c);
-  } else if (trans_a && !trans_b) {
+  if (trans_a) {
     GemmTN(alpha, a, b, c);
-  } else if (!trans_a && trans_b) {
+  } else if (trans_b) {
     GemmNT(alpha, a, b, c);
   } else {
-    GemmTT(alpha, a, b, c);
+    GemmNN(alpha, a, b, c);
   }
 }
 

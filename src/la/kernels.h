@@ -24,9 +24,10 @@ inline void ResizeTo(Matrix* out, size_t rows, size_t cols) {
 }
 
 /// General matrix multiply: C = alpha * op(A) * op(B) + beta * C, where
-/// op(X) is X or X^T per the transpose flag. With beta == 0, C is fully
-/// overwritten (and resized to the product shape); with beta != 0, C must
-/// already have the product shape. C must not alias A or B.
+/// op(X) is X or X^T per the transpose flag; at most one operand may be
+/// transposed (TT is refused). With beta == 0, C is fully overwritten (and
+/// resized to the product shape); with beta != 0, C must already have the
+/// product shape. C must not alias A or B.
 ///
 /// Reproducible and fast: the NN, TN and NT paths (every autodiff forward
 /// matmul and its Gemm(beta=1) adjoints, but the input gradients that
@@ -36,8 +37,7 @@ inline void ResizeTo(Matrix* out, size_t rows, size_t cols) {
 /// the scalar reference loops.
 /// NN and TN add alpha*A(i,k)*B(k,j) into C(i,j) over k ascending, skipping
 /// terms whose alpha*A(i,k) is exactly zero; NT sums each dot product from 0
-/// over k ascending, then adds alpha*dot into C(i,j). TT is a scalar loop
-/// with NT's contract (nothing on the training path uses it).
+/// over k ascending, then adds alpha*dot into C(i,j).
 void Gemm(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
           bool trans_b, double beta, Matrix* c);
 

@@ -36,29 +36,10 @@ Matrix Matrix::Gaussian(size_t rows, size_t cols, Rng& rng, double stddev) {
   return m;
 }
 
-Matrix Matrix::RowVector(const std::vector<double>& values) {
-  Matrix m(1, values.size());
-  m.data_ = values;
-  return m;
-}
-
-Matrix Matrix::ColVector(const std::vector<double>& values) {
-  Matrix m(values.size(), 1);
-  m.data_ = values;
-  return m;
-}
-
 Matrix Matrix::operator+(const Matrix& o) const {
   RMI_CHECK(SameShape(o));
   Matrix r = *this;
   for (size_t i = 0; i < data_.size(); ++i) r.data_[i] += o.data_[i];
-  return r;
-}
-
-Matrix Matrix::operator-(const Matrix& o) const {
-  RMI_CHECK(SameShape(o));
-  Matrix r = *this;
-  for (size_t i = 0; i < data_.size(); ++i) r.data_[i] -= o.data_[i];
   return r;
 }
 
@@ -69,35 +50,10 @@ Matrix Matrix::CwiseProduct(const Matrix& o) const {
   return r;
 }
 
-Matrix Matrix::CwiseQuotient(const Matrix& o) const {
-  RMI_CHECK(SameShape(o));
-  Matrix r = *this;
-  for (size_t i = 0; i < data_.size(); ++i) r.data_[i] /= o.data_[i];
-  return r;
-}
-
 Matrix Matrix::operator*(double s) const {
   Matrix r = *this;
   for (double& v : r.data_) v *= s;
   return r;
-}
-
-Matrix Matrix::operator+(double s) const {
-  Matrix r = *this;
-  for (double& v : r.data_) v += s;
-  return r;
-}
-
-Matrix& Matrix::operator+=(const Matrix& o) {
-  RMI_CHECK(SameShape(o));
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] += o.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator-=(const Matrix& o) {
-  RMI_CHECK(SameShape(o));
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] -= o.data_[i];
-  return *this;
 }
 
 Matrix& Matrix::operator*=(double s) {
@@ -158,14 +114,6 @@ Matrix Matrix::ConcatCols(const Matrix& o) const {
     std::copy_n(&data_[i * cols_], cols_, &r.data_[i * r.cols_]);
     std::copy_n(&o.data_[i * o.cols_], o.cols_, &r.data_[i * r.cols_ + cols_]);
   }
-  return r;
-}
-
-Matrix Matrix::ConcatRows(const Matrix& o) const {
-  RMI_CHECK_EQ(cols_, o.cols_);
-  Matrix r(rows_ + o.rows_, cols_);
-  std::copy(data_.begin(), data_.end(), r.data_.begin());
-  std::copy(o.data_.begin(), o.data_.end(), r.data_.begin() + data_.size());
   return r;
 }
 

@@ -18,6 +18,13 @@
 namespace rmi::la {
 
 /// Dense row-major matrix of doubles.
+///
+/// Some members serve only the tests; no product path calls them. The
+/// initializer-list constructor builds fixtures and MaxAbsDiff compares
+/// results (together about 80 uses); MaxAbs, AllFinite and FrobeniusNorm
+/// check them; the allocating CwiseProduct, AddRowBroadcast, ConcatCols,
+/// SliceCols, Col and Mean are the oracles that the kernel, autodiff and
+/// clustering tests compare against.
 class Matrix {
  public:
   Matrix() = default;
@@ -41,10 +48,6 @@ class Matrix {
   /// Entries iid N(0, stddev^2).
   static Matrix Gaussian(size_t rows, size_t cols, Rng& rng,
                          double stddev = 1.0);
-  /// 1 x n row vector from values.
-  static Matrix RowVector(const std::vector<double>& values);
-  /// n x 1 column vector from values.
-  static Matrix ColVector(const std::vector<double>& values);
   /// Wraps an existing buffer (resized to rows*cols) — lets a pooled
   /// allocator hand storage to a matrix without copying.
   static Matrix Adopt(size_t rows, size_t cols, std::vector<double> buffer) {
@@ -97,16 +100,11 @@ class Matrix {
 
   /// Arithmetic (shape-checked). ------------------------------------------
   Matrix operator+(const Matrix& o) const;
-  Matrix operator-(const Matrix& o) const;
   /// Elementwise (Hadamard) product.
   Matrix CwiseProduct(const Matrix& o) const;
-  Matrix CwiseQuotient(const Matrix& o) const;
   Matrix operator*(double s) const;
-  Matrix operator+(double s) const;
   Matrix operator-() const { return *this * -1.0; }
 
-  Matrix& operator+=(const Matrix& o);
-  Matrix& operator-=(const Matrix& o);
   Matrix& operator*=(double s);
 
   /// Matrix product: (r x k) * (k x c).
@@ -132,8 +130,6 @@ class Matrix {
   void SetRow(size_t r, const Matrix& row);
   /// Horizontal concatenation: [this | o].
   Matrix ConcatCols(const Matrix& o) const;
-  /// Vertical concatenation: [this ; o].
-  Matrix ConcatRows(const Matrix& o) const;
   /// Columns [c0, c1) as a new matrix.
   Matrix SliceCols(size_t c0, size_t c1) const;
   /// Rows [r0, r1) as a new matrix.

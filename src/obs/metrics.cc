@@ -1,13 +1,11 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,7 +15,6 @@ namespace rmi::obs {
 
 namespace {
 
-std::atomic<bool> g_enabled{true};
 std::atomic<size_t> g_next_thread{0};
 
 /// Escapes `"` and `\` for embedding in a JSON string literal (labels
@@ -39,12 +36,6 @@ std::string FormatDouble(double v) {
 }
 
 }  // namespace
-
-void SetEnabled(bool enabled) {
-  g_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 size_t ThreadShardIndex() {
   thread_local const size_t index =
@@ -89,7 +80,7 @@ void Histogram::BucketBounds(size_t b, uint64_t* lower, uint64_t* upper) {
   *upper = *lower + width - 1;
 }
 
-void Histogram::ObserveUnconditional(double value) {
+void Histogram::Observe(double value) {
   if (!(value > 0.0)) value = 0.0;  // clamp negatives and NaN
   const uint64_t v = static_cast<uint64_t>(value + 0.5);
   Shard& shard = shards_[ThreadShardIndex()];
@@ -388,48 +379,6 @@ std::string Registry::DumpJson() const {
   }
   return "{\"counters\": {" + counters + "}, \"gauges\": {" + gauges +
          "}, \"histograms\": {" + histograms + "}}";
-}
-
-// ---- SnapshotLogger ---------------------------------------------------------
-
-struct SnapshotLogger::Impl {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool stop = false;
-  std::thread thread;
-};
-
-SnapshotLogger::SnapshotLogger(double interval_seconds, Sink sink)
-    : impl_(new Impl()) {
-  RMI_CHECK(sink != nullptr);
-  impl_->thread = std::thread([this, interval_seconds,
-                               sink = std::move(sink)] {
-    const auto interval = std::chrono::duration<double>(interval_seconds);
-    std::unique_lock<std::mutex> lock(impl_->mu);
-    while (!impl_->stop) {
-      if (impl_->cv.wait_for(lock, interval, [&] { return impl_->stop; })) {
-        return;
-      }
-      lock.unlock();
-      sink(Registry::Global().DumpPrometheusText());
-      lock.lock();
-    }
-  });
-}
-
-SnapshotLogger::~SnapshotLogger() {
-  Stop();
-  delete impl_;
-}
-
-void SnapshotLogger::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    if (impl_->stop && !impl_->thread.joinable()) return;
-    impl_->stop = true;
-  }
-  impl_->cv.notify_all();
-  if (impl_->thread.joinable()) impl_->thread.join();
 }
 
 }  // namespace rmi::obs

@@ -26,14 +26,12 @@
 // Registration is by name through the process-global Registry (names may
 // carry a Prometheus label suffix, e.g. shard="b0/f2"); handles are
 // stable for the process lifetime, so instrumentation sites cache them in
-// function-local statics and pay only the enabled-flag load plus the slot
-// write per event. SetEnabled(false) turns every gated instrument into an
-// early return — the overhead bench gates enabled-vs-disabled serving qps
-// within 2%.
+// function-local statics and pay only the slot write per event. The layer
+// is always on; the request tracer bounds its own cost by sampling
+// (obs/trace.h).
 //
 // Exposition: DumpPrometheusText() (text format 0.0.4) and DumpJson()
-// (one JSON object, embeddable in the BENCH_*.json metrics block), plus
-// SnapshotLogger, a small periodic dumper thread.
+// (one JSON object, embeddable in the BENCH_*.json metrics block).
 #ifndef RMI_OBS_METRICS_H_
 #define RMI_OBS_METRICS_H_
 
@@ -48,13 +46,6 @@
 #include "common/stats.h"
 
 namespace rmi::obs {
-
-/// Global instrumentation switch (relaxed atomic; default on). Disabling
-/// turns Counter::Add / Gauge::Add / Histogram::Observe into early
-/// returns — per-instance shim state (e.g. the server's latency window)
-/// uses the *Unconditional entry points and keeps working.
-void SetEnabled(bool enabled);
-bool Enabled();
 
 /// Monotonic microseconds since an arbitrary process-local origin (the
 /// steady clock) — the shared time base of spans and stage timers.
@@ -133,12 +124,6 @@ inline void AtomicDoubleMax(std::atomic<uint64_t>* cell, double value) {
 class Counter {
  public:
   void Add(uint64_t n = 1) {
-    if (!Enabled()) return;
-    AddUnconditional(n);
-  }
-  /// Bypasses the global enable switch — for per-instance shim state that
-  /// must keep counting while the observability layer is switched off.
-  void AddUnconditional(uint64_t n = 1) {
     slots_[ThreadShardIndex()].value.fetch_add(n, std::memory_order_relaxed);
   }
 
@@ -164,13 +149,11 @@ class Counter {
 class Gauge {
  public:
   void Add(double delta) {
-    if (!Enabled()) return;
     detail::AtomicDoubleAdd(&slots_[ThreadShardIndex()].bits, delta);
   }
   void Sub(double delta) { Add(-delta); }
 
   void Set(double value) {
-    if (!Enabled()) return;
     for (size_t s = 1; s < kShards; ++s) {
       detail::AtomicDoubleStore(&slots_[s].bits, 0.0);
     }
@@ -206,14 +189,10 @@ class Histogram {
 
   Histogram();
 
-  void Observe(double value) {
-    if (!Enabled()) return;
-    ObserveUnconditional(value);
-  }
-  /// Bypasses the global enable switch (per-instance shim state).
-  void ObserveUnconditional(double value);
+  void Observe(double value);
 
-  /// Index of the bucket holding `v` (exposed for tests).
+  /// Index of the bucket holding `v`. Test hook: Observe computes it
+  /// inline, and obs_test checks the bucket contract through it.
   static size_t BucketIndex(uint64_t v);
   /// Inclusive value range [lower, upper] of bucket `b`.
   static void BucketBounds(size_t b, uint64_t* lower, uint64_t* upper);
@@ -303,40 +282,18 @@ inline std::string DumpPrometheusText() {
 inline std::string DumpJson() { return Registry::Global().DumpJson(); }
 
 /// Times a stage and observes the elapsed microseconds into `hist` on
-/// destruction. When the layer is disabled at construction the timer is
-/// inert (no clock reads).
+/// destruction.
 class ScopedStageTimer {
  public:
   explicit ScopedStageTimer(Histogram& hist)
-      : hist_(Enabled() ? &hist : nullptr),
-        start_us_(hist_ != nullptr ? MonotonicUs() : 0.0) {}
-  ~ScopedStageTimer() {
-    if (hist_ != nullptr) hist_->Observe(MonotonicUs() - start_us_);
-  }
+      : hist_(hist), start_us_(MonotonicUs()) {}
+  ~ScopedStageTimer() { hist_.Observe(MonotonicUs() - start_us_); }
   ScopedStageTimer(const ScopedStageTimer&) = delete;
   ScopedStageTimer& operator=(const ScopedStageTimer&) = delete;
 
  private:
-  Histogram* hist_;
+  Histogram& hist_;
   double start_us_;
-};
-
-/// Periodic snapshot logger: a background thread that hands the current
-/// exposition to `sink` every `interval_seconds`. Stop() (or destruction)
-/// joins; the sink is called from the logger thread only.
-class SnapshotLogger {
- public:
-  using Sink = std::function<void(const std::string& prometheus_text)>;
-  SnapshotLogger(double interval_seconds, Sink sink);
-  ~SnapshotLogger();
-  void Stop();
-
-  SnapshotLogger(const SnapshotLogger&) = delete;
-  SnapshotLogger& operator=(const SnapshotLogger&) = delete;
-
- private:
-  struct Impl;
-  Impl* impl_;
 };
 
 }  // namespace rmi::obs

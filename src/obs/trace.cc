@@ -44,7 +44,7 @@ Tracer& Tracer::Global() {
 
 std::unique_ptr<Trace> Tracer::MaybeSample() {
   const uint64_t n = sample_every_.load(std::memory_order_relaxed);
-  if (n == 0 || !Enabled()) return nullptr;
+  if (n == 0) return nullptr;
   const uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
   if (seq % n != 0) return nullptr;
   sampled_.fetch_add(1, std::memory_order_relaxed);

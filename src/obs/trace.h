@@ -107,7 +107,7 @@ class Tracer {
   /// The sampling decision point. Returns a fresh trace for exactly the
   /// decisions whose sequence number is a multiple of N (deterministic
   /// given submission order), nullptr otherwise — and always nullptr
-  /// when sampling is off or the obs layer is disabled.
+  /// when sampling is off.
   std::unique_ptr<Trace> MaybeSample();
 
   /// Completes `trace`: stamps its total duration and retires it into

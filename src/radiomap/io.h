@@ -6,6 +6,10 @@
 //   # rmi-radio-map v1 num_aps=<D>
 //   id,path_id,time,rp_x,rp_y,r0,r1,...,r<D-1>
 // Missing values (null RSSIs, missing RPs) are empty fields.
+//
+// No bench or example calls these (they generate synthetic surveys, and
+// only io_test reaches this file), but they stay: they are the only way to
+// load a real survey into the library.
 #ifndef RMI_RADIOMAP_IO_H_
 #define RMI_RADIOMAP_IO_H_
 

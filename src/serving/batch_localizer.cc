@@ -23,13 +23,6 @@ const char* QueryValidationError(const MapSnapshot& snapshot,
   return nullptr;
 }
 
-geom::Point BatchLocalizer::Localize(
-    const std::vector<double>& fingerprint) const {
-  const PinnedSnapshot snap = store_->PinnedRead();
-  RMI_CHECK(snap.get() != nullptr);
-  return LocalizeOn(*snap, fingerprint);
-}
-
 geom::Point BatchLocalizer::LocalizeOn(const MapSnapshot& snapshot,
                                        const std::vector<double>& fingerprint) {
   RMI_CHECK_EQ(fingerprint.size(), snapshot.num_aps());
@@ -42,13 +35,6 @@ geom::Point BatchLocalizer::LocalizeOn(const MapSnapshot& snapshot,
   std::vector<Neighbor> candidates = snapshot.index.Search(
       snapshot.fingerprints(), fingerprint, snapshot.estimator->k());
   return snapshot.estimator->EstimateFromCandidates(std::move(candidates));
-}
-
-std::vector<geom::Point> BatchLocalizer::LocalizeBatch(
-    const la::Matrix& fingerprints) const {
-  const PinnedSnapshot snap = store_->PinnedRead();
-  RMI_CHECK(snap.get() != nullptr);
-  return LocalizeBatchOn(*snap, fingerprints);
 }
 
 std::vector<geom::Point> BatchLocalizer::LocalizeBatchOn(

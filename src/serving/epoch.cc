@@ -39,8 +39,8 @@ struct ThreadClaim {
   uint64_t domain_id = 0;
   size_t slot = 0;
   uint64_t depth = 0;
-  /// Outermost-pin start stamp (0 when unpinned or obs disabled at pin
-  /// time) — feeds the pin-duration histogram on the matching Exit.
+  /// Outermost-pin start stamp — feeds the pin-duration histogram on the
+  /// matching Exit.
   double pin_start_us = 0.0;
 };
 
@@ -102,7 +102,7 @@ void EpochDomain::Enter() {
     // header) — a smaller pin only defers reclamation longer.
     slots_[slot].epoch.store(global_epoch_.load(std::memory_order_seq_cst),
                              std::memory_order_seq_cst);
-    claim->pin_start_us = obs::Enabled() ? obs::MonotonicUs() : 0.0;
+    claim->pin_start_us = obs::MonotonicUs();
   }
 }
 
@@ -111,11 +111,8 @@ void EpochDomain::Exit() {
   RMI_CHECK(claim != nullptr && claim->depth > 0);
   if (--claim->depth == 0) {
     slots_[claim->slot].epoch.store(kIdle, std::memory_order_seq_cst);
-    if (claim->pin_start_us > 0.0) {
-      EpochMetrics::Get().pin_us.Observe(obs::MonotonicUs() -
-                                         claim->pin_start_us);
-      claim->pin_start_us = 0.0;
-    }
+    EpochMetrics::Get().pin_us.Observe(obs::MonotonicUs() -
+                                       claim->pin_start_us);
   }
 }
 

@@ -61,6 +61,8 @@ class EpochDomain {
   /// The process-wide domain used by MapSnapshotStore/ShardedSnapshotStore.
   static EpochDomain& Global();
 
+  /// Test hook: the stores all use Global(); tests build private domains
+  /// so that their pins and retire counts start from zero.
   EpochDomain();
   EpochDomain(const EpochDomain&) = delete;
   EpochDomain& operator=(const EpochDomain&) = delete;
@@ -112,7 +114,8 @@ class EpochDomain {
   /// Stop/teardown paths call this to drain the list deterministically.
   size_t ReclaimNow();
 
-  /// Entries currently deferred (test/introspection hook).
+  /// Entries currently deferred. Test hook; the rmi_epoch_deferred_objects
+  /// gauge reads the global domain's count through it (inlined there).
   size_t retired_count() const;
 
   /// Epoch currently pinned by the calling thread, or kIdle. Test hook.

@@ -203,7 +203,8 @@ class MapUpdater {
   /// publishes before the loop joins. Idempotent; the destructor calls it.
   void Stop();
 
-  /// Deltas currently buffered for shard `id` (0 for unknown shards).
+  /// Deltas currently buffered for shard `id` (0 for unknown shards). Test
+  /// hook: no serving path reads it.
   size_t PendingObservations(const rmap::ShardId& id) const;
 
   MapUpdaterStats Stats() const;

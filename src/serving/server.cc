@@ -228,14 +228,9 @@ void LocalizationServer::ProcessBatch(std::vector<Request>* batch) {
   ServerMetrics& metrics = ServerMetrics::Get();
   metrics.queue_depth.Add(-static_cast<double>(batch->size()));
   metrics.batch_size.Observe(static_cast<double>(batch->size()));
-  // Queue-stage latency (enqueue -> batch start) per request. The clock
-  // reads are gated: disabled observability pays nothing here.
-  if (obs::Enabled()) {
-    for (const Request& r : *batch) {
-      metrics.stage_queue_us.Observe(r.enqueued.ElapsedSeconds() * 1e6);
-    }
-  }
+  // Queue-stage latency (enqueue -> batch start) per request.
   for (Request& r : *batch) {
+    metrics.stage_queue_us.Observe(r.enqueued.ElapsedSeconds() * 1e6);
     if (r.trace != nullptr) {
       r.trace->AddSpan("queue", 0.0, r.trace->ElapsedUs());
     }
@@ -305,8 +300,8 @@ void LocalizationServer::ProcessBatch(std::vector<Request>* batch) {
   }
 
   // Lock-free accounting: per-instance atomics + member histogram (the
-  // Stats() data source, ungated) and the process-wide registry series
-  // (gated). No mutex anywhere on this path.
+  // Stats() data source) and the process-wide registry series. No mutex
+  // anywhere on this path.
   completed_.fetch_add(valid.size(), std::memory_order_relaxed);
   rejected_.fetch_add(num_rejected, std::memory_order_relaxed);
   batches_.fetch_add(1, std::memory_order_relaxed);
@@ -317,7 +312,7 @@ void LocalizationServer::ProcessBatch(std::vector<Request>* batch) {
   for (size_t v = 0; v < valid.size(); ++v) {
     Request& r = (*batch)[valid[v]];
     const double latency_us = r.enqueued.ElapsedSeconds() * 1e6;
-    fulfill_latency_us_.ObserveUnconditional(latency_us);
+    fulfill_latency_us_.Observe(latency_us);
     metrics.fulfill_us.Observe(latency_us);
     r.promise.set_value(estimates[v]);
     obs::Tracer::Global().Finish(std::move(r.trace));

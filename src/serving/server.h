@@ -147,8 +147,8 @@ class LocalizationServer {
   std::mutex park_mu_;
   std::condition_variable park_cv_;
 
-  /// Per-instance fulfill-latency histogram (always on — the Stats()
-  /// shim's data source even when the global obs layer is disabled) plus
+  /// Per-instance fulfill-latency histogram (the Stats() data source; the
+  /// registry's rmi_server_fulfill_us series sums every server) plus
   /// plain atomic totals. No mutex anywhere on the fulfill path; bounded
   /// memory by construction (fixed buckets, not a sample window).
   obs::Histogram fulfill_latency_us_;

@@ -136,21 +136,6 @@ ShardedSnapshotStore::Profiles() const {
   return out;
 }
 
-bool ShardedSnapshotStore::Contains(const rmap::ShardId& id) const {
-  const std::shared_ptr<const Table> table = LoadTable();
-  return table->find(id) != table->end();
-}
-
-std::vector<rmap::ShardId> ShardedSnapshotStore::ShardIds() const {
-  const std::shared_ptr<const Table> table = LoadTable();
-  std::vector<rmap::ShardId> ids;
-  ids.reserve(table->size());
-  for (const auto& [id, shard] : *table) ids.push_back(id);
-  return ids;
-}
-
-size_t ShardedSnapshotStore::num_shards() const { return LoadTable()->size(); }
-
 ShardRouter::ShardRouter(const ShardedSnapshotStore* store, size_t num_threads)
     : store_(store), pool_(num_threads) {
   RMI_CHECK(store_ != nullptr);

@@ -61,7 +61,7 @@ ShardProfile BuildShardProfile(const MapSnapshot& snapshot);
 /// Routing table of per-shard hot-swappable snapshot stores.
 ///
 /// Thread-safety: Publish may race with any number of concurrent readers
-/// (Current / Profile / ShardIds): readers load an immutable table through
+/// (Pinned / Current / Profile / Profiles): readers load an immutable table through
 /// an atomic shared_ptr and are wait-free. Concurrent Publish calls are
 /// serialized internally. After a publish to an existing shard there is a
 /// benign instant where a reader can pair the new snapshot with the
@@ -104,10 +104,6 @@ class ShardedSnapshotStore {
   /// against a single table generation.
   std::vector<std::pair<rmap::ShardId, std::shared_ptr<const ShardProfile>>>
   Profiles() const;
-
-  bool Contains(const rmap::ShardId& id) const;
-  std::vector<rmap::ShardId> ShardIds() const;
-  size_t num_shards() const;
 
   /// Total snapshot publications across all shards.
   uint64_t publish_count() const {

@@ -25,22 +25,17 @@ size_t& LastScoredSlot() {
 
 }  // namespace
 
-double QuerySquaredDistance(const std::vector<double>& query,
-                            const la::Matrix& refs, size_t row) {
-  RMI_CHECK_EQ(query.size(), refs.cols());
-  // The one shared scoring loop (la::QuerySquaredDistance): the estimators'
-  // scalar/batch paths and this index must sum identically for the pruned
-  // path to equal brute force bit-for-bit.
-  return la::QuerySquaredDistance(query.data(), refs, row);
-}
-
 std::vector<Neighbor> BruteForceKnn(const la::Matrix& refs,
                                     const std::vector<double>& query,
                                     size_t k) {
+  RMI_CHECK_EQ(query.size(), refs.cols());
+  // The one shared scoring loop (la::QuerySquaredDistance): the estimators'
+  // scalar/batch paths and the index must sum identically for the pruned
+  // path to equal brute force bit-for-bit.
   std::vector<Neighbor> all;
   all.reserve(refs.rows());
   for (size_t i = 0; i < refs.rows(); ++i) {
-    all.emplace_back(QuerySquaredDistance(query, refs, i), i);
+    all.emplace_back(la::QuerySquaredDistance(query.data(), refs, i), i);
   }
   const size_t take = std::min(k, all.size());
   std::partial_sort(all.begin(), all.begin() + static_cast<long>(take),
@@ -158,7 +153,7 @@ std::vector<Neighbor> SpatialIndex::Search(const la::Matrix& refs,
       break;  // sorted: no later cell can beat the worst retained candidate
     }
     for (size_t m : cells_[c].members) {
-      best.Push(Neighbor(QuerySquaredDistance(query, refs, m), m));
+      best.Push(Neighbor(la::QuerySquaredDistance(query.data(), refs, m), m));
       ++scored;
     }
   }

@@ -34,18 +34,13 @@
 
 namespace rmi::serving {
 
-/// Squared distance from `query` (length D, kNull allowed) to row `row` of
-/// `refs` (complete), over the query's observed dimensions only. The shared
-/// scoring loop of the index, the brute-force reference, and the tests.
-double QuerySquaredDistance(const std::vector<double>& query,
-                            const la::Matrix& refs, size_t row);
-
 /// (squared distance, reference row) — ordered like the estimators order
 /// candidates.
 using Neighbor = std::pair<double, size_t>;
 
 /// Brute-force exact KNN over every row of `refs`, ascending by
-/// (distance, index). The reference implementation the index must match.
+/// (distance, index). Test oracle: the reference implementation the index
+/// must match (serving_test); no serving path calls it.
 std::vector<Neighbor> BruteForceKnn(const la::Matrix& refs,
                                     const std::vector<double>& query,
                                     size_t k);

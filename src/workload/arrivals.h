@@ -26,6 +26,8 @@ struct DiurnalCurve {
   double amplitude = 0.6;
   double phase_rad = -1.5707963267948966;  // -pi/2
 
+  /// The level at virtual time t. PoissonArrivals' thinning step inlines
+  /// it, so only the tests that check the curve link it out of line.
   double Level(double t) const;
   /// Exact closed-form integral of Level over [t0, t1].
   double Integral(double t0, double t1) const;

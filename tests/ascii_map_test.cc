@@ -55,30 +55,23 @@ TEST(AsciiMapTest, TogglesLayers) {
   EXPECT_NE(art.find('#'), std::string::npos);
 }
 
-TEST(AsciiMapTest, OverlayPaintsLabels) {
-  const Venue v = SmallVenue();
-  const std::string art = RenderOverlayAscii(
-      v, {{15.0, 15.0}, {5.0, 5.0}}, {'X', 'Y'});
-  EXPECT_NE(art.find('X'), std::string::npos);
-  EXPECT_NE(art.find('Y'), std::string::npos);
-}
-
-TEST(AsciiMapTest, OutOfBoundsOverlayIgnored) {
-  const Venue v = SmallVenue();
-  const std::string art = RenderOverlayAscii(v, {{-5.0, 500.0}}, {'Z'});
-  EXPECT_EQ(art.find('Z'), std::string::npos);
+TEST(AsciiMapTest, OutOfBoundsPointIgnored) {
+  Venue v = SmallVenue();
+  v.aps = {AccessPoint{{-5.0, 500.0}}};
+  const std::string art = RenderVenueAscii(v);
+  EXPECT_EQ(art.find('A'), std::string::npos);
 }
 
 TEST(AsciiMapTest, TopRowIsMaxY) {
-  const Venue v = SmallVenue();
-  // Paint a marker near the top edge (max y); it must appear on row 0.
+  Venue v = SmallVenue();
+  // One AP near the top edge (max y); it must appear on row 0.
+  v.aps = {AccessPoint{{15.0, 29.9}}};
   const std::string art =
-      RenderOverlayAscii(v, {{15.0, 29.9}}, {'T'},
-                         AsciiMapOptions{.width_chars = 40,
-                                         .show_aps = false,
-                                         .show_rps = false,
-                                         .show_walls = false});
-  const size_t marker = art.find('T');
+      RenderVenueAscii(v, AsciiMapOptions{.width_chars = 40,
+                                          .show_aps = true,
+                                          .show_rps = false,
+                                          .show_walls = false});
+  const size_t marker = art.find('A');
   ASSERT_NE(marker, std::string::npos);
   EXPECT_LT(marker, art.find('\n'));
 }

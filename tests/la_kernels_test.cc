@@ -1,7 +1,7 @@
-// Kernel-layer tests: every Gemm transpose variant, beta accumulation, the
-// packed NT kernel, the row-pointer TN kernel, the k-means squared-distance
-// kernel, the Adam update, the slot-order gradient sum and the fused
-// elementwise kernels, all validated against naive reference
+// Kernel-layer tests: the NN, TN and NT Gemm variants (TT is refused), beta
+// accumulation, the packed NT kernel, the row-pointer TN kernel, the k-means
+// squared-distance kernel, the Adam update, the slot-order gradient sum and
+// the fused elementwise kernels, all validated against naive reference
 // implementations on random matrices.
 #include <gtest/gtest.h>
 
@@ -44,6 +44,7 @@ TEST(GemmTest, AllTransposeVariantsMatchNaive) {
   const size_t m = 7, k = 11, n = 5;
   for (bool ta : {false, true}) {
     for (bool tb : {false, true}) {
+      if (ta && tb) continue;  // refused (GemmDeathTest)
       Matrix a = ta ? Matrix::Random(k, m, rng) : Matrix::Random(m, k, rng);
       Matrix b = tb ? Matrix::Random(n, k, rng) : Matrix::Random(k, n, rng);
       Matrix c;
@@ -74,6 +75,7 @@ TEST(GemmTest, BetaOneWithTransposesMatchesNaive) {
   const size_t m = 5, k = 8, n = 6;
   for (bool ta : {false, true}) {
     for (bool tb : {false, true}) {
+      if (ta && tb) continue;  // refused (GemmDeathTest)
       Matrix a = ta ? Matrix::Random(k, m, rng) : Matrix::Random(m, k, rng);
       Matrix b = tb ? Matrix::Random(n, k, rng) : Matrix::Random(k, n, rng);
       Matrix c0 = Matrix::Random(m, n, rng);
@@ -84,6 +86,15 @@ TEST(GemmTest, BetaOneWithTransposesMatchesNaive) {
           << "ta=" << ta << " tb=" << tb;
     }
   }
+}
+
+TEST(GemmDeathTest, BothOperandsTransposedIsRefused) {
+  // No caller transposes both operands, so Gemm has no TT kernel.
+  Rng rng(105);
+  const Matrix a = Matrix::Random(4, 3, rng);
+  const Matrix b = Matrix::Random(5, 4, rng);
+  Matrix c;
+  EXPECT_DEATH(Gemm(1.0, a, true, b, true, 0.0, &c), "RMI_CHECK");
 }
 
 TEST(GemmTest, LargeOperandsBitMatchStreamingOrder) {

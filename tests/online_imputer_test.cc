@@ -4,7 +4,6 @@
 
 #include "bisim/bisim.h"
 #include "common/missing.h"
-#include "eval/metrics.h"
 
 namespace rmi::bisim {
 namespace {
@@ -113,26 +112,6 @@ TEST(OnlineBiSimImputerTest, FullyObservedScanUnchanged) {
   const auto completed = imputer.ImputeFingerprint(scan);
   EXPECT_DOUBLE_EQ(completed[0], -42.0);
   EXPECT_DOUBLE_EQ(completed[1], -58.0);
-}
-
-TEST(ErrorCdfTest, SummarizesPercentiles) {
-  std::vector<double> errors;
-  for (int i = 1; i <= 100; ++i) errors.push_back(static_cast<double>(i));
-  const eval::ErrorCdf cdf = eval::SummarizeErrors(errors);
-  EXPECT_NEAR(cdf.mean, 50.5, 1e-9);
-  EXPECT_NEAR(cdf.p50, 50.5, 1e-9);
-  EXPECT_NEAR(cdf.p90, 90.1, 0.2);
-  EXPECT_DOUBLE_EQ(cdf.max, 100.0);
-  EXPECT_LE(cdf.p50, cdf.p75);
-  EXPECT_LE(cdf.p75, cdf.p90);
-  EXPECT_LE(cdf.p90, cdf.p95);
-  EXPECT_LE(cdf.p95, cdf.max);
-}
-
-TEST(ErrorCdfTest, EmptyIsZero) {
-  const eval::ErrorCdf cdf = eval::SummarizeErrors({});
-  EXPECT_DOUBLE_EQ(cdf.mean, 0.0);
-  EXPECT_DOUBLE_EQ(cdf.max, 0.0);
 }
 
 }  // namespace

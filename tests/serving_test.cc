@@ -286,7 +286,6 @@ TEST(SnapshotStoreTest, HotSwapUnderConcurrentReadersIsNeverTornOrEmpty) {
                       rng, opt));
   }
   MapSnapshotStore store(generations[0]);
-  BatchLocalizer localizer(&store);
   const la::Matrix queries = MakeQueries(map_a, 8, 0.25, 41);
 
   std::atomic<bool> stop{false};
@@ -302,7 +301,8 @@ TEST(SnapshotStoreTest, HotSwapUnderConcurrentReadersIsNeverTornOrEmpty) {
           failed.store(true);
           return;
         }
-        const geom::Point p = localizer.Localize(RowOf(queries, i % 8));
+        const geom::Point p = BatchLocalizer::LocalizeOn(
+            *store.PinnedRead(), RowOf(queries, i % 8));
         if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
           failed.store(true);
           return;
@@ -332,12 +332,12 @@ TEST(BatchLocalizerTest, SingleQueryPrunedPathMatchesEstimator) {
   auto snap = BuildSnapshot(
       map, std::make_unique<positioning::KnnEstimator>(4, true), rng);
   MapSnapshotStore store(snap);
-  BatchLocalizer localizer(&store);
   const la::Matrix queries = MakeQueries(map, 25, 0.3, 55);
   for (size_t i = 0; i < queries.rows(); ++i) {
     const std::vector<double> q = RowOf(queries, i);
     const geom::Point direct = snap->estimator->Estimate(q);
-    const geom::Point pruned = localizer.Localize(q);
+    const geom::Point pruned =
+        BatchLocalizer::LocalizeOn(*store.PinnedRead(), q);
     EXPECT_DOUBLE_EQ(pruned.x, direct.x) << "row " << i;
     EXPECT_DOUBLE_EQ(pruned.y, direct.y) << "row " << i;
   }

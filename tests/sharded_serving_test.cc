@@ -114,24 +114,21 @@ TEST(ShardProfileTest, AudibleSetsFollowTheVenueLayout) {
 
 TEST(ShardedStoreTest, PublishToUnknownShardCreatesIt) {
   ShardedSnapshotStore store;
-  EXPECT_EQ(store.num_shards(), 0u);
+  EXPECT_TRUE(store.Profiles().empty());
   const rmap::ShardId id{5, 2};
-  EXPECT_FALSE(store.Contains(id));
   EXPECT_EQ(store.Current(id), nullptr);
 
   const auto map = MakeSyntheticServingMap(8, 6, 6, 3);
   store.Publish(id, SnapshotOf(map));
-  EXPECT_TRUE(store.Contains(id));
-  EXPECT_EQ(store.num_shards(), 1u);
   ASSERT_NE(store.Current(id), nullptr);
   ASSERT_NE(store.Profile(id), nullptr);
   EXPECT_EQ(store.publish_count(), 1u);
-  ASSERT_EQ(store.ShardIds().size(), 1u);
-  EXPECT_EQ(store.ShardIds()[0], id);
+  ASSERT_EQ(store.Profiles().size(), 1u);
+  EXPECT_EQ(store.Profiles()[0].first, id);
 
   // Republish to the now-known shard: same shard count, new generation.
   store.Publish(id, SnapshotOf(map, /*version=*/1));
-  EXPECT_EQ(store.num_shards(), 1u);
+  EXPECT_EQ(store.Profiles().size(), 1u);
   EXPECT_EQ(store.Current(id)->version, 1u);
   EXPECT_EQ(store.publish_count(), 2u);
 }

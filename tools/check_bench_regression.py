@@ -2,8 +2,8 @@
 """CI perf-regression gate for the serving benches.
 
 Compares freshly produced BENCH_serving.json / BENCH_sharded.json /
-BENCH_scaling.json / BENCH_obs.json / BENCH_soak.json /
-BENCH_persistence.json against the committed baselines in bench/baselines/
+BENCH_scaling.json / BENCH_soak.json / BENCH_persistence.json against the
+committed baselines in bench/baselines/
 and fails when any gated metric regresses by more than the allowed
 fraction (default 15%). The soak's SLO fields additionally gate against
 absolute ceilings (p999 latency, staleness p95, handover error), and the
@@ -31,12 +31,10 @@ Usage:
 Refreshing baselines after an intentional perf change:
     ./build/bench_serving_throughput --smoke &&
     ./build/bench_sharded_serving --smoke &&
-    ./build/bench_obs_overhead --smoke &&
     ./build/bench_soak --smoke &&
     ./build/bench_persistence --smoke &&
     cp build/BENCH_serving.json bench/baselines/serving.json &&
     cp build/BENCH_sharded.json bench/baselines/sharded.json &&
-    cp build/BENCH_obs.json bench/baselines/obs.json &&
     cp build/BENCH_soak.json bench/baselines/soak.json &&
     cp build/BENCH_persistence.json bench/baselines/persistence.json
 (For the persistence baseline, prefer the most conservative of a few
@@ -102,25 +100,6 @@ BENCHES = [
             "serving_speedup_4t",
             "sharded_speedup_4t",
         ],
-    ),
-    # Observability overhead A/B. The headline enabled/disabled qps ratio
-    # is self-normalizing (both arms run on the same machine in the same
-    # process), so it gates against an *absolute* floor — the <= 2%
-    # overhead acceptance bar — rather than against the baseline's
-    # measured ratio. The raw per-arm qps numbers are machine-dependent
-    # and stay context-only.
-    (
-        "BENCH_obs.json",
-        "obs.json",
-        [],
-        [
-            "batch.disabled_qps",
-            "batch.enabled_qps",
-            "server.disabled_qps",
-            "server.enabled_qps",
-        ],
-        [],
-        {"enabled_over_disabled": 0.98},
     ),
     # Persistence. The acceptance bar gates as an absolute floor: a
     # persisted restart must beat a cold re-impute by >= 10x (median-of-3
