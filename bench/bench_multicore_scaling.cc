@@ -1,27 +1,25 @@
 // Multicore scaling of the serving path: the same workload at 1 / 2 / 4 /
-// hardware_concurrency threads, so the epoch-pinned snapshot reads, the
-// work-stealing fan-out pool, and the parallel rebuild path show their
-// scaling curve instead of a single-point qps.
+// hardware_concurrency threads, so the epoch-pinned snapshot reads and the
+// parallel rebuild path show their scaling curve instead of a single-point
+// qps.
 //
 //   ./bench_multicore_scaling            # full sizes, console table
 //   ./bench_multicore_scaling --smoke    # CI sizes + BENCH_scaling.json
 //   ./bench_multicore_scaling --json=out.json
 //
 // Emits BENCH_scaling.json (schema in docs/REPRODUCE.md): per-thread-count
-// qps/p95 for three sections plus the 4-thread-vs-1-thread speedups the
+// qps/p95 for two sections plus the 4-thread-vs-1-thread speedups the
 // regression gate checks on runners with >= 4 cores —
 //   serving  — T client threads, each PinnedRead + EstimateBatch on its
 //              own query stripe against one MapSnapshotStore (the
 //              epoch-read scaling: no refcount line to bounce);
-//   sharded  — mixed-shard LocalizeBatch through a ShardRouter whose
-//              fan-out pool is sized T (work-stealing group schedule);
-//   rebuild  — 8 shards re-imputed concurrently on a T-wide pool.
+//   rebuild  — the venue's shards re-imputed concurrently on a T-wide
+//              pool.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -151,47 +149,12 @@ int main(int argc, char** argv) {
   const double serving_speedup = SpeedupAt4(serving_curve);
   std::printf("serving speedup @4t: %.2fx\n\n", serving_speedup);
 
-  // --- sharded: router fan-out pool sized T -----------------------------
+  // --- rebuild: the venue's shards re-imputed on a T-wide pool ----------
   serving::VenueOptions vopt;
   vopt.nx = smoke ? 10 : 14;
   vopt.ny = smoke ? 8 : 10;
   const std::vector<serving::VenueShard> venue =
       serving::MakeSyntheticVenue(vopt);
-  serving::ShardedSnapshotStore sharded_store;
-  {
-    uint64_t version = 1;
-    for (const serving::VenueShard& shard : venue) {
-      Rng srng(100 + version);
-      sharded_store.Publish(
-          shard.id,
-          serving::BuildSnapshot(
-              shard.map, std::make_unique<positioning::KnnEstimator>(3, true),
-              srng, serving::SnapshotOptions{version++, 6.0}));
-    }
-  }
-  const size_t venue_rows = smoke ? 2048 : 8192;
-  const serving::VenueQuerySet vqueries =
-      serving::MakeVenueQueries(venue, venue_rows, 0.1, 33);
-  std::vector<std::optional<rmap::ShardId>> hints(vqueries.shard.size());
-  for (size_t i = 0; i < vqueries.shard.size(); ++i) hints[i] = vqueries.shard[i];
-  std::vector<Point> sharded_curve;
-  for (size_t t : counts) {
-    const serving::ShardRouter router(&sharded_store, t);
-    Timer timer;
-    const size_t rounds = 4;
-    for (size_t r = 0; r < rounds; ++r) {
-      router.LocalizeBatch(vqueries.queries, hints);
-    }
-    Point p;
-    p.threads = t;
-    p.qps = double(rounds * venue_rows) / timer.ElapsedSeconds();
-    sharded_curve.push_back(p);
-    std::printf("sharded  %2zu threads:  %10.0f qps\n", p.threads, p.qps);
-  }
-  const double sharded_speedup = SpeedupAt4(sharded_curve);
-  std::printf("sharded speedup @4t: %.2fx\n\n", sharded_speedup);
-
-  // --- rebuild: 8 shards re-imputed on a T-wide pool --------------------
   const cluster::MarOnlyDifferentiator differentiator;
   const imputers::MiceImputer imputer;
   std::vector<Point> rebuild_curve;
@@ -256,13 +219,11 @@ int main(int argc, char** argv) {
     };
     std::fprintf(f, "{\n");
     emit_curve("serving", serving_curve, true);
-    emit_curve("sharded", sharded_curve, false);
     emit_curve("rebuild", rebuild_curve, false);
     std::fprintf(f,
                  "  \"serving_speedup_4t\": %.3f,\n"
-                 "  \"sharded_speedup_4t\": %.3f,\n"
                  "  \"rebuild_speedup_4t\": %.3f,\n",
-                 serving_speedup, sharded_speedup, rebuild_speedup);
+                 serving_speedup, rebuild_speedup);
     bench::WriteObsMetricsJson(f);
     bench::WriteHardwareJson(f, counts.back());
     std::fprintf(f, "\n}\n");

@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "geometry/geometry.h"
+#include "obs/metrics.h"
 #include "positioning/estimators.h"
 #include "serving/batch_localizer.h"
 #include "serving/server.h"
@@ -169,12 +170,18 @@ int main(int argc, char** argv) {
     server.Stop();
     stats = server.Stats();
   }
+  // Request latency from the registry series every server feeds; this
+  // process runs one server.
+  const obs::Histogram& fulfill_us =
+      obs::GetHistogram("rmi_server_fulfill_us", "");
+  const double p50_us = fulfill_us.Percentile(50.0);
+  const double p95_us = fulfill_us.Percentile(95.0);
+  const double p99_us = fulfill_us.Percentile(99.0);
   std::printf("server (4 clients, %zu hot-swaps in flight):\n", hot_swaps);
   std::printf("  completed %zu   qps %.0f   mean batch %.1f\n",
               stats.completed, stats.qps, stats.mean_batch_size);
-  std::printf("  latency p50 %.0f us   p95 %.0f us   p99 %.0f us\n",
-              stats.p50_latency_us, stats.p95_latency_us,
-              stats.p99_latency_us);
+  std::printf("  latency p50 %.0f us   p95 %.0f us   p99 %.0f us\n", p50_us,
+              p95_us, p99_us);
 
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -199,9 +206,8 @@ int main(int argc, char** argv) {
         "  \"index_scored_fraction\": %.4f,\n"
         "  \"server\": {\"qps\": %.1f, \"p50_us\": %.1f, \"p95_us\": %.1f,"
         " \"p99_us\": %.1f, \"mean_batch\": %.2f, \"hot_swaps\": %zu},\n",
-        pruned_qps, scored_fraction, stats.qps, stats.p50_latency_us,
-        stats.p95_latency_us, stats.p99_latency_us, stats.mean_batch_size,
-        hot_swaps);
+        pruned_qps, scored_fraction, stats.qps, p50_us, p95_us, p99_us,
+        stats.mean_batch_size, hot_swaps);
     rmi::bench::WriteObsMetricsJson(f);
     rmi::bench::WriteHardwareJson(f, server_opt.num_workers);
     std::fprintf(f, "\n}\n");

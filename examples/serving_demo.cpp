@@ -103,11 +103,13 @@ int main() {
                 client_err[c]);
   }
   const serving::ServerStats stats = server.Stats();
+  const obs::Histogram& fulfill_us =
+      obs::GetHistogram("rmi_server_fulfill_us", "");
   std::printf("server: %zu requests in %zu batches (mean %.1f), "
               "p50 %.0f us, p95 %.0f us, p99 %.0f us\n",
               stats.completed, stats.batches, stats.mean_batch_size,
-              stats.p50_latency_us, stats.p95_latency_us,
-              stats.p99_latency_us);
+              fulfill_us.Percentile(50.0), fulfill_us.Percentile(95.0),
+              fulfill_us.Percentile(99.0));
 
   // What a metrics sidecar would scrape from this process right now.
   std::printf("\n--- /metrics (Prometheus text format) ---\n%s",

@@ -4,27 +4,27 @@
 
 #include "common/check.h"
 #include "common/missing.h"
-#include "serving/shard_router.h"
+#include "serving/batch_localizer.h"
 #include "serving/synthetic.h"
 
 namespace rmi::eval {
 
 namespace {
 
-/// Mean Euclidean error of routing `queries` (all rows hinted to `shard`)
-/// against `truths`.
-double MeasureApe(const serving::ShardRouter& router,
+/// Mean Euclidean error against `truths` of answering every row of
+/// `queries` on `shard`'s pinned snapshot in one batched estimator pass.
+double MeasureApe(const serving::ShardedSnapshotStore& store,
                   const rmap::ShardId& shard, const la::Matrix& queries,
                   const std::vector<geom::Point>& truths) {
-  std::vector<std::optional<rmap::ShardId>> hints(queries.rows(), shard);
-  const serving::ShardRouter::BatchResult routed =
-      router.LocalizeBatch(queries, hints);
+  const serving::PinnedSnapshot snap = store.Pinned(shard);
+  RMI_CHECK(snap.get() != nullptr);
+  const std::vector<geom::Point> positions =
+      serving::BatchLocalizer::LocalizeBatchOn(*snap, queries);
   double sum = 0.0;
-  for (size_t i = 0; i < routed.positions.size(); ++i) {
-    sum += geom::Distance(routed.positions[i], truths[i]);
+  for (size_t i = 0; i < positions.size(); ++i) {
+    sum += geom::Distance(positions[i], truths[i]);
   }
-  return routed.positions.empty() ? 0.0
-                                  : sum / double(routed.positions.size());
+  return positions.empty() ? 0.0 : sum / double(positions.size());
 }
 
 }  // namespace
@@ -73,10 +73,9 @@ UpdateScenarioResult RunAccuracyUnderUpdate(
   serving::MapUpdater updater(&store, &differentiator, &imputer,
                               estimator_factory, updater_options);
   updater.RegisterShard(shard, stale);  // bootstrap: the drifted snapshot
-  serving::ShardRouter router(&store, /*num_threads=*/1);
 
   UpdateScenarioResult result;
-  result.stale_ape = MeasureApe(router, shard, queries, truths);
+  result.stale_ape = MeasureApe(store, shard, queries, truths);
 
   // The fresh — but sparse — re-survey batch: missing RSSIs and missing
   // RPs force the rebuild through genuine differentiation + imputation.
@@ -101,7 +100,7 @@ UpdateScenarioResult RunAccuracyUnderUpdate(
   }
 
   RMI_CHECK(updater.RebuildNow(shard));
-  result.updated_ape = MeasureApe(router, shard, queries, truths);
+  result.updated_ape = MeasureApe(store, shard, queries, truths);
   result.rebuild_seconds = updater.Stats().last_rebuild_seconds;
   result.snapshot_versions = store.publish_count();
   return result;

@@ -51,7 +51,10 @@ struct UpdateScenarioResult {
 
 /// Runs the scenario on shard (0, 0) with the given pipeline backends.
 /// `estimator_factory` builds the estimator each snapshot fits (as in
-/// serving::MapUpdater). Deterministic for a fixed options.seed.
+/// serving::MapUpdater). Deterministic for a fixed options.seed. A test
+/// harness: UpdateScenarioTest.FreshSurveyRepairsTheDriftedShard
+/// (sharded_serving_test) and IncrementalImputeTest.
+/// UpdateScenarioPartialResurveyRepairsStaleMap run it.
 UpdateScenarioResult RunAccuracyUnderUpdate(
     const cluster::Differentiator& differentiator,
     const imputers::Imputer& imputer,

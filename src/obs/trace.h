@@ -16,9 +16,8 @@
 // handoff happens through the same queues that hand off the request).
 //
 // Wiring: LocalizationServer::Submit starts a trace per sampled request
-// and carries it through coalescing into the batch stages;
-// ShardRouter::LocalizeBatch accepts an optional trace and records the
-// classify / pin-validate / per-group rank spans of the fan-out.
+// (a "submit" event) and carries it through coalescing into
+// ProcessBatch, which records its "queue" and "rank" spans.
 #ifndef RMI_OBS_TRACE_H_
 #define RMI_OBS_TRACE_H_
 
@@ -138,27 +137,6 @@ class Tracer {
   mutable std::mutex ring_mu_;
   std::vector<Trace> ring_;   ///< kRingCapacity cap, ring_next_ is oldest
   size_t ring_next_ = 0;
-};
-
-/// RAII span recorder: times a stage into `trace` (no-op when null).
-class ScopedSpan {
- public:
-  ScopedSpan(Trace* trace, const char* name)
-      : trace_(trace),
-        name_(name),
-        start_us_(trace != nullptr ? trace->ElapsedUs() : 0.0) {}
-  ~ScopedSpan() {
-    if (trace_ != nullptr) {
-      trace_->AddSpan(name_, start_us_, trace_->ElapsedUs() - start_us_);
-    }
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  Trace* trace_;
-  const char* name_;
-  double start_us_;
 };
 
 }  // namespace rmi::obs

@@ -26,15 +26,13 @@
 // delta buffer atomically — while independent shards overlap freely.
 // Every shard draws randomness from its own Rng stream seeded by
 // (options.seed, shard id), so published snapshots are deterministic per
-// (seed, shard) no matter how the pool schedules them. (Caveat for
-// imputers that parallelize *internally*, e.g. BiSIM with num_threads !=
-// 1: inside a multi-shard pool batch their nested pools collapse to one
-// thread — ThreadPool's oversubscription guard — so their training
-// results match the single-threaded reference there, while direct
-// RebuildNow/RegisterShard/single-shard-trigger rebuilds train with the
-// configured thread count; bit-reproducibility across those two paths
-// requires an imputer with num_threads = 1, which is how the
-// determinism tests run.) Rebuilds never hold the delta mutex during the
+// (seed, shard) no matter how the pool schedules them. An imputer that
+// parallelizes internally (BiSIM) trains on one thread inside a
+// multi-shard pool batch — ThreadPool's oversubscription guard collapses
+// its nested pool — and at its configured width in direct RebuildNow /
+// RegisterShard / single-shard-trigger rebuilds; BiSIM's bits do not
+// depend on its thread count, so both paths publish the same bytes.
+// Rebuilds never hold the delta mutex during the
 // long impute/fit phase, so ingest is never stalled by a rebuild. A
 // rebuild whose impute/fit/publish pipeline throws is contained: the
 // failure is counted (MapUpdaterStats::rebuilds_failed and the
@@ -60,6 +58,7 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "imputers/imputer.h"
+#include "obs/metrics.h"
 #include "radiomap/radio_map.h"
 #include "serving/shard_router.h"
 #include "serving/snapshot.h"

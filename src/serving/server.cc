@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "common/missing.h"
+#include "obs/metrics.h"
 
 namespace rmi::serving {
 
@@ -19,8 +20,8 @@ std::exception_ptr StoppedError() {
 
 /// Process-wide serving series. Handles are registered once and cached —
 /// they are process-lifetime, so every LocalizationServer instance feeds
-/// the same rmi_server_* series (per-instance numbers live in the
-/// server's own atomics/histogram behind Stats()).
+/// the same rmi_server_* series (per-instance counts live in the server's
+/// own atomics behind Stats()).
 struct ServerMetrics {
   obs::Counter& completed = obs::GetCounter(
       "rmi_server_requests_total", "Requests answered across all servers");
@@ -299,9 +300,8 @@ void LocalizationServer::ProcessBatch(std::vector<Request>* batch) {
     }
   }
 
-  // Lock-free accounting: per-instance atomics + member histogram (the
-  // Stats() data source) and the process-wide registry series. No mutex
-  // anywhere on this path.
+  // Lock-free accounting: per-instance atomics (the Stats() data source)
+  // and the process-wide registry series. No mutex anywhere on this path.
   completed_.fetch_add(valid.size(), std::memory_order_relaxed);
   rejected_.fetch_add(num_rejected, std::memory_order_relaxed);
   batches_.fetch_add(1, std::memory_order_relaxed);
@@ -311,9 +311,7 @@ void LocalizationServer::ProcessBatch(std::vector<Request>* batch) {
   metrics.batches.Add();
   for (size_t v = 0; v < valid.size(); ++v) {
     Request& r = (*batch)[valid[v]];
-    const double latency_us = r.enqueued.ElapsedSeconds() * 1e6;
-    fulfill_latency_us_.Observe(latency_us);
-    metrics.fulfill_us.Observe(latency_us);
+    metrics.fulfill_us.Observe(r.enqueued.ElapsedSeconds() * 1e6);
     r.promise.set_value(estimates[v]);
     obs::Tracer::Global().Finish(std::move(r.trace));
   }
@@ -329,11 +327,6 @@ ServerStats LocalizationServer::Stats() const {
       s.batches == 0
           ? 0.0
           : static_cast<double>(batched) / static_cast<double>(s.batches);
-  if (fulfill_latency_us_.Count() > 0) {
-    s.p50_latency_us = fulfill_latency_us_.Percentile(50.0);
-    s.p95_latency_us = fulfill_latency_us_.Percentile(95.0);
-    s.p99_latency_us = fulfill_latency_us_.Percentile(99.0);
-  }
   const double uptime = uptime_.ElapsedSeconds();
   s.qps = uptime > 0.0 ? static_cast<double>(s.completed) / uptime : 0.0;
   return s;

@@ -15,10 +15,9 @@
 // dispatcher that finds the ring empty parks on it, and Submit wakes it
 // through a seq_cst sleeper-count handshake (the hot path with awake
 // dispatchers never touches the mutex). Per-request latency (enqueue ->
-// fulfill) feeds a sharded obs/ histogram — the fulfill path takes no
-// stats mutex; Stats() percentiles come from the merged buckets, and the
-// same events land in the process-wide registry (rmi_server_* series)
-// for scrapes. A deterministic 1-in-N of requests carries an obs::Trace
+// fulfill) feeds the process-wide registry's rmi_server_fulfill_us
+// histogram, summed over every server; the fulfill path takes no stats
+// mutex. A deterministic 1-in-N of requests carries an obs::Trace
 // through submit -> coalesce -> rank, retrievable afterwards from
 // obs::Tracer::Global().Recent().
 #ifndef RMI_SERVING_SERVER_H_
@@ -36,7 +35,6 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "geometry/geometry.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serving/batch_localizer.h"
 #include "serving/snapshot.h"
@@ -63,11 +61,6 @@ struct ServerStats {
   size_t rejected = 0;         ///< malformed requests refused via exception
   size_t batches = 0;          ///< dispatches executed
   double mean_batch_size = 0.0;
-  /// Percentiles from this server's merged histogram buckets (bounded
-  /// memory, <= ~12% bucket quantization — see obs::Histogram).
-  double p50_latency_us = 0.0;
-  double p95_latency_us = 0.0;
-  double p99_latency_us = 0.0;
   double qps = 0.0;            ///< completed / uptime
 };
 
@@ -147,11 +140,8 @@ class LocalizationServer {
   std::mutex park_mu_;
   std::condition_variable park_cv_;
 
-  /// Per-instance fulfill-latency histogram (the Stats() data source; the
-  /// registry's rmi_server_fulfill_us series sums every server) plus
-  /// plain atomic totals. No mutex anywhere on the fulfill path; bounded
-  /// memory by construction (fixed buckets, not a sample window).
-  obs::Histogram fulfill_latency_us_;
+  /// Per-instance totals behind Stats(). No mutex anywhere on the fulfill
+  /// path.
   std::atomic<size_t> completed_{0};
   std::atomic<size_t> rejected_{0};
   std::atomic<size_t> batches_{0};

@@ -17,33 +17,6 @@ namespace {
 /// never hear an AP stores exactly the fill).
 constexpr double kAudibleMarginDbm = 0.5;
 
-/// Throws the shared per-request rejection for a malformed query; never
-/// aborts — one bad request must not take the serving process down.
-void ValidateQuery(const MapSnapshot& snapshot, const double* fingerprint,
-                   size_t size) {
-  const char* reason = QueryValidationError(snapshot, fingerprint, size);
-  if (reason != nullptr) throw std::runtime_error(reason);
-}
-
-/// Process-wide sharded-serving series.
-struct RouterMetrics {
-  obs::Counter& batches = obs::GetCounter(
-      "rmi_router_batches_total", "Mixed-shard batches fanned out");
-  obs::Counter& classified = obs::GetCounter(
-      "rmi_router_classified_total",
-      "Batch rows routed by the floor classifier (vs. hinted)");
-  obs::Histogram& stage_classify_us = obs::GetHistogram(
-      "rmi_router_stage_classify_us",
-      "Floor classification + grouping per batch, microseconds");
-  obs::Histogram& shard_groups = obs::GetHistogram(
-      "rmi_router_shard_groups", "Distinct shard groups per batch fan-out");
-
-  static RouterMetrics& Get() {
-    static RouterMetrics* m = new RouterMetrics();
-    return *m;
-  }
-};
-
 }  // namespace
 
 ShardProfile BuildShardProfile(const MapSnapshot& snapshot) {
@@ -136,24 +109,19 @@ ShardedSnapshotStore::Profiles() const {
   return out;
 }
 
-ShardRouter::ShardRouter(const ShardedSnapshotStore* store, size_t num_threads)
-    : store_(store), pool_(num_threads) {
+ShardRouter::ShardRouter(const ShardedSnapshotStore* store,
+                         size_t /*num_threads*/)
+    : store_(store) {
   RMI_CHECK(store_ != nullptr);
 }
 
-namespace {
-
-/// Shared scoring core: classify `fingerprint` against one consistent
-/// profile listing (ascending ShardId, as Profiles() returns it).
-std::optional<RouteDecision> ClassifyAgainst(
-    const std::vector<
-        std::pair<rmap::ShardId, std::shared_ptr<const ShardProfile>>>&
-        profiles,
-    const double* fingerprint, size_t size) {
+std::optional<RouteDecision> ShardRouter::ClassifyFloor(
+    const std::vector<double>& fingerprint) const {
   // One pass over the query: the observed AP indices (venue queries are
   // mostly kNull — a device hears only its own floor — so the per-shard
   // overlap loop below runs over |observed|, not D) and the loudest one,
   // the strongest-AP tie-break pivot.
+  const size_t size = fingerprint.size();
   std::vector<size_t> observed;
   size_t strongest_ap = size;
   double strongest_rssi = -std::numeric_limits<double>::infinity();
@@ -167,11 +135,13 @@ std::optional<RouteDecision> ClassifyAgainst(
   }
   if (strongest_ap == size) return std::nullopt;  // all-null scan
 
+  // Score every shard against one consistent profile listing (ascending
+  // ShardId, as Profiles() returns it).
   bool have_best = false;
   RouteDecision best;
   double best_peak = -std::numeric_limits<double>::infinity();
   size_t best_overlap_count = 0;  // shards achieving the winning overlap
-  for (const auto& [id, profile] : profiles) {
+  for (const auto& [id, profile] : store_->Profiles()) {
     if (profile == nullptr || profile->num_aps() != size) continue;
     size_t overlap = 0;
     for (size_t j : observed) overlap += profile->observable[j];
@@ -200,14 +170,6 @@ std::optional<RouteDecision> ClassifyAgainst(
   return best;
 }
 
-}  // namespace
-
-std::optional<RouteDecision> ShardRouter::ClassifyFloor(
-    const std::vector<double>& fingerprint) const {
-  return ClassifyAgainst(store_->Profiles(), fingerprint.data(),
-                         fingerprint.size());
-}
-
 geom::Point ShardRouter::Localize(const rmap::ShardId& shard,
                                   const std::vector<double>& fingerprint) const {
   const PinnedSnapshot snap = store_->Pinned(shard);
@@ -215,7 +177,11 @@ geom::Point ShardRouter::Localize(const rmap::ShardId& shard,
     throw std::runtime_error("shard " + rmap::ToString(shard) +
                              " has no published snapshot");
   }
-  ValidateQuery(*snap, fingerprint.data(), fingerprint.size());
+  // The shared per-request rejection for a malformed query; never an
+  // abort — one bad request must not take the serving process down.
+  const char* reason =
+      QueryValidationError(*snap, fingerprint.data(), fingerprint.size());
+  if (reason != nullptr) throw std::runtime_error(reason);
   return BatchLocalizer::LocalizeOn(*snap, fingerprint);
 }
 
@@ -228,109 +194,6 @@ ShardRouter::AutoResult ShardRouter::LocalizeAuto(
         "AP)");
   }
   return AutoResult{Localize(route->shard, fingerprint), *route};
-}
-
-ShardRouter::BatchResult ShardRouter::LocalizeBatch(
-    const la::Matrix& queries,
-    const std::vector<std::optional<rmap::ShardId>>& hints,
-    obs::Trace* trace) const {
-  const size_t b = queries.rows();
-  const size_t d = queries.cols();
-  if (!hints.empty() && hints.size() != b) {
-    throw std::runtime_error("hints are not row-aligned with the batch");
-  }
-
-  BatchResult out;
-  out.positions.resize(b);
-  out.shards.resize(b);
-  if (b == 0) return out;
-
-  RouterMetrics& metrics = RouterMetrics::Get();
-  metrics.batches.Add();
-
-  // Resolve every row to a shard (classifying unhinted rows against one
-  // consistent profile listing), then group rows by shard.
-  const auto profiles = store_->Profiles();
-  std::map<rmap::ShardId, std::vector<size_t>> by_shard;
-  {
-    obs::ScopedStageTimer classify_timer(metrics.stage_classify_us);
-    obs::ScopedSpan classify_span(trace, "classify");
-    for (size_t i = 0; i < b; ++i) {
-      const double* row = queries.data().data() + i * d;
-      rmap::ShardId shard;
-      if (!hints.empty() && hints[i].has_value()) {
-        shard = *hints[i];
-      } else {
-        const std::optional<RouteDecision> route =
-            ClassifyAgainst(profiles, row, d);
-        if (!route.has_value()) {
-          throw std::runtime_error(
-              "batch row cannot be floor-classified (no shards or no "
-              "observed AP)");
-        }
-        shard = route->shard;
-        ++out.classified;
-      }
-      out.shards[i] = shard;
-      by_shard[shard].push_back(i);
-    }
-  }
-  if (out.classified > 0) metrics.classified.Add(out.classified);
-
-  // Pin one snapshot per shard group and validate every row up front, so a
-  // malformed batch is rejected before any work fans out (and no exception
-  // can escape inside a pool worker). The epoch pins live on this caller
-  // thread until the scatter below completes; pool workers dereference the
-  // pinned raw pointers safely because reclamation is gated on the minimum
-  // over *all* threads' pins (see EpochDomain).
-  struct Group {
-    PinnedSnapshot snapshot;
-    std::vector<size_t> rows;
-    la::Matrix block;
-  };
-  std::vector<Group> groups;
-  groups.reserve(by_shard.size());
-  {
-    obs::ScopedSpan pin_span(trace, "pin-validate");
-    for (auto& [shard, rows] : by_shard) {
-      Group g;
-      g.snapshot = store_->Pinned(shard);
-      if (!g.snapshot) {
-        throw std::runtime_error("shard " + rmap::ToString(shard) +
-                                 " has no published snapshot");
-      }
-      for (size_t i : rows) {
-        ValidateQuery(*g.snapshot, queries.data().data() + i * d, d);
-      }
-      g.block = la::Matrix(rows.size(), d);
-      for (size_t r = 0; r < rows.size(); ++r) {
-        const double* src = queries.data().data() + rows[r] * d;
-        std::copy(src, src + d, g.block.data().begin() + r * d);
-      }
-      g.rows = std::move(rows);
-      groups.push_back(std::move(g));
-    }
-  }
-  out.shard_groups = groups.size();
-  metrics.shard_groups.Observe(static_cast<double>(groups.size()));
-
-  // Fan the per-shard groups across the pool under the work-stealing
-  // schedule (group costs are skewed by group size; per-group results are
-  // written to disjoint pre-resolved rows, so order independence holds).
-  // No serialization against other LocalizeBatch calls: each call is its
-  // own pool job and the caller works on it too.
-  {
-    obs::ScopedSpan fanout_span(trace, "rank-fanout");
-    pool_.ParallelFor(groups.size(), [&](size_t /*worker*/, size_t gi) {
-      Group& g = groups[gi];
-      const std::vector<geom::Point> points =
-          BatchLocalizer::LocalizeBatchOn(*g.snapshot, g.block);
-      for (size_t r = 0; r < g.rows.size(); ++r) {
-        out.positions[g.rows[r]] = points[r];
-      }
-    });
-  }
-  return out;
 }
 
 }  // namespace rmi::serving

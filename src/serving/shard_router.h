@@ -11,14 +11,12 @@
 //    never blocks or tears an in-flight query — the same wait-free protocol
 //    MapSnapshotStore uses one level down for snapshot generations.
 //
-//  * ShardRouter — routes fingerprints to shards. Queries that know their
-//    shard go straight to its snapshot; fingerprints with an unknown floor
-//    are resolved by a cheap AP-overlap / strongest-AP floor classifier
-//    built from per-shard AP profiles. Mixed-shard batches are grouped by
-//    shard and fanned across a common/thread_pool.h pool, each group
-//    answered by the estimator's batched path — per shard, answers are
-//    bit-identical to single-shard EstimateBatch (which is itself
-//    bit-identical to scalar Estimate).
+//  * ShardRouter — routes fingerprints to shards, one query at a time.
+//    Queries that know their shard go straight to its snapshot;
+//    fingerprints with an unknown floor are resolved by a cheap
+//    AP-overlap / strongest-AP floor classifier built from per-shard AP
+//    profiles. Each answer comes from the shard snapshot's index-pruned
+//    single-query path, bit-identical to that shard's scalar Estimate.
 #ifndef RMI_SERVING_SHARD_ROUTER_H_
 #define RMI_SERVING_SHARD_ROUTER_H_
 
@@ -30,10 +28,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "geometry/geometry.h"
-#include "la/matrix.h"
-#include "obs/trace.h"
 #include "radiomap/radio_map.h"
 #include "serving/snapshot.h"
 
@@ -144,22 +139,21 @@ struct RouteDecision {
   bool by_strongest_ap = false;
 };
 
-/// Routes queries across a ShardedSnapshotStore.
+/// Routes single queries across a ShardedSnapshotStore.
 ///
 /// Thread-safety: all entry points are const and safe to call concurrently
-/// — concurrent LocalizeBatch calls share the fan-out pool and genuinely
-/// overlap (each call queues its own job; the pool's work-stealing schedule
-/// balances skewed shard groups). Classification and routing read only
-/// immutable snapshots/profiles through epoch-pinned loads. `store` must
-/// outlive the router. Failure semantics follow LocalizationServer: a
-/// query that cannot
-/// be routed — unknown shard, shard with no published snapshot yet, or a
-/// fingerprint with no observed AP — throws std::runtime_error rather than
-/// aborting, so one bad request never takes the serving process down.
+/// from any number of threads; the router owns no threads. Classification
+/// and routing read only immutable snapshots/profiles through epoch-pinned
+/// loads. `store` must outlive the router. Failure semantics follow
+/// LocalizationServer: a query that cannot be routed — unknown shard,
+/// shard with no published snapshot yet, or a fingerprint with no observed
+/// AP — throws std::runtime_error rather than aborting, so one bad request
+/// never takes the serving process down.
 class ShardRouter {
  public:
-  /// `num_threads` sizes the mixed-shard fan-out pool (0 = hardware
-  /// concurrency). `store` must outlive the router.
+  /// `store` must outlive the router. `num_threads` is ignored: the router
+  /// answers on the caller's thread. The parameter stays until the repo
+  /// benchmark, which constructs `ShardRouter{&store, 1}`, stops passing it.
   explicit ShardRouter(const ShardedSnapshotStore* store,
                        size_t num_threads = 0);
 
@@ -187,30 +181,8 @@ class ShardRouter {
   /// Classifies the floor, then localizes on the winning shard.
   AutoResult LocalizeAuto(const std::vector<double>& fingerprint) const;
 
-  struct BatchResult {
-    std::vector<geom::Point> positions;  ///< row-aligned with `queries`
-    std::vector<rmap::ShardId> shards;   ///< resolved shard per row
-    size_t classified = 0;  ///< rows routed by the floor classifier
-    size_t shard_groups = 0;  ///< distinct shards the batch fanned over
-  };
-  /// B x D mixed-shard batch. `hints[i]`, when present, routes row i
-  /// directly; rows without a hint (or with `hints` empty) are floor-
-  /// classified. Rows are grouped by shard, every group pins its shard's
-  /// snapshot once, and groups fan out across the router's pool — each
-  /// answered by the estimator's batched path, so per shard the results
-  /// are bit-identical to EstimateBatch on that shard alone. Throws
-  /// std::runtime_error if any row is unroutable or `hints` is non-empty
-  /// but not row-aligned (the batch is rejected before any work is
-  /// fanned out). A sampled `trace` (nullable) receives the classify /
-  /// pin-validate / fan-out stage spans.
-  BatchResult LocalizeBatch(
-      const la::Matrix& queries,
-      const std::vector<std::optional<rmap::ShardId>>& hints = {},
-      obs::Trace* trace = nullptr) const;
-
  private:
   const ShardedSnapshotStore* store_;
-  mutable ThreadPool pool_;  ///< shared by concurrent LocalizeBatch calls
 };
 
 }  // namespace rmi::serving

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/check.h"
 #include "common/missing.h"
 #include "common/rng.h"
 #include "geometry/geometry.h"
@@ -137,46 +136,6 @@ std::vector<VenueShard> MakeSyntheticVenue(const VenueOptions& options) {
     }
   }
   return shards;
-}
-
-VenueQuerySet MakeVenueQueries(const std::vector<VenueShard>& shards,
-                               size_t count, double null_fraction,
-                               uint64_t seed) {
-  RMI_CHECK(!shards.empty());
-  const size_t num_aps = shards.front().map.num_aps();
-  Rng rng(seed);
-
-  // Per-shard audibility bitmap for O(1) lookups.
-  std::vector<std::vector<uint8_t>> audible(shards.size());
-  for (size_t s = 0; s < shards.size(); ++s) {
-    audible[s].assign(num_aps, 0);
-    for (size_t ap : shards[s].audible_aps) audible[s][ap] = 1;
-  }
-
-  VenueQuerySet set;
-  set.queries = la::Matrix(count, num_aps, kNull);
-  set.shard.reserve(count);
-  set.position.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    const size_t s = rng.Index(shards.size());
-    const rmap::RadioMap& map = shards[s].map;
-    const rmap::Record& r = map.record(rng.Index(map.size()));
-    size_t observed = 0;
-    size_t first_audible = num_aps;
-    for (size_t j = 0; j < num_aps; ++j) {
-      if (!audible[s][j]) continue;  // the device cannot hear this AP
-      if (first_audible == num_aps) first_audible = j;
-      if (rng.Bernoulli(null_fraction)) continue;
-      set.queries(i, j) = ClampRssi(r.rssi[j] + rng.Uniform(-2.0, 2.0));
-      ++observed;
-    }
-    if (observed == 0) {  // never all-null
-      set.queries(i, first_audible) = ClampRssi(r.rssi[first_audible]);
-    }
-    set.shard.push_back(shards[s].id);
-    set.position.push_back(r.rp);
-  }
-  return set;
 }
 
 }  // namespace rmi::serving

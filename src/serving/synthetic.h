@@ -63,20 +63,6 @@ struct VenueOptions {
 /// the same building. Shards are returned in ascending ShardId order.
 std::vector<VenueShard> MakeSyntheticVenue(const VenueOptions& options);
 
-/// Online fingerprints drawn from venue floors, with the true shard and
-/// position per row — the mixed-shard serving workload. A query observes
-/// (with jitter and `null_fraction` dropout) only the APs audible on its
-/// floor; every other cell is kNull, exactly what a device that cannot
-/// hear an AP reports.
-struct VenueQuerySet {
-  la::Matrix queries;                 ///< B x D_global
-  std::vector<rmap::ShardId> shard;   ///< true floor per row
-  std::vector<geom::Point> position;  ///< true location per row
-};
-VenueQuerySet MakeVenueQueries(const std::vector<VenueShard>& shards,
-                               size_t count, double null_fraction,
-                               uint64_t seed);
-
 }  // namespace rmi::serving
 
 #endif  // RMI_SERVING_SYNTHETIC_H_

@@ -113,7 +113,7 @@ SoakReport RunSoak(const SoakOptions& options) {
   const size_t initial_aps = venue->num_aps();
 
   serving::ShardedSnapshotStore store;
-  serving::ShardRouter router(&store, options.router_threads);
+  serving::ShardRouter router(&store);
 
   cluster::MarOnlyDifferentiator differentiator;
   imputers::LinearInterpolationImputer imputer;

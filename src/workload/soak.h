@@ -65,8 +65,6 @@ struct SoakOptions {
   /// Open-loop client threads; walker sessions are partitioned across
   /// them, so per-session scan order is stable regardless of scheduling.
   size_t client_threads = 4;
-  /// Router fan-out pool width (ShardRouter's mixed-batch pool).
-  size_t router_threads = 2;
   /// Updater rebuild pool width.
   size_t rebuild_threads = 2;
   /// Updater volume trigger (delta observations per shard).

@@ -8,9 +8,7 @@
 //    reclamation;
 //  * ThreadPool — ParallelFor runs every index exactly once, runs n
 //    blocking bodies at once on an n-thread pool (the server's dispatch
-//    loops rely on it), and two concurrent submitters genuinely overlap;
-//  * ShardRouter — the regression test for the removed pool mutex: two
-//    threads inside LocalizeBatch at the same time.
+//    loops rely on it), and two concurrent submitters genuinely overlap.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,7 +16,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -334,58 +331,6 @@ TEST(ThreadPoolTest, NestedPoolsCollapseToInline) {
     inner_width.store(inner.num_threads());
   });
   EXPECT_EQ(inner_width.load(), 1u);
-}
-
-/// A KNN estimator whose batched path blocks on a rendezvous — the probe
-/// for the LocalizeBatch overlap regression (the old router serialized
-/// concurrent batches behind a pool mutex, which would deadlock this).
-class BlockingEstimator : public positioning::KnnEstimator {
- public:
-  BlockingEstimator(Rendezvous* rendezvous, std::atomic<int>* met)
-      : rendezvous_(rendezvous), met_(met) {}
-
-  std::vector<geom::Point> EstimateBatch(
-      const la::Matrix& fingerprints) const override {
-    if (rendezvous_->Arrive()) met_->fetch_add(1);
-    return std::vector<geom::Point>(fingerprints.rows());
-  }
-  std::string name() const override { return "Blocking"; }
-  std::unique_ptr<LocationEstimator> Clone() const override {
-    return std::make_unique<BlockingEstimator>(rendezvous_, met_);
-  }
-
- private:
-  Rendezvous* rendezvous_;
-  std::atomic<int>* met_;
-};
-
-TEST(ShardRouterTest, ConcurrentLocalizeBatchCallsOverlap) {
-  const rmap::RadioMap map = MakeSyntheticServingMap(6, 5, 8, 3);
-  Rendezvous rendezvous;
-  std::atomic<int> met{0};
-  ShardedSnapshotStore store;
-  const rmap::ShardId a{0, 0}, b{0, 1};
-  for (const rmap::ShardId& id : {a, b}) {
-    Rng rng(7);
-    store.Publish(id, BuildSnapshot(
-                          map,
-                          std::make_unique<BlockingEstimator>(&rendezvous, &met),
-                          rng, SnapshotOptions{1, 6.0}));
-  }
-  const ShardRouter router(&store, 2);
-  const la::Matrix queries = MakeSyntheticQueries(map, 4, 0.0, 21);
-
-  std::vector<std::thread> callers;
-  for (const rmap::ShardId id : {a, b}) {
-    callers.emplace_back([&, id] {
-      const std::vector<std::optional<rmap::ShardId>> hints(queries.rows(), id);
-      router.LocalizeBatch(queries, hints);
-    });
-  }
-  for (std::thread& t : callers) t.join();
-  // Both batches reached EstimateBatch while the other was still inside
-  // it; a serialized router would have timed out the rendezvous instead.
-  EXPECT_EQ(met.load(), 2);
 }
 
 }  // namespace

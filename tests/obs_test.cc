@@ -8,8 +8,8 @@
 //    moments into single-stream RunningStats;
 //  * the trace sampler is deterministic 1-in-N with a bounded span buffer
 //    and completed-trace ring;
-//  * end-to-end: a live server + updater + router populate the registry,
-//    and one scrape shows the per-stage latency histograms, queue depth,
+//  * end-to-end: a live server + updater populate the registry, and one
+//    scrape shows the per-stage latency histograms, queue depth,
 //    batch size, pool steal counters, epoch retire/reclaim counts, and
 //    per-shard rebuild stage gauges the dashboards key on.
 // This suite runs under the CI TSan job with serving/updater tests.
@@ -343,15 +343,6 @@ TEST(ObsE2eTest, LiveServingScrapeShowsTheDashboardSeries) {
   }
   ASSERT_TRUE(updater.RebuildNow(shards[0].id));  // publishes v2, retires v1
 
-  // Router side: one mixed-shard batch with a sampled trace.
-  ShardRouter router(&store);
-  const VenueQuerySet set = MakeVenueQueries(shards, 48, 0.2, 5);
-  auto router_trace = std::make_unique<Trace>(/*id=*/999);
-  const ShardRouter::BatchResult routed =
-      router.LocalizeBatch(set.queries, {}, router_trace.get());
-  EXPECT_EQ(routed.positions.size(), set.queries.rows());
-  EXPECT_GE(router_trace->num_spans(), 3u);  // classify/pin-validate/fanout
-
   // Server side: coalesced batches over one shard's snapshot.
   const auto map = MakeSyntheticServingMap(14, 10, 10, 33);
   Rng rng(7);
@@ -372,11 +363,10 @@ TEST(ObsE2eTest, LiveServingScrapeShowsTheDashboardSeries) {
 
   // One scrape shows every dashboard series with live data.
   const std::string text = DumpPrometheusText();
-  // Per-stage request latency histograms (queue -> classify -> rank ->
-  // rescore) plus end-to-end fulfill.
+  // Per-stage request latency histograms (queue -> rank -> rescore) plus
+  // end-to-end fulfill.
   for (const char* series :
        {"rmi_server_stage_queue_us_count", "rmi_server_stage_rank_us_count",
-        "rmi_router_stage_classify_us_count",
         "rmi_estimator_stage_rank_us_count",
         "rmi_estimator_stage_rescore_us_count", "rmi_server_fulfill_us_count",
         "rmi_server_batch_size_requests_count",

@@ -5,8 +5,8 @@
 //  * the AP-overlap floor classifier routes venue queries to the true
 //    floor, and falls back to the strongest-AP rule (deterministically)
 //    when AP sets overlap across floors;
-//  * ShardRouter::LocalizeBatch equals the per-shard estimator bit-for-bit
-//    and classified routing equals hinted routing;
+//  * ShardRouter::Localize equals the per-shard estimator bit-for-bit and
+//    classified routing (LocalizeAuto) equals hinted routing;
 //  * MapUpdater — volume and staleness triggers rebuild + hot-swap
 //    publish, ingest into unknown shards is rejected, shutdown with a
 //    rebuild in flight completes the publish;
@@ -19,7 +19,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -79,6 +79,52 @@ class SlowImputer : public imputers::Imputer {
   imputers::LinearInterpolationImputer inner_;
 };
 
+/// Online fingerprints drawn from venue floors, with the true shard per
+/// row — the mixed-shard serving workload. A query observes (with jitter
+/// and `null_fraction` dropout) only the APs audible on its floor; every
+/// other cell is kNull, exactly what a device that cannot hear an AP
+/// reports.
+struct VenueQuerySet {
+  la::Matrix queries;                ///< B x D_global
+  std::vector<rmap::ShardId> shard;  ///< true floor per row
+};
+VenueQuerySet MakeVenueQueries(const std::vector<VenueShard>& shards,
+                               size_t count, double null_fraction,
+                               uint64_t seed) {
+  const size_t num_aps = shards.front().map.num_aps();
+  Rng rng(seed);
+
+  // Per-shard audibility bitmap for O(1) lookups.
+  std::vector<std::vector<uint8_t>> audible(shards.size());
+  for (size_t s = 0; s < shards.size(); ++s) {
+    audible[s].assign(num_aps, 0);
+    for (size_t ap : shards[s].audible_aps) audible[s][ap] = 1;
+  }
+
+  VenueQuerySet set;
+  set.queries = la::Matrix(count, num_aps, kNull);
+  set.shard.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    const size_t s = rng.Index(shards.size());
+    const rmap::RadioMap& map = shards[s].map;
+    const rmap::Record& r = map.record(rng.Index(map.size()));
+    size_t observed = 0;
+    size_t first_audible = num_aps;
+    for (size_t j = 0; j < num_aps; ++j) {
+      if (!audible[s][j]) continue;  // the device cannot hear this AP
+      if (first_audible == num_aps) first_audible = j;
+      if (rng.Bernoulli(null_fraction)) continue;
+      set.queries(i, j) = ClampRssi(r.rssi[j] + rng.Uniform(-2.0, 2.0));
+      ++observed;
+    }
+    if (observed == 0) {  // never all-null
+      set.queries(i, first_audible) = ClampRssi(r.rssi[first_audible]);
+    }
+    set.shard.push_back(shards[s].id);
+  }
+  return set;
+}
+
 template <typename Pred>
 bool WaitFor(Pred pred, double timeout_s = 10.0) {
   Timer t;
@@ -135,7 +181,7 @@ TEST(ShardedStoreTest, PublishToUnknownShardCreatesIt) {
 
 TEST(ShardedStoreTest, QueryBeforeFirstPublishIsRejectedNotCrashed) {
   ShardedSnapshotStore store;
-  ShardRouter router(&store, /*num_threads=*/1);
+  ShardRouter router(&store);
   const auto map = MakeSyntheticServingMap(8, 6, 6, 3);
   const la::Matrix queries = MakeSyntheticQueries(map, 4, 0.0, 5);
   const std::vector<double> q = MatrixRow(queries, 0);
@@ -144,7 +190,6 @@ TEST(ShardedStoreTest, QueryBeforeFirstPublishIsRejectedNotCrashed) {
   EXPECT_FALSE(router.ClassifyFloor(q).has_value());
   EXPECT_THROW(router.LocalizeAuto(q), std::runtime_error);
   EXPECT_THROW(router.Localize(rmap::ShardId{0, 0}, q), std::runtime_error);
-  EXPECT_THROW(router.LocalizeBatch(queries), std::runtime_error);
 
   // A published shard serves; an unknown sibling still rejects.
   store.Publish(rmap::ShardId{0, 0}, SnapshotOf(map));
@@ -154,7 +199,7 @@ TEST(ShardedStoreTest, QueryBeforeFirstPublishIsRejectedNotCrashed) {
 
 TEST(ShardedStoreTest, ReadersRacingTheFirstPublishConvergeToSuccess) {
   ShardedSnapshotStore store;
-  ShardRouter router(&store, /*num_threads=*/1);
+  ShardRouter router(&store);
   const auto map = MakeSyntheticServingMap(10, 8, 8, 9);
   const std::vector<double> q =
       MatrixRow(MakeSyntheticQueries(map, 1, 0.0, 11), 0);
@@ -183,22 +228,39 @@ TEST(ShardedStoreTest, ReadersRacingTheFirstPublishConvergeToSuccess) {
 }
 
 TEST(FloorClassifierTest, RoutesVenueQueriesToTheTrueFloor) {
-  VenueOptions opt;  // 2 buildings x 3 floors, bleed-through on
-  const auto shards = MakeSyntheticVenue(opt);
-  ShardedSnapshotStore store;
-  PublishVenue(&store, shards);
-  ShardRouter router(&store, /*num_threads=*/1);
+  // Queries routed to their true floor; an unroutable query counts wrong.
+  const auto count_correct = [](const VenueOptions& opt, size_t count,
+                                double null_fraction, uint64_t seed) {
+    const auto shards = MakeSyntheticVenue(opt);
+    ShardedSnapshotStore store;
+    PublishVenue(&store, shards);
+    ShardRouter router(&store);
+    const VenueQuerySet set =
+        MakeVenueQueries(shards, count, null_fraction, seed);
+    size_t correct = 0;
+    for (size_t i = 0; i < set.queries.rows(); ++i) {
+      const auto route = router.ClassifyFloor(MatrixRow(set.queries, i));
+      correct += route.has_value() && route->shard == set.shard[i];
+    }
+    return correct;
+  };
 
-  const VenueQuerySet set = MakeVenueQueries(shards, 120, 0.3, 17);
-  size_t correct = 0;
-  for (size_t i = 0; i < set.queries.rows(); ++i) {
-    const auto route = router.ClassifyFloor(MatrixRow(set.queries, i));
-    ASSERT_TRUE(route.has_value());
-    correct += route->shard == set.shard[i];
-  }
-  // Disjoint own-floor AP blocks dominate the overlap score; bleed-through
-  // neighbors cannot reach it.
-  EXPECT_EQ(correct, set.queries.rows());
+  // 2 buildings x 3 floors, bleed-through on. Disjoint own-floor AP blocks
+  // dominate the overlap score; bleed-through neighbors cannot reach it.
+  EXPECT_EQ(count_correct(VenueOptions{}, 120, 0.3, 17), 120u);
+
+  // 3 buildings x 4 floors of 14 x 10 RPs, 12 APs per floor with 4 of each
+  // neighbor's bleeding through (144 global APs): at least 99 % of 2048
+  // queries with a quarter of their audible APs dropped.
+  VenueOptions venue;
+  venue.num_buildings = 3;
+  venue.floors_per_building = 4;
+  venue.nx = 14;
+  venue.ny = 10;
+  venue.aps_per_floor = 12;
+  venue.bleed_aps = 4;
+  const size_t correct = count_correct(venue, 2048, 0.25, 13);
+  EXPECT_GE(double(correct) / 2048.0, 0.99) << correct << " of 2048";
 }
 
 TEST(FloorClassifierTest, OverlappingApSetsFallBackToStrongestAp) {
@@ -219,7 +281,7 @@ TEST(FloorClassifierTest, OverlappingApSetsFallBackToStrongestAp) {
 
   ShardedSnapshotStore store;
   PublishVenue(&store, shards);
-  ShardRouter router(&store, /*num_threads=*/1);
+  ShardRouter router(&store);
 
   const VenueQuerySet set = MakeVenueQueries(shards, 80, 0.2, 23);
   size_t correct = 0;
@@ -238,7 +300,7 @@ TEST(FloorClassifierTest, OverlappingApSetsFallBackToStrongestAp) {
   ShardedSnapshotStore twin_store;
   twin_store.Publish(rmap::ShardId{0, 0}, SnapshotOf(shards[0].map));
   twin_store.Publish(rmap::ShardId{0, 1}, SnapshotOf(shards[0].map));
-  ShardRouter twin_router(&twin_store, /*num_threads=*/1);
+  ShardRouter twin_router(&twin_store);
   for (size_t i = 0; i < 10; ++i) {
     const auto route = twin_router.ClassifyFloor(MatrixRow(set.queries, i));
     ASSERT_TRUE(route.has_value());
@@ -260,7 +322,7 @@ TEST(FloorClassifierTest, QuerySharingNoApWithAnyShardIsUnroutable) {
   const auto shards = MakeSyntheticVenue(opt);
   ShardedSnapshotStore store;
   store.Publish(shards[0].id, SnapshotOf(shards[0].map));
-  ShardRouter router(&store, /*num_threads=*/1);
+  ShardRouter router(&store);
 
   std::vector<double> foreign(shards[0].map.num_aps(), kNull);
   foreign[opt.aps_per_floor + 1] = -50.0;  // an AP only floor 1 hears
@@ -273,23 +335,7 @@ TEST(FloorClassifierTest, QuerySharingNoApWithAnyShardIsUnroutable) {
   EXPECT_EQ(router.ClassifyFloor(native)->shard, shards[0].id);
 }
 
-TEST(ShardRouterTest, MisalignedHintsAreRejectedNotAborted) {
-  VenueOptions opt;
-  opt.num_buildings = 1;
-  opt.floors_per_building = 2;
-  const auto shards = MakeSyntheticVenue(opt);
-  ShardedSnapshotStore store;
-  PublishVenue(&store, shards);
-  ShardRouter router(&store, /*num_threads=*/1);
-
-  const VenueQuerySet set = MakeVenueQueries(shards, 8, 0.0, 71);
-  std::vector<std::optional<rmap::ShardId>> short_hints(set.queries.rows() - 1,
-                                                        shards[0].id);
-  EXPECT_THROW(router.LocalizeBatch(set.queries, short_hints),
-               std::runtime_error);
-}
-
-TEST(ShardRouterTest, HintedBatchMatchesPerShardEstimatorBitForBit) {
+TEST(ShardRouterTest, HintedQueryMatchesPerShardEstimatorBitForBit) {
   VenueOptions opt;
   opt.num_buildings = 2;
   opt.floors_per_building = 2;
@@ -299,24 +345,20 @@ TEST(ShardRouterTest, HintedBatchMatchesPerShardEstimatorBitForBit) {
   ShardRouter router(&store);
 
   const VenueQuerySet set = MakeVenueQueries(shards, 64, 0.25, 31);
-  std::vector<std::optional<rmap::ShardId>> hints(set.shard.begin(),
-                                                  set.shard.end());
-  const ShardRouter::BatchResult routed =
-      router.LocalizeBatch(set.queries, hints);
-  ASSERT_EQ(routed.positions.size(), set.queries.rows());
-  EXPECT_EQ(routed.classified, 0u);
-  EXPECT_GT(routed.shard_groups, 1u);
+  std::set<rmap::ShardId> seen(set.shard.begin(), set.shard.end());
+  EXPECT_GT(seen.size(), 1u);  // the rows span several shards
   for (size_t i = 0; i < set.queries.rows(); ++i) {
     const auto snap = store.Current(set.shard[i]);
     ASSERT_NE(snap, nullptr);
-    const geom::Point want = snap->estimator->Estimate(MatrixRow(set.queries, i));
-    EXPECT_DOUBLE_EQ(routed.positions[i].x, want.x) << "row " << i;
-    EXPECT_DOUBLE_EQ(routed.positions[i].y, want.y) << "row " << i;
-    EXPECT_EQ(routed.shards[i], set.shard[i]);
+    const std::vector<double> row = MatrixRow(set.queries, i);
+    const geom::Point want = snap->estimator->Estimate(row);
+    const geom::Point got = router.Localize(set.shard[i], row);
+    EXPECT_EQ(got.x, want.x) << "row " << i;
+    EXPECT_EQ(got.y, want.y) << "row " << i;
   }
 }
 
-TEST(ShardRouterTest, ClassifiedBatchMatchesHintedBatch) {
+TEST(ShardRouterTest, ClassifiedQueryMatchesHintedQuery) {
   VenueOptions opt;
   const auto shards = MakeSyntheticVenue(opt);
   ShardedSnapshotStore store;
@@ -324,15 +366,13 @@ TEST(ShardRouterTest, ClassifiedBatchMatchesHintedBatch) {
   ShardRouter router(&store);
 
   const VenueQuerySet set = MakeVenueQueries(shards, 48, 0.3, 37);
-  std::vector<std::optional<rmap::ShardId>> hints(set.shard.begin(),
-                                                  set.shard.end());
-  const auto hinted = router.LocalizeBatch(set.queries, hints);
-  const auto classified = router.LocalizeBatch(set.queries);
-  EXPECT_EQ(classified.classified, set.queries.rows());
   for (size_t i = 0; i < set.queries.rows(); ++i) {
-    EXPECT_EQ(classified.shards[i], set.shard[i]) << "row " << i;
-    EXPECT_DOUBLE_EQ(classified.positions[i].x, hinted.positions[i].x);
-    EXPECT_DOUBLE_EQ(classified.positions[i].y, hinted.positions[i].y);
+    const std::vector<double> row = MatrixRow(set.queries, i);
+    const ShardRouter::AutoResult classified = router.LocalizeAuto(row);
+    const geom::Point hinted = router.Localize(set.shard[i], row);
+    EXPECT_EQ(classified.route.shard, set.shard[i]) << "row " << i;
+    EXPECT_EQ(classified.position.x, hinted.x) << "row " << i;
+    EXPECT_EQ(classified.position.y, hinted.y) << "row " << i;
   }
 }
 
@@ -492,12 +532,13 @@ TEST(EndToEndTest, ConcurrentMixedShardQueriesDuringLiveUpdates) {
     clients.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
         try {
-          const auto routed = router.LocalizeBatch(set.queries);
           for (size_t i = 0; i < set.queries.rows(); ++i) {
+            const ShardRouter::AutoResult routed =
+                router.LocalizeAuto(MatrixRow(set.queries, i));
             // Never a wrong floor, never a torn answer, during hot-swaps.
-            if (routed.shards[i] != set.shard[i] ||
-                !std::isfinite(routed.positions[i].x) ||
-                !std::isfinite(routed.positions[i].y)) {
+            if (routed.route.shard != set.shard[i] ||
+                !std::isfinite(routed.position.x) ||
+                !std::isfinite(routed.position.y)) {
               failed.store(true);
               return;
             }

@@ -37,7 +37,7 @@ serving::EstimatorFactory WknnFactory() {
 /// A registered-and-serving stack over `venue`: every shard published.
 struct Stack {
   serving::ShardedSnapshotStore store;
-  serving::ShardRouter router{&store, 2};
+  serving::ShardRouter router{&store};
   cluster::MarOnlyDifferentiator differentiator;
   imputers::LinearInterpolationImputer imputer;
   serving::MapUpdater updater{&store, &differentiator, &imputer,

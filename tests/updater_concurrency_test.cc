@@ -165,13 +165,13 @@ TEST(UpdaterConcurrencyTest, PerShardRngStreamsIgnoreScheduling) {
   // pool in whatever order the scheduler picks.
   const size_t kShards = 3;
   cluster::MarOnlyDifferentiator differentiator;
-  imputers::MiceImputer imputer;
   std::vector<rmap::RadioMap> maps;
   for (size_t s = 0; s < kShards; ++s) {
     maps.push_back(MakeSyntheticServingMap(8, 6, 6, 300 + s));
   }
   // A sparse delta batch per shard, fixed up front so both runs ingest
-  // identical observations.
+  // identical observations. Missing RSSIs (AP 0 always heard) and missing
+  // RPs make every imputer fill cells that the published snapshot holds.
   std::vector<std::vector<rmap::Record>> deltas(kShards);
   Rng delta_rng(17);
   for (size_t s = 0; s < kShards; ++s) {
@@ -179,6 +179,9 @@ TEST(UpdaterConcurrencyTest, PerShardRngStreamsIgnoreScheduling) {
       rmap::Record obs = maps[s].record(delta_rng.Index(maps[s].size()));
       obs.id = rmap::Record::kUnassignedId;
       obs.time += 500.0;
+      for (size_t j = 1; j < obs.rssi.size(); ++j) {
+        if (delta_rng.Bernoulli(0.25)) obs.rssi[j] = kNull;
+      }
       if (delta_rng.Bernoulli(0.3)) {
         obs.has_rp = false;
         obs.rp = geom::Point{};
@@ -187,7 +190,7 @@ TEST(UpdaterConcurrencyTest, PerShardRngStreamsIgnoreScheduling) {
     }
   }
 
-  auto run = [&](bool pooled) {
+  auto run = [&](const imputers::Imputer& imputer, bool pooled) {
     ShardedSnapshotStore store;
     MapUpdaterOptions opt;
     opt.seed = 4242;
@@ -221,24 +224,46 @@ TEST(UpdaterConcurrencyTest, PerShardRngStreamsIgnoreScheduling) {
         EXPECT_TRUE(updater.RebuildNow(rmap::ShardId{0, int32_t(s)}));
       }
     }
-    std::vector<la::Matrix> fingerprints;
+    std::vector<std::shared_ptr<const MapSnapshot>> snapshots;
     for (size_t s = 0; s < kShards; ++s) {
-      const auto snap = store.Current(rmap::ShardId{0, int32_t(s)});
-      EXPECT_EQ(snap->version, 2u);
-      fingerprints.push_back(snap->fingerprints());
+      snapshots.push_back(store.Current(rmap::ShardId{0, int32_t(s)}));
+      EXPECT_EQ(snapshots.back()->version, 2u);
     }
-    return fingerprints;
+    return snapshots;
   };
 
-  const auto serial = run(/*pooled=*/false);
-  const auto pooled = run(/*pooled=*/true);
-  ASSERT_EQ(serial.size(), pooled.size());
-  for (size_t s = 0; s < serial.size(); ++s) {
-    ASSERT_TRUE(serial[s].SameShape(pooled[s]));
-    EXPECT_EQ(0, std::memcmp(serial[s].data().data(),
-                             pooled[s].data().data(),
-                             serial[s].size() * sizeof(double)))
-        << "shard " << s << " snapshot depends on scheduling";
+  // The second backend is a tiny BiSIM at two threads. The pooled run's
+  // three tripped shards rebuild inside the updater pool's fan-out, where
+  // ThreadPool's oversubscription guard collapses BiSIM's nested training
+  // pool to one thread; the serial run's RebuildNow trains at two.
+  bisim::BiSimConfig bisim_cfg;
+  bisim_cfg.hidden = 8;
+  bisim_cfg.attention_hidden = 8;
+  bisim_cfg.epochs = 3;
+  bisim_cfg.num_threads = 2;
+  const bisim::BiSimImputer bisim_imputer(bisim_cfg);
+  const imputers::MiceImputer mice;
+  const std::vector<const imputers::Imputer*> backends = {&mice,
+                                                         &bisim_imputer};
+  for (const imputers::Imputer* imputer : backends) {
+    SCOPED_TRACE(imputer->name());
+    const auto serial = run(*imputer, /*pooled=*/false);
+    const auto pooled = run(*imputer, /*pooled=*/true);
+    ASSERT_EQ(serial.size(), pooled.size());
+    for (size_t s = 0; s < serial.size(); ++s) {
+      const la::Matrix& want = serial[s]->fingerprints();
+      const la::Matrix& got = pooled[s]->fingerprints();
+      ASSERT_TRUE(want.SameShape(got));
+      EXPECT_EQ(0, std::memcmp(want.data().data(), got.data().data(),
+                               want.size() * sizeof(double)))
+          << "shard " << s << " fingerprints depend on scheduling";
+      ASSERT_EQ(serial[s]->positions().size(), pooled[s]->positions().size());
+      EXPECT_EQ(0, std::memcmp(serial[s]->positions().data(),
+                               pooled[s]->positions().data(),
+                               serial[s]->positions().size() *
+                                   sizeof(geom::Point)))
+          << "shard " << s << " positions depend on scheduling";
+    }
   }
 }
 

@@ -244,7 +244,7 @@ TEST(UpdaterFaultTest, HangingImputerStallsTheRebuildNotServingOrIngest) {
   const auto shards = MakeSyntheticVenue(vopt);
 
   ShardedSnapshotStore store;
-  ShardRouter router(&store, 1);
+  ShardRouter router(&store);
   cluster::MarOnlyDifferentiator differentiator;
   HangingImputer imputer;
   MapUpdaterOptions opt;

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """CI perf-regression gate for the serving benches.
 
-Compares freshly produced BENCH_serving.json / BENCH_sharded.json /
-BENCH_scaling.json / BENCH_soak.json / BENCH_persistence.json against the
+Compares freshly produced BENCH_serving.json / BENCH_scaling.json /
+BENCH_soak.json / BENCH_persistence.json against the
 committed baselines in bench/baselines/
 and fails when any gated metric regresses by more than the allowed
 fraction (default 15%). The soak's SLO fields additionally gate against
@@ -30,11 +30,9 @@ Usage:
 
 Refreshing baselines after an intentional perf change:
     ./build/bench_serving_throughput --smoke &&
-    ./build/bench_sharded_serving --smoke &&
     ./build/bench_soak --smoke &&
     ./build/bench_persistence --smoke &&
     cp build/BENCH_serving.json bench/baselines/serving.json &&
-    cp build/BENCH_sharded.json bench/baselines/sharded.json &&
     cp build/BENCH_soak.json bench/baselines/soak.json &&
     cp build/BENCH_persistence.json bench/baselines/persistence.json
 (For the persistence baseline, prefer the most conservative of a few
@@ -67,28 +65,18 @@ BENCHES = [
         ],
         ["server.p50_us", "server.p95_us", "server.p99_us"],
     ),
-    (
-        "BENCH_sharded.json",
-        "sharded.json",
-        [
-            "routed_qps",
-            "baseline_qps",
-        ],
-        ["update_scenario.stale_ape_m", "update_scenario.updated_ape_m"],
-    ),
     # Multicore scaling. The single-thread qps gate everywhere; the
-    # 4-thread-vs-1-thread speedup ratios (5th tuple element) only measure
-    # real parallelism on a runner with >= 4 cores, so they gate only when
-    # the fresh JSON's hardware block reports that — on smaller runners
-    # they are demoted to context. The committed speedup baselines are
-    # floors chosen so the 15% tolerance lands at the 1.5x acceptance bar,
-    # not measurements to chase.
+    # 4-thread-vs-1-thread serving speedup (5th tuple element) only
+    # measures real parallelism on a runner with >= 4 cores, so it gates
+    # only when the fresh JSON's hardware block reports that — on smaller
+    # runners it is demoted to context. Its committed baseline is a floor
+    # chosen so the 15% tolerance lands at the 1.5x acceptance bar, not a
+    # measurement to chase.
     (
         "BENCH_scaling.json",
         "scaling.json",
         [
             "serving.t1.qps",
-            "sharded.t1.qps",
             "rebuild.t1.qps",
         ],
         [
@@ -96,10 +84,7 @@ BENCHES = [
             "rebuild_speedup_4t",
             "hardware.hardware_concurrency",
         ],
-        [
-            "serving_speedup_4t",
-            "sharded_speedup_4t",
-        ],
+        ["serving_speedup_4t"],
     ),
     # Persistence. The acceptance bar gates as an absolute floor: a
     # persisted restart must beat a cold re-impute by >= 10x (median-of-3
