@@ -1,7 +1,6 @@
 // Multicore scaling of the serving path: the same workload at 1 / 2 / 4 /
-// hardware_concurrency threads, so the epoch-pinned snapshot reads and the
-// parallel rebuild path show their scaling curve instead of a single-point
-// qps.
+// hardware_concurrency threads, so the snapshot reads and the parallel
+// rebuild path show their scaling curve instead of a single-point qps.
 //
 //   ./bench_multicore_scaling            # full sizes, console table
 //   ./bench_multicore_scaling --smoke    # CI sizes + BENCH_scaling.json
@@ -10,9 +9,8 @@
 // Emits BENCH_scaling.json (schema in docs/REPRODUCE.md): per-thread-count
 // qps/p95 for two sections plus the 4-thread-vs-1-thread speedups the
 // regression gate checks on runners with >= 4 cores —
-//   serving  — T client threads, each PinnedRead + EstimateBatch on its
-//              own query stripe against one MapSnapshotStore (the
-//              epoch-read scaling: no refcount line to bounce);
+//   serving  — T client threads, each Current() + EstimateBatch on its
+//              own query stripe against one MapSnapshotStore;
 //   rebuild  — the venue's shards re-imputed concurrently on a T-wide
 //              pool.
 #include <algorithm>
@@ -73,10 +71,9 @@ double SpeedupAt4(const std::vector<Point>& curve) {
   return base > 0.0 ? at4 / base : 0.0;
 }
 
-/// T client threads, each looping PinnedRead + EstimateBatch over its own
-/// stripe of `queries`. Every batch re-pins the snapshot — the per-query
-/// acquisition cost this PR moved off the refcount — so the curve measures
-/// exactly the hot path the server runs.
+/// T client threads, each looping Current() + EstimateBatch over its own
+/// stripe of `queries`. Every batch reads the snapshot again, as each of the
+/// server's batches does, so the curve includes the acquisition cost.
 Point MeasureServing(const serving::MapSnapshotStore& store,
                      const la::Matrix& queries, size_t threads,
                      size_t batch_size) {
@@ -93,7 +90,8 @@ Point MeasureServing(const serving::MapSnapshotStore& store,
         Timer bt;
         const la::Matrix block =
             queries.SliceRows(off, std::min(off + batch_size, n));
-        const serving::PinnedSnapshot snap = store.PinnedRead();
+        const std::shared_ptr<const serving::MapSnapshot> snap =
+            store.Current();
         for (const geom::Point& p : snap->estimator->EstimateBatch(block)) {
           sink = sink + p;
         }
@@ -130,7 +128,7 @@ int main(int argc, char** argv) {
   std::printf("=== multicore scaling — hardware_concurrency %u ===\n\n",
               std::thread::hardware_concurrency());
 
-  // --- serving: T clients over one epoch-pinned store -------------------
+  // --- serving: T clients over one snapshot store ----------------------
   const size_t num_aps = 96;
   const size_t batch_size = 64;
   const size_t num_queries = smoke ? 4096 : 16384;

@@ -13,11 +13,6 @@
 // never by `worker` (TrainBiSim gives each batch position its own gradient
 // sink this way).
 //
-// With count == num_threads(), every participant's range holds exactly one
-// index and no participant steals before its own body returns, so
-// num_threads() bodies that block run at once: LocalizationServer gives
-// each pool worker its own DispatchLoop like this.
-//
 // ParallelFor may be called from any number of threads concurrently: jobs
 // queue inside the pool, every submitter participates in its own job (so
 // two concurrent callers always overlap instead of serializing), and idle

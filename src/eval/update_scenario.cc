@@ -1,5 +1,6 @@
 #include "eval/update_scenario.h"
 
+#include <memory>
 #include <vector>
 
 #include "common/check.h"
@@ -12,12 +13,13 @@ namespace rmi::eval {
 namespace {
 
 /// Mean Euclidean error against `truths` of answering every row of
-/// `queries` on `shard`'s pinned snapshot in one batched estimator pass.
+/// `queries` on `shard`'s current snapshot in one batched estimator pass.
 double MeasureApe(const serving::ShardedSnapshotStore& store,
                   const rmap::ShardId& shard, const la::Matrix& queries,
                   const std::vector<geom::Point>& truths) {
-  const serving::PinnedSnapshot snap = store.Pinned(shard);
-  RMI_CHECK(snap.get() != nullptr);
+  const std::shared_ptr<const serving::MapSnapshot> snap =
+      store.Current(shard);
+  RMI_CHECK(snap != nullptr);
   const std::vector<geom::Point> positions =
       serving::BatchLocalizer::LocalizeBatchOn(*snap, queries);
   double sum = 0.0;

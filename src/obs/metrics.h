@@ -1,14 +1,13 @@
 // Process-wide observability: a lock-free metrics registry.
 //
-// The design goal is a hot query path that adds only *private* writes —
-// the same idiom as EpochDomain's reader slots. Every metric is sharded
-// over cache-line-padded slots; a thread claims a shard index once
-// (thread_local, round-robin) and all of its Add/Observe traffic lands in
-// relaxed atomics on that private line. Two threads can share a shard
-// (more threads than kShards) without losing exactness — the slots are
-// still atomic — they merely start sharing a line. A scrape merges the
-// shards with plain relaxed loads, so reading is wait-free against
-// writers and never perturbs them.
+// The design goal is a hot query path that adds only *private* writes.
+// Every metric is sharded over cache-line-padded slots; a thread claims a
+// shard index once (thread_local, round-robin) and all of its Add/Observe
+// traffic lands in relaxed atomics on that private line. Two threads can
+// share a shard (more threads than kShards) without losing exactness — the
+// slots are still atomic — they merely start sharing a line. A scrape
+// merges the shards with plain relaxed loads, so reading is wait-free
+// against writers and never perturbs them.
 //
 // Three instrument kinds:
 //  * Counter — monotone u64; Add() is one relaxed fetch_add on the
@@ -242,7 +241,9 @@ class Registry {
   /// A gauge evaluated at scrape time (e.g. a queue's instantaneous
   /// depth). The callback must stay valid until replaced — re-registering
   /// the same series swaps the callback, so an owner with a shorter
-  /// lifetime than the process should re-point it at teardown.
+  /// lifetime than the process should re-point it at teardown. No library
+  /// series registers one at present (obs_test covers it); it is the hook
+  /// for process-level gauges such as CPU time and resident memory.
   void SetCallbackGauge(const std::string& name, const std::string& help,
                         std::function<double()> fn,
                         const std::string& labels = "");

@@ -1,4 +1,4 @@
-// Query execution against a pinned snapshot.
+// Query execution against one snapshot.
 //
 // Two paths, both exact:
 //  * LocalizeBatchOn — the throughput path. All rows of a coalesced batch
@@ -9,9 +9,9 @@
 //    prunes reference rows via its triangle-inequality bound before the
 //    exact pass.
 //
-// The caller pins the snapshot once (epoch-pinned, no refcount traffic)
-// and uses it for the whole request, so a concurrent hot-swap cannot mix
-// two serving states inside one query.
+// The caller reads the snapshot once (MapSnapshotStore::Current) and holds
+// it for the whole request, so a concurrent hot-swap cannot mix two serving
+// states inside one query.
 #ifndef RMI_SERVING_BATCH_LOCALIZER_H_
 #define RMI_SERVING_BATCH_LOCALIZER_H_
 
@@ -34,7 +34,7 @@ namespace rmi::serving {
 const char* QueryValidationError(const MapSnapshot& snapshot,
                                  const double* fingerprint, size_t size);
 
-/// Stateless query executor over a pinned snapshot.
+/// Stateless query executor over one snapshot.
 ///
 /// Thread-safety: both entry points are static and safe to call
 /// concurrently; they only read the snapshot. Null-fingerprint semantics
@@ -43,12 +43,12 @@ const char* QueryValidationError(const MapSnapshot& snapshot,
 class BatchLocalizer {
  public:
   /// B x D batch -> B locations via the estimator's batched path (the
-  /// server pins once per coalesced batch).
+  /// server reads one snapshot per coalesced batch).
   static std::vector<geom::Point> LocalizeBatchOn(
       const MapSnapshot& snapshot, const la::Matrix& fingerprints);
 
   /// One fingerprint (kNull entries allowed) -> location, by spatial-index
-  /// pruned exact KNN (the shard router pins per shard).
+  /// pruned exact KNN (the shard router reads one snapshot per query).
   static geom::Point LocalizeOn(const MapSnapshot& snapshot,
                                 const std::vector<double>& fingerprint);
 };

@@ -27,7 +27,8 @@ struct ServerMetrics {
       "rmi_server_requests_total", "Requests answered across all servers");
   obs::Counter& rejected = obs::GetCounter(
       "rmi_server_rejected_total",
-      "Requests rejected (malformed fingerprint or racing shutdown)");
+      "Requests rejected (malformed fingerprint, no published snapshot or "
+      "racing shutdown)");
   obs::Counter& batches = obs::GetCounter(
       "rmi_server_batches_total", "Coalesced dispatches executed");
   obs::Gauge& queue_depth = obs::GetGauge(
@@ -57,23 +58,23 @@ LocalizationServer::LocalizationServer(const MapSnapshotStore* store,
                                        const ServerOptions& options)
     : store_(store),
       options_(options),
-      queue_(options.queue_capacity),
-      pool_(std::max<size_t>(1, options.num_workers)) {
+      queue_(options.queue_capacity) {
   RMI_CHECK(store_ != nullptr);
   RMI_CHECK_GT(options_.max_batch, 0u);
   RMI_CHECK_GT(options_.queue_capacity, 0u);
   // Touch the registry up front so the series exist in a scrape even
   // before the first request arrives.
   ServerMetrics::Get();
-  // The launcher owns the pool fan-out: ParallelFor(num_workers) hands each
-  // pool worker exactly one DispatchLoop index and blocks (as worker 0, in
-  // its own loop) until shutdown drains them all.
-  launcher_ = std::thread([this] {
-    pool_.ParallelFor(pool_.num_threads(),
-                      [this](size_t /*worker*/, size_t /*index*/) {
-                        DispatchLoop();
-                      });
-  });
+  const size_t num_dispatchers = std::max<size_t>(1, options_.num_workers);
+  dispatchers_.reserve(num_dispatchers);
+  try {
+    for (size_t w = 0; w < num_dispatchers; ++w) {
+      dispatchers_.emplace_back([this] { DispatchLoop(); });
+    }
+  } catch (...) {
+    Stop();  // join the loops already running before the members go
+    throw;
+  }
 }
 
 LocalizationServer::~LocalizationServer() { Stop(); }
@@ -132,7 +133,9 @@ void LocalizationServer::Stop() {
     std::lock_guard<std::mutex> lock(park_mu_);
   }
   park_cv_.notify_all();
-  if (launcher_.joinable()) launcher_.join();
+  for (std::thread& dispatcher : dispatchers_) {
+    if (dispatcher.joinable()) dispatcher.join();
+  }
   // Dispatchers have exited. Wait out Submits that entered before the flag
   // flipped (they either pushed already or are about to reject
   // themselves), then reject anything that slipped into the ring after the
@@ -237,25 +240,24 @@ void LocalizationServer::ProcessBatch(std::vector<Request>* batch) {
     }
   }
 
-  // Pin one snapshot for the whole batch — a hot-swap mid-batch must never
-  // mix two serving states. Epoch-pinned read: no refcount RMW per batch,
-  // so dispatcher threads on different cores share no snapshot-access
-  // cache line.
-  const PinnedSnapshot snap = store_->PinnedRead();
-  RMI_CHECK(snap.get() != nullptr);
-  const size_t d = snap->num_aps();
+  // One snapshot for the whole batch — a hot-swap mid-batch must never
+  // mix two serving states.
+  const std::shared_ptr<const MapSnapshot> snap = store_->Current();
 
   // Per-request validation (the rule shared with the shard router): a
   // malformed scan — wrong width (e.g. sized for a pre-hot-swap snapshot),
-  // a ±inf entry or all-null (no distance signal) — is rejected through
-  // its promise; it must never abort the server.
+  // a ±inf entry or all-null (no distance signal) — or a store that has
+  // published nothing yet rejects the request through its promise; it must
+  // never abort the server.
   std::vector<size_t> valid;
   valid.reserve(batch->size());
   size_t num_rejected = 0;
   for (size_t i = 0; i < batch->size(); ++i) {
     Request& r = (*batch)[i];
-    const char* reason = QueryValidationError(*snap, r.fingerprint.data(),
-                                              r.fingerprint.size());
+    const char* reason =
+        snap == nullptr ? "no snapshot has been published yet"
+                        : QueryValidationError(*snap, r.fingerprint.data(),
+                                               r.fingerprint.size());
     if (reason != nullptr) {
       r.promise.set_exception(
           std::make_exception_ptr(std::runtime_error(reason)));
@@ -268,6 +270,7 @@ void LocalizationServer::ProcessBatch(std::vector<Request>* batch) {
 
   std::vector<geom::Point> estimates;
   if (!valid.empty()) {
+    const size_t d = snap->num_aps();
     la::Matrix queries(valid.size(), d);
     for (size_t v = 0; v < valid.size(); ++v) {
       const Request& r = (*batch)[valid[v]];

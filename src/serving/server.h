@@ -1,15 +1,14 @@
 // The online localization front end: a concurrent request queue whose
-// dispatcher workers coalesce queued fingerprints into batches, pin one
+// dispatcher workers coalesce queued fingerprints into batches, read one
 // snapshot per batch, and answer every row with a single batched estimator
 // pass (one Gemm for the KNN family).
 //
 // Threading: Submit is called from any number of client threads and runs
 // lock-free — requests land in a bounded MPMC ring (common/mpmc_queue.h),
 // so producers never serialize on a queue mutex and a preempted producer
-// only delays its own cell. The dispatch loops run as one ParallelFor of
-// `num_workers` indices on a common/thread_pool.h pool (worker 0 of that
-// pool is a dedicated launcher thread, so Submit never blocks on dispatch
-// work). Each loop pops up to max_batch requests — waiting at most
+// only delays its own cell. Each of the max(1, num_workers) dispatch loops
+// runs on its own thread, so Submit never blocks on dispatch work. Each
+// loop pops up to max_batch requests — waiting at most
 // max_wait_us for stragglers to coalesce — and fulfills the requests'
 // promises. A condition variable exists only for *idle parking*: a
 // dispatcher that finds the ring empty parks on it, and Submit wakes it
@@ -32,7 +31,6 @@
 #include <vector>
 
 #include "common/mpmc_queue.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "geometry/geometry.h"
 #include "obs/trace.h"
@@ -58,7 +56,7 @@ struct ServerOptions {
 
 struct ServerStats {
   size_t completed = 0;        ///< requests answered
-  size_t rejected = 0;         ///< malformed requests refused via exception
+  size_t rejected = 0;         ///< requests refused via exception
   size_t batches = 0;          ///< dispatches executed
   double mean_batch_size = 0.0;
   double qps = 0.0;            ///< completed / uptime
@@ -69,14 +67,14 @@ struct ServerStats {
 /// Thread-safety: Submit/Localize/Stats may be called concurrently from
 /// any number of threads; Stop is idempotent and may race Submit (the
 /// loser's future holds a std::runtime_error). Ownership: the server
-/// borrows `store` and owns its queue, dispatch pool, and stats. Malformed
-/// fingerprints (wrong width, all-null, partial scan against an estimator
-/// without partial support) reject the one request via its future — they
+/// borrows `store` and owns its queue, dispatch threads, and stats.
+/// Malformed fingerprints (wrong width, all-null, partial scan against an
+/// estimator without partial support), and any request dispatched before
+/// the store's first Publish, reject the one request via its future — they
 /// never abort the process.
 class LocalizationServer {
  public:
-  /// `store` must outlive the server and hold a published snapshot before
-  /// the first request is dispatched.
+  /// `store` must outlive the server.
   explicit LocalizationServer(const MapSnapshotStore* store,
                               const ServerOptions& options = {});
   ~LocalizationServer();
@@ -148,8 +146,8 @@ class LocalizationServer {
   std::atomic<size_t> batched_requests_{0};
   Timer uptime_;
 
-  ThreadPool pool_;
-  std::thread launcher_;
+  /// Last: the dispatch loops use every member above.
+  std::vector<std::thread> dispatchers_;
 };
 
 }  // namespace rmi::serving

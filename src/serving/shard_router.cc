@@ -55,15 +55,9 @@ void ShardedSnapshotStore::Publish(const rmap::ShardId& id,
     shard->store.Publish(std::move(snapshot));
     auto next = std::make_shared<Table>(*table);
     (*next)[id] = std::move(shard);
-    const Table* raw = next.get();
-    const std::shared_ptr<const Table> old = std::atomic_exchange_explicit(
-        &table_, std::shared_ptr<const Table>(std::move(next)),
-        std::memory_order_acq_rel);
-    table_raw_.store(raw, std::memory_order_seq_cst);
-    // The displaced table rides the same deferred-release list as retired
-    // snapshots: epoch-pinned readers may still be resolving shards
-    // through it.
-    EpochDomain::Global().Retire(std::shared_ptr<const void>(old));
+    std::atomic_store_explicit(&table_,
+                               std::shared_ptr<const Table>(std::move(next)),
+                               std::memory_order_release);
   } else {
     Shard& shard = *it->second;
     shard.store.Publish(std::move(snapshot));
@@ -71,16 +65,6 @@ void ShardedSnapshotStore::Publish(const rmap::ShardId& id,
                                std::memory_order_release);
   }
   publishes_.fetch_add(1, std::memory_order_relaxed);
-}
-
-PinnedSnapshot ShardedSnapshotStore::Pinned(const rmap::ShardId& id) const {
-  // One pin covers the raw table walk; the shard store's PinnedRead nests
-  // a second (depth-only, no slot store) pin that survives the return.
-  const EpochDomain::Pin pin = EpochDomain::Global().MakePin();
-  const Table* table = table_raw_.load(std::memory_order_seq_cst);
-  const auto it = table->find(id);
-  if (it == table->end()) return PinnedSnapshot();
-  return it->second->store.PinnedRead();
 }
 
 std::shared_ptr<const MapSnapshot> ShardedSnapshotStore::Current(
@@ -172,7 +156,7 @@ std::optional<RouteDecision> ShardRouter::ClassifyFloor(
 
 geom::Point ShardRouter::Localize(const rmap::ShardId& shard,
                                   const std::vector<double>& fingerprint) const {
-  const PinnedSnapshot snap = store_->Pinned(shard);
+  const std::shared_ptr<const MapSnapshot> snap = store_->Current(shard);
   if (!snap) {
     throw std::runtime_error("shard " + rmap::ToString(shard) +
                              " has no published snapshot");

@@ -8,7 +8,7 @@
 //  * ShardedSnapshotStore — a copy-on-write routing table from ShardId to
 //    per-shard snapshot stores. Readers resolve shards through an atomic
 //    shared_ptr to an immutable table, so adding a shard (first publish)
-//    never blocks or tears an in-flight query — the same wait-free protocol
+//    never blocks or tears an in-flight query — the same protocol
 //    MapSnapshotStore uses one level down for snapshot generations.
 //
 //  * ShardRouter — routes fingerprints to shards, one query at a time.
@@ -56,19 +56,18 @@ ShardProfile BuildShardProfile(const MapSnapshot& snapshot);
 /// Routing table of per-shard hot-swappable snapshot stores.
 ///
 /// Thread-safety: Publish may race with any number of concurrent readers
-/// (Pinned / Current / Profile / Profiles): readers load an immutable table through
-/// an atomic shared_ptr and are wait-free. Concurrent Publish calls are
-/// serialized internally. After a publish to an existing shard there is a
-/// benign instant where a reader can pair the new snapshot with the
-/// previous profile (or vice versa) — the profile only steers the
-/// classifier heuristic, never correctness of the answer.
+/// (Current / Profile / Profiles): readers load an immutable table through
+/// an atomic shared_ptr, so a publish never tears a read. Concurrent
+/// Publish calls are serialized internally. After a publish to an existing
+/// shard there is a benign instant where a reader can pair the new
+/// snapshot with the previous profile (or vice versa) — the profile only
+/// steers the classifier heuristic, never correctness of the answer.
 /// Ownership: the store owns its shards and snapshots; readers extend a
-/// snapshot's lifetime via the returned shared_ptr.
+/// snapshot's (or a displaced routing table's) lifetime via the shared_ptr
+/// they hold, and whoever drops the last reference frees it.
 class ShardedSnapshotStore {
  public:
-  ShardedSnapshotStore() : table_(std::make_shared<const Table>()) {
-    table_raw_.store(table_.get(), std::memory_order_release);
-  }
+  ShardedSnapshotStore() : table_(std::make_shared<const Table>()) {}
 
   ShardedSnapshotStore(const ShardedSnapshotStore&) = delete;
   ShardedSnapshotStore& operator=(const ShardedSnapshotStore&) = delete;
@@ -81,16 +80,13 @@ class ShardedSnapshotStore {
   void Publish(const rmap::ShardId& id,
                std::shared_ptr<const MapSnapshot> snapshot);
 
-  /// Hot path: shard `id`'s current snapshot pinned against reclamation
-  /// (null handle when the shard is unknown or not yet published). The
-  /// routing-table lookup and the snapshot load ride one epoch pin — no
-  /// atomic refcount op anywhere on the path.
-  PinnedSnapshot Pinned(const rmap::ShardId& id) const;
-
-  /// Slow path: shard `id`'s current snapshot; nullptr when the shard is
-  /// unknown. Callers keep the shared_ptr for the whole request, exactly
-  /// like MapSnapshotStore::Current.
+  /// Shard `id`'s current snapshot; nullptr when the shard is unknown.
+  /// Callers keep the shared_ptr for the whole request, exactly like
+  /// MapSnapshotStore::Current.
   std::shared_ptr<const MapSnapshot> Current(const rmap::ShardId& id) const;
+
+  /// Kept only for the repo benchmark; same as Current(id).
+  PinnedSnapshot Pinned(const rmap::ShardId& id) const { return Current(id); }
 
   /// Shard `id`'s AP profile; nullptr when the shard is unknown.
   std::shared_ptr<const ShardProfile> Profile(const rmap::ShardId& id) const;
@@ -121,10 +117,6 @@ class ShardedSnapshotStore {
   }
 
   std::shared_ptr<const Table> table_;  ///< atomic access only; never null
-  /// Hot-path twin of table_ (same object): epoch-pinned readers resolve
-  /// shards through this raw pointer; displaced tables are retired into
-  /// the global epoch domain. Never null.
-  std::atomic<const Table*> table_raw_;
   std::mutex publish_mu_;  ///< serializes table mutation
   std::atomic<uint64_t> publishes_{0};
 };
@@ -143,9 +135,9 @@ struct RouteDecision {
 ///
 /// Thread-safety: all entry points are const and safe to call concurrently
 /// from any number of threads; the router owns no threads. Classification
-/// and routing read only immutable snapshots/profiles through epoch-pinned
-/// loads. `store` must outlive the router. Failure semantics follow
-/// LocalizationServer: a query that cannot be routed — unknown shard,
+/// and routing read only immutable snapshots/profiles through atomic
+/// shared_ptr loads. `store` must outlive the router. Failure semantics
+/// follow LocalizationServer: a query that cannot be routed — unknown shard,
 /// shard with no published snapshot yet, or a fingerprint with no observed
 /// AP — throws std::runtime_error rather than aborting, so one bad request
 /// never takes the serving process down.

@@ -63,36 +63,9 @@ std::shared_ptr<const MapSnapshot> BuildSnapshot(
 void MapSnapshotStore::Publish(std::shared_ptr<const MapSnapshot> snapshot) {
   RMI_CHECK(snapshot != nullptr);
   RMI_CHECK(snapshot->Consistent());
-  const MapSnapshot* raw = snapshot.get();
-  std::shared_ptr<const MapSnapshot> old;
-  {
-    // Serialize publishers so each retires exactly the snapshot it
-    // displaced (two unserialized swaps could both capture the same old
-    // value and leak the other).
-    std::lock_guard<std::mutex> lock(publish_mu_);
-    old = std::atomic_exchange_explicit(&current_, std::move(snapshot),
-                                        std::memory_order_acq_rel);
-    // Raw pointer last of the two: a hot-path reader that loads the new
-    // raw pointer is guaranteed the slow-path protocol already agrees.
-    // Both stores precede the Retire below (seq_cst), so no reader can
-    // still load `old` after its retire epoch is stamped.
-    current_raw_.store(raw, std::memory_order_seq_cst);
-  }
+  std::atomic_store_explicit(&current_, std::move(snapshot),
+                             std::memory_order_release);
   publishes_.fetch_add(1, std::memory_order_relaxed);
-  // Deferred release via the global domain. The retired entry holds a
-  // refcount, so this also covers slow-path Current() holders: reclaiming
-  // just drops our reference, and the snapshot frees when the last
-  // shared_ptr — wherever it lives — lets go.
-  EpochDomain::Global().Retire(
-      std::shared_ptr<const void>(std::move(old)));
-}
-
-PinnedSnapshot MapSnapshotStore::PinnedRead() const {
-  EpochDomain::Pin pin = EpochDomain::Global().MakePin();
-  // Pin first, pointer second (both seq_cst): see the safety argument in
-  // epoch.h for why this ordering makes the loaded pointer unreclaimable.
-  const MapSnapshot* snapshot = current_raw_.load(std::memory_order_seq_cst);
-  return PinnedSnapshot(std::move(pin), snapshot);
 }
 
 std::shared_ptr<const MapSnapshot> MapSnapshotStore::Current() const {

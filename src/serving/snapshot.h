@@ -7,12 +7,11 @@
 // rows — into one immutable MapSnapshot, and MapSnapshotStore::Publish
 // swaps it in atomically. A snapshot restored from disk goes through the
 // same BuildSnapshot call (see snapshot_persist.h), so there is one serving
-// representation. In-flight queries hold the snapshot open — hot path via
-// an epoch pin (PinnedRead), slow path via a shared_ptr (Current) — so a
-// publish never blocks readers and a reader never observes a half-built
-// ("torn") snapshot; the old snapshot is retired into the epoch domain and
-// freed once every pin taken before the swap has been released and every
-// slow-path reference dropped.
+// representation. In-flight queries hold the snapshot open through the
+// shared_ptr that Current() returns, so a publish never blocks readers and a
+// reader never observes a half-built ("torn") snapshot; a displaced
+// snapshot is freed by whoever drops its last reference — the publisher,
+// or a reader on its own thread.
 #ifndef RMI_SERVING_SNAPSHOT_H_
 #define RMI_SERVING_SNAPSHOT_H_
 
@@ -20,13 +19,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/rng.h"
 #include "positioning/estimators.h"
 #include "radiomap/radio_map.h"
-#include "serving/epoch.h"
 #include "serving/spatial_index.h"
 
 namespace rmi::serving {
@@ -87,44 +84,13 @@ std::shared_ptr<const MapSnapshot> BuildSnapshot(
     std::unique_ptr<positioning::KnnEstimator> estimator, Rng& rng,
     const SnapshotOptions& options = {});
 
-/// A snapshot reference held open by an epoch pin instead of a refcount:
-/// while this object lives, the snapshot cannot be reclaimed, at zero
-/// shared cache-line traffic on acquisition. Scope it to one request (or
-/// one batch) — a long-lived PinnedSnapshot blocks reclamation of every
-/// snapshot retired after it was taken. Movable; release on the pinning
-/// thread. The raw pointer may be handed to pool workers that outlive
-/// nothing: the pin gates reclamation globally, whichever thread
-/// dereferences (see EpochDomain).
-class PinnedSnapshot {
- public:
-  PinnedSnapshot() = default;
-  PinnedSnapshot(EpochDomain::Pin pin, const MapSnapshot* snapshot)
-      : pin_(std::move(pin)), snapshot_(snapshot) {}
+/// Kept only for the repo benchmark, which names this type: a snapshot
+/// read is a shared_ptr.
+using PinnedSnapshot = std::shared_ptr<const MapSnapshot>;
 
-  const MapSnapshot* get() const { return snapshot_; }
-  const MapSnapshot& operator*() const { return *snapshot_; }
-  const MapSnapshot* operator->() const { return snapshot_; }
-  explicit operator bool() const { return snapshot_ != nullptr; }
-
- private:
-  EpochDomain::Pin pin_;
-  const MapSnapshot* snapshot_ = nullptr;
-};
-
-/// The hot-swap point, with two read protocols against one published
-/// value:
-///
-///  * PinnedRead() — the hot path. An epoch pin plus a raw pointer load:
-///    no refcount RMW, no shared line bounced between reader cores.
-///  * Current() — the slow path. The classic atomic shared_ptr load, for
-///    callers that must hold the snapshot past any pin scope (background
-///    comparisons, tests, code not yet migrated).
-///
-/// Both see the same swap at the same instant; a publish retires the old
-/// snapshot through the global epoch domain, whose deferred release also
-/// respects outstanding slow-path shared_ptrs (the retired entry only
-/// drops a refcount when reclaimed — it frees the snapshot iff no
-/// shared_ptr holder remains).
+/// The hot-swap point. Readers load the published snapshot as a
+/// shared_ptr (one atomic load); a publish swaps the pointer and holds
+/// them up no longer than that swap.
 class MapSnapshotStore {
  public:
   MapSnapshotStore() = default;
@@ -135,33 +101,24 @@ class MapSnapshotStore {
   MapSnapshotStore(const MapSnapshotStore&) = delete;
   MapSnapshotStore& operator=(const MapSnapshotStore&) = delete;
 
-  /// Atomically replaces the current snapshot and retires the previous one
-  /// into the global epoch domain. Never blocks readers; concurrent
-  /// publishers serialize among themselves.
+  /// Atomically replaces the current snapshot. The displaced snapshot
+  /// lives until its last reader lets go.
   void Publish(std::shared_ptr<const MapSnapshot> snapshot);
 
-  /// Hot path: the current snapshot pinned against reclamation for the
-  /// lifetime of the returned handle (engaged-but-null before the first
-  /// Publish). One private epoch-slot store + one raw load — no atomic
-  /// refcount op.
-  PinnedSnapshot PinnedRead() const;
-
-  /// Slow path: the current snapshot as a shared_ptr (nullptr before the
-  /// first Publish). Callers keep it for the whole request so a concurrent
-  /// publish cannot free the state under them.
+  /// The current snapshot (nullptr before the first Publish). Callers keep
+  /// it for the whole request so a concurrent publish cannot free the state
+  /// under them.
   std::shared_ptr<const MapSnapshot> Current() const;
+
+  /// Kept only for the repo benchmark; same as Current().
+  PinnedSnapshot PinnedRead() const { return Current(); }
 
   uint64_t publish_count() const {
     return publishes_.load(std::memory_order_relaxed);
   }
 
  private:
-  mutable std::mutex publish_mu_;
-  std::shared_ptr<const MapSnapshot> current_;  ///< slow-path protocol
-  /// Hot-path protocol: same object as current_, loadable without touching
-  /// the control block. Swapped before the old value is retired, so a
-  /// pinned reader only ever loads live-or-retired-after-pin pointers.
-  std::atomic<const MapSnapshot*> current_raw_{nullptr};
+  std::shared_ptr<const MapSnapshot> current_;  ///< atomic access only
   std::atomic<uint64_t> publishes_{0};
 };
 

@@ -1,14 +1,13 @@
-// Epoch-based reclamation and the hot-path snapshot reads built on it:
-//  * EpochDomain — pins defer reclamation, nested pins hold the outer
-//    epoch, cross-thread pins gate the retire list, and the list drains
-//    once readers go idle;
-//  * MapSnapshotStore / ShardedSnapshotStore — PinnedRead sees the same
-//    swap as Current, a reader pinned across many publishes never
-//    observes a freed snapshot, and slow-path shared_ptr holders outlive
-//    reclamation;
+// Snapshot reads under hot-swap, and the threads that make them:
+//  * MapSnapshotStore / ShardedSnapshotStore — a reader holding a snapshot
+//    across many publishes (and routing-table swaps) never observes a
+//    freed one, a displaced snapshot lives exactly until its last reader
+//    lets go, and concurrent publishes never hand a reader a torn state;
+//  * thread churn — hundreds of reader threads, and of 2-worker servers,
+//    started and stopped in turn, each read and answer as the first did;
 //  * ThreadPool — ParallelFor runs every index exactly once, runs n
-//    blocking bodies at once on an n-thread pool (the server's dispatch
-//    loops rely on it), and two concurrent submitters genuinely overlap.
+//    blocking bodies at once on an n-thread pool, and two concurrent
+//    submitters genuinely overlap.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,19 +21,14 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "positioning/estimators.h"
-#include "serving/epoch.h"
+#include "serving/batch_localizer.h"
+#include "serving/server.h"
 #include "serving/shard_router.h"
 #include "serving/snapshot.h"
 #include "serving/synthetic.h"
 
 namespace rmi::serving {
 namespace {
-
-std::shared_ptr<const void> Tracked(std::weak_ptr<const int>* probe) {
-  auto obj = std::make_shared<const int>(42);
-  *probe = obj;
-  return obj;
-}
 
 /// Two-party rendezvous with a timeout: Arrive() blocks until both sides
 /// arrived, or flags failure after `timeout`. A deadlock-proof way to
@@ -57,82 +51,6 @@ class Rendezvous {
   int arrived_ = 0;
 };
 
-TEST(EpochDomainTest, RetireWithoutReadersReclaimsImmediately) {
-  EpochDomain domain;
-  std::weak_ptr<const int> probe;
-  domain.Retire(Tracked(&probe));
-  EXPECT_EQ(domain.retired_count(), 0u);
-  EXPECT_TRUE(probe.expired());
-}
-
-TEST(EpochDomainTest, PinDefersReclamationUntilRelease) {
-  EpochDomain domain;
-  std::weak_ptr<const int> probe;
-  {
-    const EpochDomain::Pin pin = domain.MakePin();
-    domain.Retire(Tracked(&probe));
-    EXPECT_EQ(domain.retired_count(), 1u);
-    EXPECT_EQ(domain.ReclaimNow(), 1u);  // still pinned: nothing freed
-    EXPECT_FALSE(probe.expired());
-  }
-  EXPECT_EQ(domain.ReclaimNow(), 0u);
-  EXPECT_TRUE(probe.expired());
-}
-
-TEST(EpochDomainTest, NestedPinsHoldTheOuterEpoch) {
-  EpochDomain domain;
-  EXPECT_EQ(domain.PinnedEpochForTesting(), EpochDomain::kIdle);
-  const EpochDomain::Pin outer = domain.MakePin();
-  const uint64_t pinned = domain.PinnedEpochForTesting();
-  ASSERT_NE(pinned, EpochDomain::kIdle);
-  domain.Retire(std::make_shared<const int>(1));  // advances the epoch
-  {
-    const EpochDomain::Pin inner = domain.MakePin();
-    EXPECT_EQ(domain.PinnedEpochForTesting(), pinned);
-  }
-  EXPECT_EQ(domain.PinnedEpochForTesting(), pinned);  // inner exit kept it
-}
-
-TEST(EpochDomainTest, PinOnAnotherThreadGatesReclamation) {
-  EpochDomain domain;
-  std::atomic<bool> release{false};
-  std::atomic<bool> pinned{false};
-  std::thread reader([&] {
-    const EpochDomain::Pin pin = domain.MakePin();
-    pinned.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  while (!pinned.load()) std::this_thread::yield();
-
-  std::weak_ptr<const int> probe;
-  domain.Retire(Tracked(&probe));
-  EXPECT_EQ(domain.ReclaimNow(), 1u);
-  EXPECT_FALSE(probe.expired());
-  release.store(true);
-  reader.join();
-  EXPECT_EQ(domain.ReclaimNow(), 0u);
-  EXPECT_TRUE(probe.expired());
-}
-
-TEST(EpochDomainTest, OnePinDefersEveryLaterRetirement) {
-  EpochDomain domain;
-  std::vector<std::weak_ptr<const int>> probes(8);
-  {
-    const EpochDomain::Pin pin = domain.MakePin();
-    for (std::weak_ptr<const int>& probe : probes) {
-      domain.Retire(Tracked(&probe));
-    }
-    EXPECT_EQ(domain.retired_count(), probes.size());
-    for (const std::weak_ptr<const int>& probe : probes) {
-      EXPECT_FALSE(probe.expired());
-    }
-  }
-  EXPECT_EQ(domain.ReclaimNow(), 0u);
-  for (const std::weak_ptr<const int>& probe : probes) {
-    EXPECT_TRUE(probe.expired());
-  }
-}
-
 std::shared_ptr<const MapSnapshot> TestSnapshot(const rmap::RadioMap& map,
                                                 uint64_t version,
                                                 uint64_t seed) {
@@ -142,105 +60,83 @@ std::shared_ptr<const MapSnapshot> TestSnapshot(const rmap::RadioMap& map,
                        rng, SnapshotOptions{version, 6.0});
 }
 
-TEST(PinnedSnapshotTest, EmptyStoreYieldsNullHandle) {
+TEST(SnapshotStoreTest, EmptyStoreYieldsNull) {
   MapSnapshotStore store;
-  const PinnedSnapshot snap = store.PinnedRead();
+  const std::shared_ptr<const MapSnapshot> snap = store.Current();
   EXPECT_FALSE(snap);
   EXPECT_EQ(snap.get(), nullptr);
 }
 
-TEST(PinnedSnapshotTest, PinnedReadAgreesWithCurrent) {
-  const rmap::RadioMap map = MakeSyntheticServingMap(6, 5, 8, 3);
-  MapSnapshotStore store(TestSnapshot(map, 1, 11));
-  const PinnedSnapshot pinned = store.PinnedRead();
-  ASSERT_TRUE(pinned);
-  EXPECT_EQ(pinned.get(), store.Current().get());
-  EXPECT_EQ(pinned->version, 1u);
-  EXPECT_TRUE(pinned->Consistent());
-}
-
-TEST(PinnedSnapshotTest, ReaderPinnedAcrossPublishesNeverSeesAFreedSnapshot) {
+TEST(SnapshotStoreTest, ReaderHeldAcrossPublishesNeverSeesAFreedSnapshot) {
   const rmap::RadioMap map = MakeSyntheticServingMap(6, 5, 8, 3);
   auto first = TestSnapshot(map, 1, 11);
   std::weak_ptr<const MapSnapshot> probe = first;
   MapSnapshotStore store(std::move(first));
 
-  const PinnedSnapshot pinned = store.PinnedRead();
-  ASSERT_TRUE(pinned);
+  const std::shared_ptr<const MapSnapshot> held = store.Current();
+  ASSERT_TRUE(held);
   for (uint64_t v = 2; v < 8; ++v) {
     store.Publish(TestSnapshot(map, v, 11 + v));
-    // The pinned generation must stay fully intact through every swap.
-    EXPECT_EQ(pinned->version, 1u);
-    EXPECT_TRUE(pinned->Consistent());
+    // The held generation must stay fully intact through every swap.
+    EXPECT_EQ(held->version, 1u);
+    EXPECT_TRUE(held->Consistent());
     EXPECT_FALSE(probe.expired());
   }
   EXPECT_EQ(store.Current()->version, 7u);
 }
 
-TEST(PinnedSnapshotTest, RetiredGenerationsDrainOnceReadersUnpin) {
-  const rmap::RadioMap map = MakeSyntheticServingMap(6, 5, 8, 3);
-  auto first = TestSnapshot(map, 1, 11);
-  std::weak_ptr<const MapSnapshot> probe = first;
-  MapSnapshotStore store(std::move(first));
-  {
-    const PinnedSnapshot pinned = store.PinnedRead();
-    store.Publish(TestSnapshot(map, 2, 12));
-    EXPECT_FALSE(probe.expired());
-  }
-  // Reader gone: the displaced snapshot is reclaimable now. (The global
-  // domain is shared, so only our probe — not retired_count — is
-  // meaningful here.)
-  EpochDomain::Global().ReclaimNow();
-  EXPECT_TRUE(probe.expired());
-}
-
-TEST(PinnedSnapshotTest, SlowPathSharedPtrHoldersOutliveReclamation) {
+TEST(SnapshotStoreTest, DisplacedSnapshotLivesUntilItsLastReaderLetsGo) {
   const rmap::RadioMap map = MakeSyntheticServingMap(6, 5, 8, 3);
   MapSnapshotStore store(TestSnapshot(map, 1, 11));
-  std::shared_ptr<const MapSnapshot> held = store.Current();
-  std::weak_ptr<const MapSnapshot> probe = held;
+  std::shared_ptr<const MapSnapshot> first_reader = store.Current();
+  std::shared_ptr<const MapSnapshot> last_reader = store.Current();
+  const std::weak_ptr<const MapSnapshot> probe = first_reader;
 
   store.Publish(TestSnapshot(map, 2, 12));
-  EpochDomain::Global().ReclaimNow();  // no pins: the retired entry drops
-  // The epoch domain released its reference, but the slow-path holder
-  // still owns the snapshot.
+  EXPECT_EQ(store.Current()->version, 2u);
+  first_reader.reset();
+  // One reader still holds the displaced snapshot: it stays whole.
   EXPECT_FALSE(probe.expired());
-  EXPECT_TRUE(held->Consistent());
-  held.reset();
+  EXPECT_EQ(last_reader->version, 1u);
+  EXPECT_TRUE(last_reader->Consistent());
+  // The last reader frees it, on its own thread.
+  std::thread([reader = std::move(last_reader)]() mutable {
+    reader.reset();
+  }).join();
   EXPECT_TRUE(probe.expired());
 }
 
-TEST(ShardedStoreTest, PinnedResolvesShardsAndUnknownIsNull) {
+TEST(ShardedStoreTest, CurrentResolvesShardsAndUnknownIsNull) {
   const rmap::RadioMap map = MakeSyntheticServingMap(6, 5, 8, 3);
   ShardedSnapshotStore store;
   const rmap::ShardId a{0, 0}, b{0, 1}, unknown{9, 9};
   store.Publish(a, TestSnapshot(map, 1, 11));
   store.Publish(b, TestSnapshot(map, 2, 12));
 
-  const PinnedSnapshot snap_a = store.Pinned(a);
+  const std::shared_ptr<const MapSnapshot> snap_a = store.Current(a);
   ASSERT_TRUE(snap_a);
   EXPECT_EQ(snap_a->version, 1u);
-  EXPECT_EQ(snap_a.get(), store.Current(a).get());
-  EXPECT_FALSE(store.Pinned(unknown));
+  EXPECT_EQ(store.Current(b)->version, 2u);
+  EXPECT_FALSE(store.Current(unknown));
 }
 
-TEST(ShardedStoreTest, PinnedSnapshotSurvivesRoutingTableSwaps) {
+TEST(ShardedStoreTest, HeldSnapshotSurvivesRoutingTableSwaps) {
   const rmap::RadioMap map = MakeSyntheticServingMap(6, 5, 8, 3);
   ShardedSnapshotStore store;
   const rmap::ShardId a{0, 0};
   store.Publish(a, TestSnapshot(map, 1, 11));
-  const PinnedSnapshot pinned = store.Pinned(a);
-  ASSERT_TRUE(pinned);
-  // Every first publish to a new shard swaps (and retires) the routing
-  // table; the pinned snapshot must ride through all of them.
+  const std::shared_ptr<const MapSnapshot> held = store.Current(a);
+  ASSERT_TRUE(held);
+  // Every first publish to a new shard swaps the routing table; the held
+  // snapshot must ride through all of them.
   for (int f = 1; f <= 5; ++f) {
     store.Publish(rmap::ShardId{1, f}, TestSnapshot(map, 10 + f, 20 + f));
-    EXPECT_EQ(pinned->version, 1u);
-    EXPECT_TRUE(pinned->Consistent());
+    EXPECT_EQ(held->version, 1u);
+    EXPECT_TRUE(held->Consistent());
   }
 }
 
-TEST(PinnedSnapshotTest, ConcurrentPublishesAndPinnedReadersStayConsistent) {
+TEST(SnapshotStoreTest, ConcurrentPublishesAndReadersStayConsistent) {
   const rmap::RadioMap map = MakeSyntheticServingMap(8, 6, 10, 3);
   MapSnapshotStore store(TestSnapshot(map, 1, 11));
   std::atomic<bool> stop{false};
@@ -249,7 +145,7 @@ TEST(PinnedSnapshotTest, ConcurrentPublishesAndPinnedReadersStayConsistent) {
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        const PinnedSnapshot snap = store.PinnedRead();
+        const std::shared_ptr<const MapSnapshot> snap = store.Current();
         if (!snap || !snap->Consistent() || snap->num_refs() == 0) {
           ok.store(false);
           return;
@@ -267,6 +163,55 @@ TEST(PinnedSnapshotTest, ConcurrentPublishesAndPinnedReadersStayConsistent) {
   EXPECT_TRUE(ok.load());
 }
 
+// Thread churn: every reader thread, and every server's dispatchers, run
+// in turn, so at most one is alive at any moment. What grows is the number
+// of threads that have ever read a snapshot; it must never run out.
+constexpr size_t kChurn = 300;
+
+TEST(ThreadChurnTest, ReaderThreadsStartedInTurnAllRead) {
+  const rmap::RadioMap map = MakeSyntheticServingMap(6, 5, 8, 3);
+  const std::shared_ptr<const MapSnapshot> snap = TestSnapshot(map, 1, 11);
+  MapSnapshotStore single(snap);
+  ShardedSnapshotStore sharded;
+  const rmap::ShardId shard{0, 0};
+  sharded.Publish(shard, snap);
+  const ShardRouter router(&sharded);
+  const std::vector<double> q =
+      MatrixRow(MakeSyntheticQueries(map, 1, 0.2, 5), 0);
+
+  std::vector<geom::Point> from_single(kChurn), from_sharded(kChurn);
+  for (size_t t = 0; t < kChurn; ++t) {
+    std::thread([&] {
+      from_single[t] = BatchLocalizer::LocalizeOn(*single.Current(), q);
+      from_sharded[t] = router.Localize(shard, q);
+    }).join();
+  }
+  const geom::Point want = BatchLocalizer::LocalizeOn(*snap, q);
+  for (size_t t = 0; t < kChurn; ++t) {
+    ASSERT_EQ(from_single[t].x, want.x) << "thread " << t;
+    ASSERT_EQ(from_single[t].y, want.y) << "thread " << t;
+    ASSERT_EQ(from_sharded[t].x, want.x) << "thread " << t;
+    ASSERT_EQ(from_sharded[t].y, want.y) << "thread " << t;
+  }
+}
+
+TEST(ThreadChurnTest, ServersStartedInTurnAllAnswer) {
+  const rmap::RadioMap map = MakeSyntheticServingMap(6, 5, 8, 3);
+  const std::shared_ptr<const MapSnapshot> snap = TestSnapshot(map, 1, 11);
+  const MapSnapshotStore store(snap);
+  const la::Matrix queries = MakeSyntheticQueries(map, 1, 0.2, 5);
+  const geom::Point want = BatchLocalizer::LocalizeBatchOn(*snap, queries)[0];
+  ServerOptions options;
+  options.num_workers = 2;
+  for (size_t s = 0; s < kChurn; ++s) {
+    LocalizationServer server(&store, options);
+    const geom::Point got = server.Localize(MatrixRow(queries, 0));
+    server.Stop();
+    ASSERT_EQ(got.x, want.x) << "server " << s;
+    ASSERT_EQ(got.y, want.y) << "server " << s;
+  }
+}
+
 TEST(ThreadPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   const size_t count = 1000;
@@ -281,10 +226,10 @@ TEST(ThreadPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
 }
 
 TEST(ThreadPoolTest, OneIndexPerThreadRunsEveryBlockingBodyAtOnce) {
-  // LocalizationServer's launcher runs ParallelFor(n) on its n-thread pool
-  // and each body is a DispatchLoop that blocks until shutdown. Every body
-  // here waits, with a timeout, until all n have started; a schedule that
-  // ran two indices on one thread would leave the waits timing out.
+  // With count == num_threads(), every participant's range holds exactly
+  // one index, so n bodies that block run at once. Every body here waits,
+  // with a timeout, until all n have started; a schedule that ran two
+  // indices on one thread would leave the waits timing out.
   for (size_t n : {2, 3, 4}) {
     ThreadPool pool(n);
     if (pool.num_threads() != n) GTEST_SKIP() << "pool forced inline";

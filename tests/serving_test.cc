@@ -303,7 +303,7 @@ TEST(SnapshotStoreTest, HotSwapUnderConcurrentReadersIsNeverTornOrEmpty) {
           return;
         }
         const geom::Point p = BatchLocalizer::LocalizeOn(
-            *store.PinnedRead(), RowOf(queries, i % 8));
+            *store.Current(), RowOf(queries, i % 8));
         if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
           failed.store(true);
           return;
@@ -338,7 +338,7 @@ TEST(BatchLocalizerTest, SingleQueryPrunedPathMatchesEstimator) {
     const std::vector<double> q = RowOf(queries, i);
     const geom::Point direct = snap->estimator->Estimate(q);
     const geom::Point pruned =
-        BatchLocalizer::LocalizeOn(*store.PinnedRead(), q);
+        BatchLocalizer::LocalizeOn(*store.Current(), q);
     EXPECT_DOUBLE_EQ(pruned.x, direct.x) << "row " << i;
     EXPECT_DOUBLE_EQ(pruned.y, direct.y) << "row " << i;
   }
@@ -423,6 +423,34 @@ TEST(LocalizationServerTest, RejectsMalformedRequestsWithoutCrashing) {
   const ServerStats stats = server.Stats();
   EXPECT_EQ(stats.rejected, 3u);
   EXPECT_GE(stats.completed, 1u);
+}
+
+TEST(LocalizationServerTest, RequestBeforeFirstPublishIsRejectedNotCrashed) {
+  const auto map = MakeServingMap(8, 6, 6);
+  const std::vector<double> q = RowOf(MakeQueries(map, 1, 0.0), 0);
+  MapSnapshotStore store;
+  LocalizationServer server(&store);
+  const obs::Counter& rejected_total =
+      obs::GetCounter("rmi_server_rejected_total", "");
+  const uint64_t rejected_before = rejected_total.Total();
+
+  EXPECT_THROW(server.Localize(q), std::runtime_error);
+
+  // The same server answers once a snapshot is published.
+  Rng rng(43);
+  auto snap = BuildSnapshot(
+      map, std::make_unique<positioning::KnnEstimator>(3, true), rng);
+  store.Publish(snap);
+  const geom::Point got = server.Localize(q);
+  const geom::Point want = snap->estimator->Estimate(q);
+  EXPECT_NEAR(got.x, want.x, 1e-12);
+  EXPECT_NEAR(got.y, want.y, 1e-12);
+  // A dispatcher counts a rejection after resolving its future; Stop
+  // joins the dispatchers, so the counts are final here.
+  server.Stop();
+  EXPECT_EQ(server.Stats().rejected, 1u);
+  EXPECT_EQ(server.Stats().completed, 1u);
+  EXPECT_EQ(rejected_total.Total() - rejected_before, 1u);
 }
 
 TEST(LocalizationServerTest, TinyRingBackpressuresInsteadOfDropping) {
