@@ -8,9 +8,8 @@
 
 namespace rmi {
 
-/// Streaming mean/variance (Welford). Accumulators built on independent
-/// shards (one per thread, the obs/ registry idiom) combine with Merge()
-/// into the same moments a single-stream accumulation would produce.
+/// Streaming mean/variance (Welford), or moments rebuilt with
+/// FromMoments (how obs::Histogram::Summary reports its atomics).
 class RunningStats {
  public:
   void Add(double x) {
@@ -22,29 +21,8 @@ class RunningStats {
     if (x > max_ || n_ == 1) max_ = x;
   }
 
-  /// Folds an independently-accumulated stream into this one (Chan et
-  /// al.'s pairwise update): count/mean/variance/min/max afterwards match
-  /// a single accumulator that saw both streams' samples, up to rounding.
-  void Merge(const RunningStats& other) {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-      *this = other;
-      return;
-    }
-    const size_t n = n_ + other.n_;
-    const double delta = other.mean_ - mean_;
-    mean_ += delta * static_cast<double>(other.n_) / static_cast<double>(n);
-    m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                           static_cast<double>(other.n_) /
-                           static_cast<double>(n);
-    if (other.min_ < min_) min_ = other.min_;
-    if (other.max_ > max_) max_ = other.max_;
-    n_ = n;
-  }
-
   /// Rebuilds an accumulator from raw moments (m2 = sum of squared
-  /// deviations from the mean) — how a metrics shard that kept
-  /// count/sum/sumsq in atomics re-enters the Merge chain.
+  /// deviations from the mean), e.g. from count/sum/sumsq kept in atomics.
   static RunningStats FromMoments(size_t n, double mean, double m2,
                                   double min, double max) {
     RunningStats s;
@@ -75,7 +53,7 @@ class RunningStats {
 double Mean(const std::vector<double>& v);
 
 /// Sample standard deviation (0 for size < 2). Test oracle: the two-pass
-/// reference that RunningStats' merged moments are checked against; no
+/// reference that RunningStats' rebuilt moments are checked against; no
 /// product path calls it.
 double Stddev(const std::vector<double>& v);
 

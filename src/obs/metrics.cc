@@ -15,8 +15,6 @@ namespace rmi::obs {
 
 namespace {
 
-std::atomic<size_t> g_next_thread{0};
-
 /// Escapes `"` and `\` for embedding in a JSON string literal (labels
 /// carry raw quotes: shard="b0/f2").
 std::string JsonEscape(const std::string& s) {
@@ -37,24 +35,16 @@ std::string FormatDouble(double v) {
 
 }  // namespace
 
-size_t ThreadShardIndex() {
-  thread_local const size_t index =
-      g_next_thread.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return index;
-}
-
 // ---- Histogram --------------------------------------------------------------
 
 Histogram::Histogram() {
-  const double inf = std::numeric_limits<double>::infinity();
-  for (Shard& shard : shards_) {
-    for (auto& b : shard.buckets) b.store(0, std::memory_order_relaxed);
-    shard.count.store(0, std::memory_order_relaxed);
-    detail::AtomicDoubleStore(&shard.sum_bits, 0.0);
-    detail::AtomicDoubleStore(&shard.sumsq_bits, 0.0);
-    detail::AtomicDoubleStore(&shard.min_bits, inf);
-    detail::AtomicDoubleStore(&shard.max_bits, 0.0);
-  }
+  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  count_.store(0, std::memory_order_relaxed);
+  detail::AtomicDoubleStore(&sum_bits_, 0.0);
+  detail::AtomicDoubleStore(&sumsq_bits_, 0.0);
+  detail::AtomicDoubleStore(&min_bits_,
+                            std::numeric_limits<double>::infinity());
+  detail::AtomicDoubleStore(&max_bits_, 0.0);
 }
 
 size_t Histogram::BucketIndex(uint64_t v) {
@@ -80,48 +70,9 @@ void Histogram::BucketBounds(size_t b, uint64_t* lower, uint64_t* upper) {
   *upper = *lower + width - 1;
 }
 
-void Histogram::Observe(double value) {
-  if (!(value > 0.0)) value = 0.0;  // clamp negatives and NaN
-  const uint64_t v = static_cast<uint64_t>(value + 0.5);
-  Shard& shard = shards_[ThreadShardIndex()];
-  shard.buckets[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
-  shard.count.fetch_add(1, std::memory_order_relaxed);
-  detail::AtomicDoubleAdd(&shard.sum_bits, value);
-  detail::AtomicDoubleAdd(&shard.sumsq_bits, value * value);
-  detail::AtomicDoubleMin(&shard.min_bits, value);
-  detail::AtomicDoubleMax(&shard.max_bits, value);
-}
-
-uint64_t Histogram::Count() const {
+double Histogram::BucketPercentile(const uint64_t* buckets, double p) {
   uint64_t total = 0;
-  for (const Shard& s : shards_) {
-    total += s.count.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-double Histogram::Sum() const {
-  double total = 0.0;
-  for (const Shard& s : shards_) {
-    total += detail::AtomicDoubleLoad(&s.sum_bits);
-  }
-  return total;
-}
-
-void Histogram::MergedBuckets(uint64_t* out) const {
-  std::fill(out, out + kNumBuckets, 0);
-  for (const Shard& s : shards_) {
-    for (size_t b = 0; b < kNumBuckets; ++b) {
-      out[b] += s.buckets[b].load(std::memory_order_relaxed);
-    }
-  }
-}
-
-double Histogram::Percentile(double p) const {
-  uint64_t buckets[kNumBuckets];
-  MergedBuckets(buckets);
-  uint64_t total = 0;
-  for (uint64_t c : buckets) total += c;
+  for (size_t b = 0; b < kNumBuckets; ++b) total += buckets[b];
   if (total == 0) return 0.0;
   const double target = std::max(1.0, p / 100.0 * static_cast<double>(total));
   uint64_t cum = 0;
@@ -144,23 +95,46 @@ double Histogram::Percentile(double p) const {
   return static_cast<double>(upper);
 }
 
-RunningStats Histogram::Summary() const {
-  RunningStats merged;
-  for (const Shard& s : shards_) {
-    const uint64_t n = s.count.load(std::memory_order_relaxed);
-    if (n == 0) continue;
-    const double sum = detail::AtomicDoubleLoad(&s.sum_bits);
-    const double sumsq = detail::AtomicDoubleLoad(&s.sumsq_bits);
-    const double mean = sum / static_cast<double>(n);
-    // M2 = sum((x - mean)^2) = sumsq - n*mean^2; clamp the cancellation
-    // residue at 0 (telemetry moments, not numerics-grade variance).
-    const double m2 =
-        std::max(0.0, sumsq - static_cast<double>(n) * mean * mean);
-    merged.Merge(RunningStats::FromMoments(
-        n, mean, m2, detail::AtomicDoubleLoad(&s.min_bits),
-        detail::AtomicDoubleLoad(&s.max_bits)));
+void Histogram::Observe(double value) {
+  if (!(value > 0.0)) value = 0.0;  // clamp negatives and NaN
+  const uint64_t v = static_cast<uint64_t>(value + 0.5);
+  buckets_[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  detail::AtomicDoubleAdd(&sum_bits_, value);
+  detail::AtomicDoubleAdd(&sumsq_bits_, value * value);
+  detail::AtomicDoubleMin(&min_bits_, value);
+  detail::AtomicDoubleMax(&max_bits_, value);
+}
+
+uint64_t Histogram::Count() const {
+  return count_.load(std::memory_order_relaxed);
+}
+
+double Histogram::Sum() const { return detail::AtomicDoubleLoad(&sum_bits_); }
+
+void Histogram::Buckets(uint64_t* out) const {
+  for (size_t b = 0; b < kNumBuckets; ++b) {
+    out[b] = buckets_[b].load(std::memory_order_relaxed);
   }
-  return merged;
+}
+
+double Histogram::Percentile(double p) const {
+  uint64_t buckets[kNumBuckets];
+  Buckets(buckets);
+  return BucketPercentile(buckets, p);
+}
+
+RunningStats Histogram::Summary() const {
+  const uint64_t n = Count();
+  if (n == 0) return RunningStats();
+  const double mean = Sum() / static_cast<double>(n);
+  // M2 = sum((x - mean)^2) = sumsq - n*mean^2; clamp the cancellation
+  // residue at 0 (telemetry moments, not numerics-grade variance).
+  const double m2 = std::max(0.0, detail::AtomicDoubleLoad(&sumsq_bits_) -
+                                      static_cast<double>(n) * mean * mean);
+  return RunningStats::FromMoments(n, mean, m2,
+                                   detail::AtomicDoubleLoad(&min_bits_),
+                                   detail::AtomicDoubleLoad(&max_bits_));
 }
 
 // ---- Registry ---------------------------------------------------------------
@@ -188,9 +162,10 @@ struct Series {
 
 struct Registry::Impl {
   mutable std::mutex mu;
-  /// Keyed by full series name; the vector preserves registration order
-  /// for exposition.
-  std::map<std::string, size_t> index;
+  /// Keyed by full series name.
+  std::map<std::string, Series*> index;
+  /// Exposition order: families (series sharing a base name) in
+  /// first-registration order, each family's series together.
   std::vector<std::unique_ptr<Series>> series;
 
   Series& GetOrCreate(const std::string& name, const std::string& help,
@@ -200,10 +175,15 @@ struct Registry::Impl {
     std::lock_guard<std::mutex> lock(mu);
     const auto it = index.find(key);
     if (it != index.end()) {
-      Series& existing = *series[it->second];
-      RMI_CHECK(existing.kind == kind);  // one name, one instrument kind
-      return existing;
+      RMI_CHECK(it->second->kind == kind);  // one name, one instrument kind
+      return *it->second;
     }
+    // A new series joins the end of its family, or starts a new one.
+    const auto last_of_family =
+        std::find_if(series.rbegin(), series.rend(),
+                     [&name](const auto& s) { return s->name == name; });
+    RMI_CHECK(last_of_family == series.rend() ||
+              (*last_of_family)->kind == kind);
     auto s = std::make_unique<Series>();
     s->name = name;
     s->labels = labels;
@@ -217,9 +197,12 @@ struct Registry::Impl {
         break;
       case Kind::kCallbackGauge: break;
     }
-    index[key] = series.size();
-    series.push_back(std::move(s));
-    return *series.back();
+    Series* created = s.get();
+    index[key] = created;
+    series.insert(last_of_family == series.rend() ? series.end()
+                                                  : last_of_family.base(),
+                  std::move(s));
+    return *created;
   }
 };
 
@@ -304,7 +287,7 @@ std::string Registry::DumpPrometheusText() const {
       }
       case Kind::kHistogram: {
         uint64_t buckets[Histogram::kNumBuckets];
-        s->histogram->MergedBuckets(buckets);
+        s->histogram->Buckets(buckets);
         uint64_t cum = 0;
         const std::string sep = s->labels.empty() ? "" : ",";
         for (size_t b = 0; b < Histogram::kNumBuckets; ++b) {

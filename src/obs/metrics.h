@@ -1,26 +1,23 @@
 // Process-wide observability: a lock-free metrics registry.
 //
-// The design goal is a hot query path that adds only *private* writes.
-// Every metric is sharded over cache-line-padded slots; a thread claims a
-// shard index once (thread_local, round-robin) and all of its Add/Observe
-// traffic lands in relaxed atomics on that private line. Two threads can
-// share a shard (more threads than kShards) without losing exactness — the
-// slots are still atomic — they merely start sharing a line. A scrape
-// merges the shards with plain relaxed loads, so reading is wait-free
-// against writers and never perturbs them.
+// The design goal is a hot query path that adds a few relaxed atomic
+// writes and no lock. Every instrument is one slot of relaxed atomics that
+// all threads write, aligned to its own cache line so that two instruments
+// never share one: totals stay exact under any interleaving, and a scrape
+// reads the slot with plain relaxed loads, so reading is wait-free against
+// writers and never perturbs them.
 //
 // Three instrument kinds:
-//  * Counter — monotone u64; Add() is one relaxed fetch_add on the
-//    thread's slot, Total() sums the slots.
-//  * Gauge — signed double; Add()/Sub() accumulate per-shard deltas (the
-//    queue-depth idiom: producers +1 on their slot, consumers -1 on
-//    theirs, Value() sums), Set() is for rare single-writer series (the
-//    updater's last-rebuild stage timings).
+//  * Counter — monotone u64; Add() is one relaxed fetch_add, Total() one
+//    load.
+//  * Gauge — signed double; Add()/Sub() accumulate deltas (the
+//    queue-depth idiom: producers +1, consumers -1), Set() stores a value
+//    (the updater's last-rebuild stage timings), Value() is one load.
 //  * Histogram — HDR-style log-bucketed latency histogram: fixed buckets
 //    at 4 sub-buckets per octave (<= 25% bucket width) covering the full
-//    u64 range, plus exact per-shard count/sum/sumsq/min/max moments, so
-//    a scrape can produce both bucket-interpolated percentiles and an
-//    exact mergeable RunningStats summary (common/stats.h Merge).
+//    u64 range, plus exact count/sum/sumsq/min/max moments, so a scrape
+//    can produce both bucket-interpolated percentiles and an exact
+//    RunningStats summary (common/stats.h).
 //
 // Registration is by name through the process-global Registry (names may
 // carry a Prometheus label suffix, e.g. shard="b0/f2"); handles are
@@ -54,19 +51,11 @@ inline double MonotonicUs() {
       .count();
 }
 
-/// Shard index of the calling thread: claimed once per thread,
-/// round-robin over kShards. Exactness never depends on uniqueness —
-/// shards are atomic — only contention does.
-size_t ThreadShardIndex();
-
-/// Number of per-thread slots each metric is sharded over.
-inline constexpr size_t kShards = 32;
-
 namespace detail {
 
 /// Relaxed add on an atomic double stored as bits (C++17 has no atomic
-/// double fetch_add). The CAS loop is on the caller's private slot, so it
-/// effectively never retries.
+/// double fetch_add). A racing writer makes the CAS retry, never lose the
+/// delta.
 inline void AtomicDoubleAdd(std::atomic<uint64_t>* cell, double delta) {
   uint64_t expected = cell->load(std::memory_order_relaxed);
   double current;
@@ -119,68 +108,37 @@ inline void AtomicDoubleMax(std::atomic<uint64_t>* cell, double value) {
 
 }  // namespace detail
 
-/// Monotone event counter, sharded per thread.
-class Counter {
+/// Monotone event counter.
+class alignas(64) Counter {
  public:
-  void Add(uint64_t n = 1) {
-    slots_[ThreadShardIndex()].value.fetch_add(n, std::memory_order_relaxed);
-  }
-
-  uint64_t Total() const {
-    uint64_t total = 0;
-    for (const Slot& s : slots_) {
-      total += s.value.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
+  void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
+  uint64_t Total() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  struct alignas(64) Slot {
-    std::atomic<uint64_t> value{0};
-  };
-  Slot slots_[kShards];
+  std::atomic<uint64_t> value_{0};
 };
 
-/// Signed double gauge. Add/Sub accumulate per-shard deltas (private
-/// writes — the queue-depth idiom); Set is for rare single-writer series
-/// and collapses every shard onto slot 0 (racing Adds may be absorbed or
-/// lost — use Set only where one writer owns the series).
-class Gauge {
+/// Signed double gauge: Add/Sub accumulate deltas, Set replaces the value.
+class alignas(64) Gauge {
  public:
-  void Add(double delta) {
-    detail::AtomicDoubleAdd(&slots_[ThreadShardIndex()].bits, delta);
-  }
+  void Add(double delta) { detail::AtomicDoubleAdd(&bits_, delta); }
   void Sub(double delta) { Add(-delta); }
-
-  void Set(double value) {
-    for (size_t s = 1; s < kShards; ++s) {
-      detail::AtomicDoubleStore(&slots_[s].bits, 0.0);
-    }
-    detail::AtomicDoubleStore(&slots_[0].bits, value);
-  }
-
-  double Value() const {
-    double total = 0.0;
-    for (const Slot& s : slots_) total += detail::AtomicDoubleLoad(&s.bits);
-    return total;
-  }
+  void Set(double value) { detail::AtomicDoubleStore(&bits_, value); }
+  double Value() const { return detail::AtomicDoubleLoad(&bits_); }
 
  private:
-  struct alignas(64) Slot {
-    std::atomic<uint64_t> bits{0};  ///< double 0.0 is all-zero bits
-  };
-  Slot slots_[kShards];
+  std::atomic<uint64_t> bits_{0};  ///< double 0.0 is all-zero bits
 };
 
-/// Log-bucketed latency histogram with exact mergeable moments.
+/// Log-bucketed latency histogram with exact moments.
 ///
 /// Values are non-negative (negatives clamp to 0) in whatever unit the
 /// series declares (microseconds for the *_us series). Buckets: values
 /// 0..3 exact, then 4 sub-buckets per octave up to the full u64 range —
 /// bucket width <= 25% of its lower bound, so interpolated percentiles
 /// carry at most ~12% quantization error. Observe() is a handful of
-/// relaxed atomics on the calling thread's private shard.
-class Histogram {
+/// relaxed atomics.
+class alignas(64) Histogram {
  public:
   static constexpr size_t kSubBits = 2;
   static constexpr size_t kSub = 1u << kSubBits;  // 4 sub-buckets/octave
@@ -195,38 +153,38 @@ class Histogram {
   static size_t BucketIndex(uint64_t v);
   /// Inclusive value range [lower, upper] of bucket `b`.
   static void BucketBounds(size_t b, uint64_t* lower, uint64_t* upper);
+  /// Linear-interpolated percentile, p in [0, 100], of the counts in
+  /// `buckets` (kNumBuckets entries, e.g. a difference of two Buckets()
+  /// reads). 0 when every count is 0. Monotone in p.
+  static double BucketPercentile(const uint64_t* buckets, double p);
 
   uint64_t Count() const;
   double Sum() const;
-  /// Buckets merged over all shards (kNumBuckets entries).
-  void MergedBuckets(uint64_t* out) const;
-  /// Linear-interpolated percentile from the merged buckets, p in
-  /// [0, 100]. 0 when empty. Monotone in p.
+  /// Bucket counts (kNumBuckets entries).
+  void Buckets(uint64_t* out) const;
+  /// BucketPercentile over Buckets().
   double Percentile(double p) const;
-  /// Exact moment summary, built by merging the per-shard moment sets
-  /// with RunningStats::Merge — count/mean/variance match a single-stream
-  /// accumulation of every observed value (post-clamp) up to rounding.
+  /// Exact moment summary: count/mean/variance match a single-stream
+  /// RunningStats of every observed value (post-clamp) up to rounding.
   RunningStats Summary() const;
 
  private:
-  struct alignas(64) Shard {
-    std::atomic<uint64_t> buckets[kNumBuckets];
-    std::atomic<uint64_t> count;
-    std::atomic<uint64_t> sum_bits;    ///< double
-    std::atomic<uint64_t> sumsq_bits;  ///< double
-    std::atomic<uint64_t> min_bits;    ///< double, +inf when empty
-    std::atomic<uint64_t> max_bits;    ///< double
-  };
-  Shard shards_[kShards];
+  std::atomic<uint64_t> buckets_[kNumBuckets];
+  std::atomic<uint64_t> count_;
+  std::atomic<uint64_t> sum_bits_;    ///< double
+  std::atomic<uint64_t> sumsq_bits_;  ///< double
+  std::atomic<uint64_t> min_bits_;    ///< double, +inf when empty
+  std::atomic<uint64_t> max_bits_;    ///< double
 };
 
 /// The process-global named-metric registry. Get* registers on first use
-/// and returns the existing handle afterwards (re-registration with a
-/// mismatched kind aborts — it is a programming error). Handles are valid
-/// for the process lifetime; instrumentation sites cache them in
+/// and returns the existing handle afterwards (registering a name with a
+/// second instrument kind aborts — it is a programming error). Handles are
+/// valid for the process lifetime; instrumentation sites cache them in
 /// function-local statics. `labels` is a raw Prometheus label body, e.g.
 /// `shard="b0/f2"` — series with the same name but different labels are
-/// distinct metrics exposed under one HELP/TYPE header.
+/// distinct metrics of one family, exposed as one group under one
+/// HELP/TYPE header.
 class Registry {
  public:
   static Registry& Global();
@@ -249,8 +207,9 @@ class Registry {
                         const std::string& labels = "");
 
   /// Prometheus text exposition (format 0.0.4) of every registered
-  /// series. Histograms emit cumulative le-buckets (empty buckets are
-  /// skipped), _sum and _count.
+  /// series, family by family in first-registration order. Histograms
+  /// emit cumulative le-buckets (empty buckets are skipped), _sum and
+  /// _count.
   std::string DumpPrometheusText() const;
   /// One JSON object: {"counters": {...}, "gauges": {...},
   /// "histograms": {name: {count, sum, mean, stddev, min, max, p50, p95,

@@ -37,60 +37,23 @@ class CounterDelta {
 };
 
 /// Scrape-delta view of a registry histogram: percentiles over only the
-/// observations that landed since construction, mirroring
-/// Histogram::Percentile's within-bucket interpolation on the bucket
-/// deltas.
+/// observations that landed since construction.
 class HistogramDelta {
  public:
   explicit HistogramDelta(obs::Histogram* hist) : hist_(hist) {
-    hist_->MergedBuckets(before_);
-  }
-
-  uint64_t Count() const {
-    uint64_t buckets[obs::Histogram::kNumBuckets];
-    Snapshot(buckets);
-    uint64_t total = 0;
-    for (uint64_t c : buckets) total += c;
-    return total;
+    hist_->Buckets(before_);
   }
 
   double Percentile(double p) const {
-    uint64_t buckets[obs::Histogram::kNumBuckets];
-    Snapshot(buckets);
-    uint64_t total = 0;
-    for (uint64_t c : buckets) total += c;
-    if (total == 0) return 0.0;
-    const double target =
-        std::max(1.0, p / 100.0 * static_cast<double>(total));
-    uint64_t cum = 0;
+    uint64_t delta[obs::Histogram::kNumBuckets];
+    hist_->Buckets(delta);
     for (size_t b = 0; b < obs::Histogram::kNumBuckets; ++b) {
-      if (buckets[b] == 0) continue;
-      const uint64_t prev = cum;
-      cum += buckets[b];
-      if (static_cast<double>(cum) >= target) {
-        uint64_t lower, upper;
-        obs::Histogram::BucketBounds(b, &lower, &upper);
-        const double fraction = (target - static_cast<double>(prev)) /
-                                static_cast<double>(buckets[b]);
-        return static_cast<double>(lower) +
-               fraction * static_cast<double>(upper - lower);
-      }
+      delta[b] -= before_[b];
     }
-    uint64_t lower, upper;
-    obs::Histogram::BucketBounds(obs::Histogram::kNumBuckets - 1, &lower,
-                                 &upper);
-    return static_cast<double>(upper);
+    return obs::Histogram::BucketPercentile(delta, p);
   }
 
  private:
-  void Snapshot(uint64_t* out) const {
-    uint64_t after[obs::Histogram::kNumBuckets];
-    hist_->MergedBuckets(after);
-    for (size_t b = 0; b < obs::Histogram::kNumBuckets; ++b) {
-      out[b] = after[b] - before_[b];
-    }
-  }
-
   obs::Histogram* hist_;
   uint64_t before_[obs::Histogram::kNumBuckets];
 };

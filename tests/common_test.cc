@@ -120,57 +120,10 @@ TEST(RunningStatsTest, BasicMoments) {
   EXPECT_DOUBLE_EQ(st.max(), 4.0);
 }
 
-TEST(RunningStatsTest, MergeMatchesSingleStream) {
-  // Two independently accumulated shards merged must match one accumulator
-  // that saw every sample — the contract Histogram::Summary relies on.
-  Rng rng(42);
-  std::vector<double> all;
-  RunningStats a, b, reference;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.Uniform(-50.0, 150.0);
-    all.push_back(v);
-    reference.Add(v);
-    (i % 3 == 0 ? a : b).Add(v);
-  }
-  RunningStats merged = a;
-  merged.Merge(b);
-  EXPECT_EQ(merged.count(), reference.count());
-  EXPECT_NEAR(merged.mean(), reference.mean(), 1e-9);
-  EXPECT_NEAR(merged.variance(), reference.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(merged.min(), reference.min());
-  EXPECT_DOUBLE_EQ(merged.max(), reference.max());
-  // And against the closed-form moments of the raw samples.
-  EXPECT_NEAR(merged.mean(), Mean(all), 1e-9);
-  EXPECT_NEAR(merged.stddev(), Stddev(all), 1e-6);
-}
-
-TEST(RunningStatsTest, MergeEmptySides) {
-  RunningStats empty, filled;
-  for (double v : {1.0, 2.0, 3.0}) filled.Add(v);
-
-  RunningStats a = filled;
-  a.Merge(empty);  // no-op
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-
-  RunningStats b = empty;
-  b.Merge(filled);  // adopt
-  EXPECT_EQ(b.count(), 3u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(b.min(), 1.0);
-  EXPECT_DOUBLE_EQ(b.max(), 3.0);
-
-  RunningStats c;
-  c.Merge(empty);  // empty + empty stays empty
-  EXPECT_EQ(c.count(), 0u);
-  EXPECT_DOUBLE_EQ(c.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(c.variance(), 0.0);
-}
-
-TEST(RunningStatsTest, FromMomentsReentersMergeChain) {
+TEST(RunningStatsTest, FromMomentsRoundTrip) {
   RunningStats reference;
   for (double v : {2.0, 4.0, 6.0, 8.0}) reference.Add(v);
-  // Rebuild from raw moments (the path a histogram shard takes: it keeps
+  // Rebuild from raw moments (the path a histogram takes: it keeps
   // count/sum/sumsq in atomics, m2 = sumsq - n*mean^2).
   const double n = 4.0, sum = 20.0, sumsq = 120.0;
   const double mean = sum / n;
@@ -180,18 +133,37 @@ TEST(RunningStatsTest, FromMomentsReentersMergeChain) {
   EXPECT_EQ(rebuilt.count(), reference.count());
   EXPECT_DOUBLE_EQ(rebuilt.mean(), reference.mean());
   EXPECT_NEAR(rebuilt.variance(), reference.variance(), 1e-12);
+  EXPECT_DOUBLE_EQ(rebuilt.min(), reference.min());
+  EXPECT_DOUBLE_EQ(rebuilt.max(), reference.max());
 
-  RunningStats merged = rebuilt;
-  RunningStats other;
-  for (double v : {1.0, 3.0}) other.Add(v);
-  merged.Merge(other);
-  RunningStats direct;
-  for (double v : {2.0, 4.0, 6.0, 8.0, 1.0, 3.0}) direct.Add(v);
-  EXPECT_EQ(merged.count(), direct.count());
-  EXPECT_NEAR(merged.mean(), direct.mean(), 1e-12);
-  EXPECT_NEAR(merged.variance(), direct.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(merged.min(), 1.0);
-  EXPECT_DOUBLE_EQ(merged.max(), 8.0);
+  // An accumulator's own moments rebuild it, and both match the
+  // closed-form moments of the raw samples.
+  Rng rng(42);
+  std::vector<double> all;
+  RunningStats stream;
+  for (int i = 0; i < 1000; ++i) {
+    all.push_back(rng.Uniform(-50.0, 150.0));
+    stream.Add(all.back());
+  }
+  const RunningStats copy = RunningStats::FromMoments(
+      stream.count(), stream.mean(),
+      stream.variance() * static_cast<double>(stream.count() - 1),
+      stream.min(), stream.max());
+  EXPECT_EQ(copy.count(), stream.count());
+  EXPECT_DOUBLE_EQ(copy.mean(), stream.mean());
+  EXPECT_NEAR(copy.variance(), stream.variance(), 1e-9);
+  EXPECT_DOUBLE_EQ(copy.min(), *std::min_element(all.begin(), all.end()));
+  EXPECT_DOUBLE_EQ(copy.max(), *std::max_element(all.begin(), all.end()));
+  EXPECT_NEAR(copy.mean(), Mean(all), 1e-9);
+  EXPECT_NEAR(copy.stddev(), Stddev(all), 1e-6);
+
+  // Zero samples rebuild the empty accumulator, whatever the moments say.
+  const RunningStats empty = RunningStats::FromMoments(0, 5.0, 3.0, 1.0, 9.0);
+  EXPECT_EQ(empty.count(), 0u);
+  EXPECT_DOUBLE_EQ(empty.mean(), 0.0);
+  EXPECT_DOUBLE_EQ(empty.variance(), 0.0);
+  EXPECT_DOUBLE_EQ(empty.min(), 0.0);
+  EXPECT_DOUBLE_EQ(empty.max(), 0.0);
 }
 
 TEST(StatsTest, MeanAndStddev) {

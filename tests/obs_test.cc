@@ -1,11 +1,12 @@
 // The observability layer:
-//  * Counter/Gauge/Histogram stay *exact* under multi-threaded hammering —
-//    sharding trades contention, never correctness;
+//  * Counter/Gauge/Histogram stay *exact* under multi-threaded hammering
+//    of their one slot, and each instrument is one cache-line slot;
 //  * a scrape (Prometheus text / JSON) may race writers freely and the
-//    post-join totals are exact;
+//    post-join totals are exact, and it emits each metric family as one
+//    group under one HELP/TYPE header;
 //  * Histogram buckets honor their <= 25% width contract, percentiles
-//    interpolate inside the right bucket, and Summary() merges per-shard
-//    moments into single-stream RunningStats;
+//    interpolate inside the right bucket, and Summary() matches a
+//    single-stream RunningStats;
 //  * the trace sampler is deterministic 1-in-N with a bounded span buffer
 //    and completed-trace ring;
 //  * end-to-end: a live server + updater populate the registry, and one
@@ -19,6 +20,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,6 +52,30 @@ double ScrapeValue(const std::string& text, const std::string& name) {
   return std::stod(text.substr(pos + needle.size()));
 }
 
+/// The `# TYPE` lines of a Prometheus text dump that occur more than once.
+std::vector<std::string> RepeatedTypeLines(const std::string& text) {
+  std::vector<std::string> types;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("# TYPE ", 0) == 0) types.push_back(line);
+  }
+  std::sort(types.begin(), types.end());
+  std::vector<std::string> repeated;
+  for (size_t i = 1; i < types.size(); ++i) {
+    if (types[i] == types[i - 1] &&
+        (repeated.empty() || repeated.back() != types[i])) {
+      repeated.push_back(types[i]);
+    }
+  }
+  return repeated;
+}
+
+TEST(FootprintTest, EachInstrumentIsOneSlot) {
+  EXPECT_LE(sizeof(Counter), 64u);
+  EXPECT_LE(sizeof(Gauge), 64u);
+  EXPECT_LE(sizeof(Histogram), 4096u);
+}
+
 TEST(CounterTest, ExactUnderConcurrentHammer) {
   Counter& counter = GetCounter("test_hammer_counter", "test");
   const uint64_t before = counter.Total();
@@ -66,7 +92,7 @@ TEST(CounterTest, ExactUnderConcurrentHammer) {
   EXPECT_EQ(counter.Total() - before, kThreads * (kPerThread + 42));
 }
 
-TEST(GaugeTest, ShardedDeltasSumExactly) {
+TEST(GaugeTest, DeltasSumExactly) {
   Gauge& gauge = GetGauge("test_depth_gauge", "test");
   const double before = gauge.Value();
   constexpr size_t kThreads = 6;
@@ -149,7 +175,7 @@ TEST(HistogramTest, ExactMomentsUnderConcurrentHammer) {
   EXPECT_DOUBLE_EQ(hist.Sum() - sum_before, expected_sum);
 }
 
-TEST(HistogramTest, SummaryMergesShardsIntoRunningStats) {
+TEST(HistogramTest, SummaryMatchesSingleStreamRunningStats) {
   Histogram hist;  // private instance: exact expected moments
   RunningStats reference;
   Rng rng(9);
@@ -248,6 +274,33 @@ TEST(RegistryTest, LabeledSeriesAreDistinct) {
             std::string::npos);
   EXPECT_NE(text.find("test_labeled_total{shard=\"b0/f1\"}"),
             std::string::npos);
+}
+
+TEST(RegistryTest, EachFamilyScrapesAsOneGroup) {
+  // Two labelled families registered shard by shard, interleaved the way
+  // MapUpdater registers its per-shard series.
+  for (const char* shard : {"shard=\"s0\"", "shard=\"s1\""}) {
+    GetGauge("test_group_seconds", "per-shard gauge", shard).Set(1.0);
+    GetHistogram("test_group_us", "per-shard histogram", shard).Observe(5.0);
+  }
+  const std::string text = DumpPrometheusText();
+  EXPECT_EQ(RepeatedTypeLines(text), std::vector<std::string>{});
+  const size_t gauge_type = text.find("# TYPE test_group_seconds gauge\n");
+  const size_t gauge_s0 = text.find("test_group_seconds{shard=\"s0\"} ");
+  const size_t gauge_s1 = text.find("test_group_seconds{shard=\"s1\"} ");
+  const size_t hist_type = text.find("# TYPE test_group_us histogram\n");
+  const size_t hist_s0 = text.find("test_group_us_count{shard=\"s0\"} ");
+  const size_t hist_s1 = text.find("test_group_us_count{shard=\"s1\"} ");
+  for (size_t pos : {gauge_type, gauge_s0, gauge_s1, hist_type, hist_s0,
+                     hist_s1}) {
+    ASSERT_NE(pos, std::string::npos) << text;
+  }
+  // Each family's header, then all of its series, then the next family.
+  EXPECT_LT(gauge_type, gauge_s0);
+  EXPECT_LT(gauge_s0, gauge_s1);
+  EXPECT_LT(gauge_s1, hist_type);
+  EXPECT_LT(hist_type, hist_s0);
+  EXPECT_LT(hist_s0, hist_s1);
 }
 
 TEST(RegistryTest, CallbackGaugeEvaluatesAtScrape) {
@@ -409,6 +462,9 @@ TEST(ObsE2eTest, LiveServingScrapeShowsTheDashboardSeries) {
   EXPECT_NE(text.find("rmi_updater_last_fit_seconds{shard=\"" + shard_label +
                       "\"}"),
             std::string::npos);
+  // Each family is one group: the two shards' labelled series share one
+  // header.
+  EXPECT_EQ(RepeatedTypeLines(text), std::vector<std::string>{});
   // Completed requests reached the registry (server answered every row).
   EXPECT_GE(ScrapeValue(text, "rmi_server_requests_total"),
             static_cast<double>(queries.rows()));
