@@ -33,7 +33,7 @@ struct ServerMetrics {
       "rmi_server_batches_total", "Coalesced dispatches executed");
   obs::Gauge& queue_depth = obs::GetGauge(
       "rmi_server_queue_depth",
-      "Requests currently sitting in the submit ring (sharded +1/-1)");
+      "Requests waiting in the submit queues of all servers");
   obs::Histogram& batch_size = obs::GetHistogram(
       "rmi_server_batch_size_requests", "Coalesced batch size per dispatch");
   obs::Histogram& stage_queue_us = obs::GetHistogram(
@@ -56,9 +56,7 @@ struct ServerMetrics {
 
 LocalizationServer::LocalizationServer(const MapSnapshotStore* store,
                                        const ServerOptions& options)
-    : store_(store),
-      options_(options),
-      queue_(options.queue_capacity) {
+    : store_(store), options_(options) {
   RMI_CHECK(store_ != nullptr);
   RMI_CHECK_GT(options_.max_batch, 0u);
   RMI_CHECK_GT(options_.queue_capacity, 0u);
@@ -81,156 +79,88 @@ LocalizationServer::~LocalizationServer() { Stop(); }
 
 std::future<geom::Point> LocalizationServer::Submit(
     std::vector<double> fingerprint) {
-  // Entry/exit bracket Stop's drain handshake (see inflight_submits_).
-  struct InflightGuard {
-    std::atomic<size_t>& counter;
-    ~InflightGuard() { counter.fetch_sub(1, std::memory_order_release); }
-  };
-  inflight_submits_.fetch_add(1, std::memory_order_seq_cst);
-  InflightGuard guard{inflight_submits_};
-
   Request request;
   request.fingerprint = std::move(fingerprint);
   request.trace = obs::Tracer::Global().MaybeSample();
   if (request.trace != nullptr) request.trace->AddEvent("submit");
   std::future<geom::Point> future = request.promise.get_future();
-  // Lock-free fast path: one TryPush. A full ring is backpressure — yield
-  // until a dispatcher frees a cell (bounded memory under overload beats
-  // an unbounded queue that hides it). Shutdown rejects rather than
-  // blocks, here and inside the backpressure loop.
-  while (true) {
-    if (shutdown_.load(std::memory_order_acquire)) {
-      // A Submit racing a Stop is a benign shutdown condition, not a
-      // programming error: reject just this request.
-      request.promise.set_exception(StoppedError());
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      ServerMetrics::Get().rejected.Add();
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    // A full queue is backpressure (bounded memory under overload beats an
+    // unbounded queue that hides it); Stop releases every waiting Submit.
+    space_cv_.wait(lock, [&] {
+      return stopping_ || queue_.size() < options_.queue_capacity;
+    });
+    if (!stopping_) {
+      queue_.push_back(std::move(request));
+      ServerMetrics::Get().queue_depth.Add(1.0);
+      lock.unlock();
+      work_cv_.notify_one();
       return future;
     }
-    if (queue_.TryPush(std::move(request))) break;
-    std::this_thread::yield();
   }
-  ServerMetrics::Get().queue_depth.Add(1.0);
-  // Wake a parked dispatcher. The seq_cst fence orders our enqueue before
-  // the sleepers_ read against the dispatcher's sleepers_ increment before
-  // its empty-check: at least one side sees the other, so a request can
-  // never be enqueued into a ring every dispatcher has decided is empty.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (sleepers_.load(std::memory_order_relaxed) > 0) {
-    {
-      // An empty critical section serializes with the window between a
-      // parking dispatcher's final check and its cv wait.
-      std::lock_guard<std::mutex> lock(park_mu_);
-    }
-    park_cv_.notify_one();
-  }
+  // A Submit racing a Stop is a benign shutdown condition, not a
+  // programming error: reject just this request.
+  request.promise.set_exception(StoppedError());
+  obs::Tracer::Global().Finish(std::move(request.trace));
+  rejected_.fetch_add(1, std::memory_order_relaxed);
+  ServerMetrics::Get().rejected.Add();
   return future;
 }
 
 void LocalizationServer::Stop() {
-  shutdown_.store(true, std::memory_order_release);
   {
-    std::lock_guard<std::mutex> lock(park_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = true;
   }
-  park_cv_.notify_all();
+  work_cv_.notify_all();
+  space_cv_.notify_all();
+  // Every Submit that queued a request did so before the flag went up,
+  // and a dispatcher exits only once the queue is empty: joining them
+  // answers every queued request.
   for (std::thread& dispatcher : dispatchers_) {
     if (dispatcher.joinable()) dispatcher.join();
   }
-  // Dispatchers have exited. Wait out Submits that entered before the flag
-  // flipped (they either pushed already or are about to reject
-  // themselves), then reject anything that slipped into the ring after the
-  // drain — a promise must never be dropped unfulfilled.
-  while (inflight_submits_.load(std::memory_order_acquire) != 0) {
-    std::this_thread::yield();
-  }
-  Request request;
-  size_t swept = 0;
-  while (queue_.TryPop(&request)) {
-    request.promise.set_exception(StoppedError());
-    obs::Tracer::Global().Finish(std::move(request.trace));
-    ++swept;
-  }
-  if (swept > 0) {
-    rejected_.fetch_add(swept, std::memory_order_relaxed);
-    ServerMetrics& m = ServerMetrics::Get();
-    m.rejected.Add(swept);
-    m.queue_depth.Add(-static_cast<double>(swept));
-  }
 }
 
-void LocalizationServer::ParkForWork(double max_park_us) {
-  sleepers_.fetch_add(1, std::memory_order_seq_cst);
-  // Dekker handshake, dispatcher side: the seq_cst fence orders our
-  // sleepers_ increment before the emptiness re-check below against
-  // Submit's enqueue-then-fence-then-read-sleepers sequence. In the
-  // seq_cst total order at least one side sees the other — either we see
-  // the ring non-empty and skip the wait, or the submitter sees
-  // sleepers_ > 0 and rings the condvar. The RMW alone would not order
-  // our later plain loads; the explicit fence does.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  {
-    std::unique_lock<std::mutex> lock(park_mu_);
-    // The notify serializes with this critical section (Submit takes
-    // park_mu_ before notifying), so it cannot fire between this check
-    // and the wait.
-    if (queue_.ApproxEmpty() && !shutdown_.load(std::memory_order_acquire)) {
-      park_cv_.wait_for(
-          lock, std::chrono::duration<double, std::micro>(max_park_us));
+bool LocalizationServer::NextBatch(std::vector<Request>* batch) {
+  std::unique_lock<std::mutex> lock(mu_);
+  const auto has_work = [&] { return stopping_ || !queue_.empty(); };
+  work_cv_.wait(lock, has_work);
+  if (queue_.empty()) return false;  // stopping and drained
+  // Coalescing window, opened by the batch's first request: trade a
+  // bounded latency bump for fuller batches (more rows per Gemm).
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration<double, std::micro>(options_.max_wait_us);
+  while (true) {
+    const size_t taken =
+        std::min(queue_.size(), options_.max_batch - batch->size());
+    for (size_t i = 0; i < taken; ++i) {
+      batch->push_back(std::move(queue_.front()));
+      queue_.pop_front();
+    }
+    if (taken > 0) {
+      ServerMetrics::Get().queue_depth.Add(-static_cast<double>(taken));
+      space_cv_.notify_all();
+    }
+    if (batch->size() == options_.max_batch || stopping_ ||
+        !work_cv_.wait_until(lock, deadline, has_work)) {
+      return true;
     }
   }
-  sleepers_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-bool LocalizationServer::WaitForWork() {
-  while (queue_.ApproxEmpty()) {
-    if (shutdown_.load(std::memory_order_acquire)) {
-      // Drained and shutting down (producers are rejected once the flag
-      // is up, so no new cell can appear after this check... except a
-      // Submit that lost the race, which Stop sweeps after joining us).
-      return false;
-    }
-    // The bound caps how long an idle dispatcher stays down if an OS-level
-    // wakeup anomaly eats a notify; the handshake above makes a *lost*
-    // wakeup impossible, so this is defense in depth, not load-bearing.
-    ParkForWork(/*max_park_us=*/50000.0);
-  }
-  return true;
 }
 
 void LocalizationServer::DispatchLoop() {
   std::vector<Request> batch;
-  Request request;
-  while (true) {
-    batch.clear();
-    // Block for the first request of the next batch.
-    while (!queue_.TryPop(&request)) {
-      if (!WaitForWork()) return;
-    }
-    batch.push_back(std::move(request));
-    // Coalescing window: trade a bounded latency bump for fuller batches
-    // (more rows per Gemm). Pop whatever is there; once the ring runs
-    // dry, park for the window's remainder (a Submit wakes us early)
-    // rather than spinning it away.
-    Timer window;
-    while (batch.size() < options_.max_batch) {
-      if (queue_.TryPop(&request)) {
-        batch.push_back(std::move(request));
-        continue;
-      }
-      const double remaining_us =
-          options_.max_wait_us - window.ElapsedSeconds() * 1e6;
-      if (shutdown_.load(std::memory_order_acquire) || remaining_us <= 0.0) {
-        break;
-      }
-      ParkForWork(remaining_us);
-    }
+  while (NextBatch(&batch)) {
     ProcessBatch(&batch);
+    batch.clear();
   }
 }
 
 void LocalizationServer::ProcessBatch(std::vector<Request>* batch) {
   ServerMetrics& metrics = ServerMetrics::Get();
-  metrics.queue_depth.Add(-static_cast<double>(batch->size()));
   metrics.batch_size.Observe(static_cast<double>(batch->size()));
   // Queue-stage latency (enqueue -> batch start) per request.
   for (Request& r : *batch) {
@@ -303,8 +233,8 @@ void LocalizationServer::ProcessBatch(std::vector<Request>* batch) {
     }
   }
 
-  // Lock-free accounting: per-instance atomics (the Stats() data source)
-  // and the process-wide registry series. No mutex anywhere on this path.
+  // Accounting outside the lock: per-instance atomics (the Stats() data
+  // source) and the process-wide registry series.
   completed_.fetch_add(valid.size(), std::memory_order_relaxed);
   rejected_.fetch_add(num_rejected, std::memory_order_relaxed);
   batches_.fetch_add(1, std::memory_order_relaxed);

@@ -1,23 +1,20 @@
-// The online localization front end: a concurrent request queue whose
+// The online localization front end: a bounded request queue whose
 // dispatcher workers coalesce queued fingerprints into batches, read one
 // snapshot per batch, and answer every row with a single batched estimator
 // pass (one Gemm for the KNN family).
 //
-// Threading: Submit is called from any number of client threads and runs
-// lock-free — requests land in a bounded MPMC ring (common/mpmc_queue.h),
-// so producers never serialize on a queue mutex and a preempted producer
-// only delays its own cell. Each of the max(1, num_workers) dispatch loops
-// runs on its own thread, so Submit never blocks on dispatch work. Each
-// loop pops up to max_batch requests — waiting at most
-// max_wait_us for stragglers to coalesce — and fulfills the requests'
-// promises. A condition variable exists only for *idle parking*: a
-// dispatcher that finds the ring empty parks on it, and Submit wakes it
-// through a seq_cst sleeper-count handshake (the hot path with awake
-// dispatchers never touches the mutex). Per-request latency (enqueue ->
-// fulfill) feeds the process-wide registry's rmi_server_fulfill_us
-// histogram, summed over every server; the fulfill path takes no stats
-// mutex. A deterministic 1-in-N of requests carries an obs::Trace
-// through submit -> coalesce -> rank, retrievable afterwards from
+// Threading: Submit is called from any number of client threads. One
+// mutex guards the queue and the stop flag; one condition variable wakes
+// dispatchers when a request arrives, the other wakes Submits that the
+// queue_capacity bound holds back. Each of the max(1, num_workers)
+// dispatch loops runs on its own thread, so Submit never waits on dispatch
+// work, only on queue space. Each loop pops up to max_batch requests —
+// waiting at most max_wait_us after the first for stragglers to coalesce —
+// and resolves the requests' promises outside the lock. Per-request
+// latency (enqueue -> fulfill) feeds the process-wide registry's
+// rmi_server_fulfill_us histogram, summed over every server. A
+// deterministic 1-in-N of requests carries an obs::Trace through submit
+// -> coalesce -> rank, retrievable afterwards from
 // obs::Tracer::Global().Recent().
 #ifndef RMI_SERVING_SERVER_H_
 #define RMI_SERVING_SERVER_H_
@@ -25,12 +22,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "common/mpmc_queue.h"
 #include "common/timer.h"
 #include "geometry/geometry.h"
 #include "obs/trace.h"
@@ -48,9 +45,9 @@ struct ServerOptions {
   /// Dispatcher loops (each runs whole batches; >1 overlaps Gemm time of
   /// one batch with queueing of the next).
   size_t num_workers = 2;
-  /// Submit-ring capacity (rounded up to a power of two). A full ring is
-  /// backpressure: Submit yields until a dispatcher frees a cell — bounded
-  /// memory under overload instead of an ever-growing queue.
+  /// Most requests the queue holds. A full queue is backpressure: Submit
+  /// waits until a dispatcher takes a request — bounded memory under
+  /// overload instead of an ever-growing queue.
   size_t queue_capacity = 4096;
 };
 
@@ -65,8 +62,9 @@ struct ServerStats {
 /// Coalescing localization front end over one snapshot store.
 ///
 /// Thread-safety: Submit/Localize/Stats may be called concurrently from
-/// any number of threads; Stop is idempotent and may race Submit (the
-/// loser's future holds a std::runtime_error). Ownership: the server
+/// any number of threads; Stop is idempotent and may race Submit (a
+/// request queued before Stop is answered, a later one's future holds a
+/// std::runtime_error). Ownership: the server
 /// borrows `store` and owns its queue, dispatch threads, and stats.
 /// Malformed fingerprints (wrong width, all-null, partial scan against an
 /// estimator without partial support), and any request dispatched before
@@ -92,8 +90,8 @@ class LocalizationServer {
     return Submit(std::move(fingerprint)).get();
   }
 
-  /// Drains the queue and joins the dispatch loops. Idempotent; the
-  /// destructor calls it.
+  /// Answers every queued request, rejects every later Submit and joins
+  /// the dispatch loops. Idempotent; the destructor calls it.
   void Stop();
 
   ServerStats Stats() const;
@@ -104,42 +102,26 @@ class LocalizationServer {
     std::promise<geom::Point> promise;
     Timer enqueued;  ///< starts at Submit; read when the promise resolves
     /// Non-null for the deterministic 1-in-N sampled requests; rides the
-    /// ring with the request and is finished at promise resolution.
+    /// queue with the request and is finished at promise resolution.
     std::unique_ptr<obs::Trace> trace;
   };
 
   void DispatchLoop();
+  /// Moves the next batch into `batch` (empty on entry). Returns false iff
+  /// the server is stopping and the queue is drained.
+  bool NextBatch(std::vector<Request>* batch);
   void ProcessBatch(std::vector<Request>* batch);
-  /// Parks this dispatcher on the condvar for at most `max_park_us`,
-  /// with the sleeper handshake that makes a lost wakeup impossible
-  /// (a Submit lands either before our emptiness re-check or after our
-  /// sleeper registration — never between both).
-  void ParkForWork(double max_park_us);
-  /// Blocks until the ring is non-empty or shutdown. Returns false iff the
-  /// server is shutting down and the ring is drained.
-  bool WaitForWork();
 
   const MapSnapshotStore* store_;
   const ServerOptions options_;
 
-  /// Lock-free submit path: producers and dispatchers meet only in the
-  /// ring. The mutex/condvar pair below is *parking only* — dispatchers
-  /// sleep there when the ring stays empty, and Submit wakes them via the
-  /// sleepers_ handshake (seq_cst on both sides, so an enqueue and a
-  /// park decision can never miss each other).
-  MpmcRingQueue<Request> queue_;
-  std::atomic<bool> shutdown_{false};
-  std::atomic<size_t> sleepers_{0};
-  /// Submits currently between entry and return. Stop waits for this to
-  /// reach zero after joining the dispatchers, so its final ring sweep
-  /// provably sees every request a racing Submit managed to push — a
-  /// promise is never dropped unfulfilled.
-  std::atomic<size_t> inflight_submits_{0};
-  std::mutex park_mu_;
-  std::condition_variable park_cv_;
+  std::mutex mu_;
+  std::condition_variable work_cv_;   ///< a request arrived, or Stop
+  std::condition_variable space_cv_;  ///< the queue has room, or Stop
+  std::deque<Request> queue_;         ///< guarded by mu_
+  bool stopping_ = false;             ///< guarded by mu_
 
-  /// Per-instance totals behind Stats(). No mutex anywhere on the fulfill
-  /// path.
+  /// Per-instance totals behind Stats(), counted outside the lock.
   std::atomic<size_t> completed_{0};
   std::atomic<size_t> rejected_{0};
   std::atomic<size_t> batches_{0};

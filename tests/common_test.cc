@@ -1,14 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "common/missing.h"
-#include "common/mpmc_queue.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -210,68 +207,6 @@ TEST(TableTest, CsvEscapesCommas) {
 TEST(TableTest, NumFormatsPrecision) {
   EXPECT_EQ(Table::Num(1.23456, 2), "1.23");
   EXPECT_EQ(Table::Num(2.0, 0), "2");
-}
-
-TEST(MpmcRingQueueTest, FifoSingleThreadAndBoundaries) {
-  MpmcRingQueue<int> q(4);
-  EXPECT_EQ(q.capacity(), 4u);
-  EXPECT_TRUE(q.ApproxEmpty());
-  int out = -1;
-  EXPECT_FALSE(q.TryPop(&out));  // empty
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.TryPush(int(i)));
-  EXPECT_FALSE(q.TryPush(99));  // full: bounded backpressure, not growth
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(q.TryPop(&out));
-    EXPECT_EQ(out, i);  // FIFO
-  }
-  EXPECT_FALSE(q.TryPop(&out));
-  // Wrap-around laps reuse cells correctly.
-  for (int lap = 0; lap < 3; ++lap) {
-    EXPECT_TRUE(q.TryPush(100 + lap));
-    ASSERT_TRUE(q.TryPop(&out));
-    EXPECT_EQ(out, 100 + lap);
-  }
-}
-
-TEST(MpmcRingQueueTest, ConcurrentProducersConsumersLoseNothing) {
-  // 4 producers x 2 consumers over a deliberately small ring so both the
-  // full and the empty path are exercised constantly. Every pushed value
-  // must be popped exactly once.
-  MpmcRingQueue<size_t> q(64);
-  const size_t kProducers = 4, kConsumers = 2, kPerProducer = 5000;
-  const size_t kTotal = kProducers * kPerProducer;
-  std::vector<std::atomic<int>> seen(kTotal);
-  for (auto& s : seen) s.store(0);
-  std::atomic<size_t> popped{0};
-
-  std::vector<std::thread> threads;
-  for (size_t p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (size_t i = 0; i < kPerProducer; ++i) {
-        size_t value = p * kPerProducer + i;
-        while (!q.TryPush(std::move(value))) std::this_thread::yield();
-      }
-    });
-  }
-  for (size_t c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      size_t value = 0;
-      while (popped.load(std::memory_order_relaxed) < kTotal) {
-        if (q.TryPop(&value)) {
-          seen[value].fetch_add(1);
-          popped.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(popped.load(), kTotal);
-  for (size_t v = 0; v < kTotal; ++v) {
-    ASSERT_EQ(seen[v].load(), 1) << "value " << v;
-  }
-  EXPECT_TRUE(q.ApproxEmpty());
 }
 
 TEST(TimerTest, MeasuresElapsed) {

@@ -7,12 +7,16 @@
 //  * snapshot hot-swap under concurrent readers never yields a torn or
 //    empty snapshot (same style as threading_determinism_test: real
 //    threads, deterministic inputs);
-//  * LocalizationServer coalesces and answers exactly like the scalar path.
+//  * LocalizationServer coalesces and answers exactly like the scalar path,
+//    applies backpressure instead of dropping, and answers every request
+//    queued before Stop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -20,6 +24,7 @@
 #include "common/missing.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "positioning/estimators.h"
 #include "serving/batch_localizer.h"
 #include "serving/server.h"
@@ -42,6 +47,12 @@ la::Matrix MakeQueries(const rmap::RadioMap& map, size_t count,
 
 std::vector<double> RowOf(const la::Matrix& m, size_t i) {
   return MatrixRow(m, i);
+}
+
+// Bit-for-bit equality, the check the repo benchmark applies to answers.
+bool SameBits(const geom::Point& a, const geom::Point& b) {
+  return std::memcmp(&a.x, &b.x, sizeof(double)) == 0 &&
+         std::memcmp(&a.y, &b.y, sizeof(double)) == 0;
 }
 
 TEST(EstimateBatchTest, MatchesScalarEstimateOnCompleteQueries) {
@@ -369,8 +380,9 @@ TEST(LocalizationServerTest, CoalescesBatchesAndMatchesScalarAnswers) {
   for (size_t i = 0; i < queries.rows(); ++i) {
     const geom::Point got = futures[size_t(i)].get();
     const geom::Point want = snap->estimator->Estimate(RowOf(queries, i));
-    EXPECT_NEAR(got.x, want.x, 1e-12) << "row " << i;
-    EXPECT_NEAR(got.y, want.y, 1e-12) << "row " << i;
+    EXPECT_TRUE(SameBits(got, want))
+        << "row " << i << ": " << got.x << "," << got.y << " vs " << want.x
+        << "," << want.y;
   }
   server.Stop();
   const ServerStats stats = server.Stats();
@@ -443,8 +455,7 @@ TEST(LocalizationServerTest, RequestBeforeFirstPublishIsRejectedNotCrashed) {
   store.Publish(snap);
   const geom::Point got = server.Localize(q);
   const geom::Point want = snap->estimator->Estimate(q);
-  EXPECT_NEAR(got.x, want.x, 1e-12);
-  EXPECT_NEAR(got.y, want.y, 1e-12);
+  EXPECT_TRUE(SameBits(got, want));
   // A dispatcher counts a rejection after resolving its future; Stop
   // joins the dispatchers, so the counts are final here.
   server.Stop();
@@ -453,9 +464,9 @@ TEST(LocalizationServerTest, RequestBeforeFirstPublishIsRejectedNotCrashed) {
   EXPECT_EQ(rejected_total.Total() - rejected_before, 1u);
 }
 
-TEST(LocalizationServerTest, TinyRingBackpressuresInsteadOfDropping) {
-  // A ring far smaller than the offered load: Submits must backpressure
-  // (yield) until dispatchers drain cells, and every request must still be
+TEST(LocalizationServerTest, TinyQueueBackpressuresInsteadOfDropping) {
+  // A queue far smaller than the offered load: Submits must wait for space
+  // until dispatchers take requests, and every request must still be
   // answered — bounded memory, no drops, no deadlock.
   const auto map = MakeServingMap(10, 8, 8);
   Rng rng(37);
@@ -515,13 +526,113 @@ TEST(LocalizationServerTest, ServesDuringHotSwap) {
       futures.push_back(server.Submit(RowOf(queries, i)));
     }
   }
-  for (auto& f : futures) {
-    const geom::Point p = f.get();
-    EXPECT_TRUE(std::isfinite(p.x));
-    EXPECT_TRUE(std::isfinite(p.y));
+  // Each answer is, bit for bit, one generation's scalar answer: a batch
+  // reads one snapshot and never mixes two serving states.
+  std::vector<std::vector<geom::Point>> want(queries.rows());
+  for (size_t i = 0; i < queries.rows(); ++i) {
+    for (const auto& generation : generations) {
+      want[i].push_back(generation->estimator->Estimate(RowOf(queries, i)));
+    }
+  }
+  for (size_t r = 0; r < futures.size(); ++r) {
+    const geom::Point p = futures[r].get();
+    const std::vector<geom::Point>& options = want[r % queries.rows()];
+    EXPECT_TRUE(std::any_of(options.begin(), options.end(),
+                            [&](const geom::Point& w) {
+                              return SameBits(p, w);
+                            }))
+        << "request " << r << ": " << p.x << "," << p.y;
   }
   server.Stop();
   EXPECT_EQ(server.Stats().completed, futures.size());
+}
+
+TEST(LocalizationServerTest, StopRacingSubmitsResolvesEveryFuture) {
+  // Four clients keep submitting into a two-request queue, so some of them
+  // wait for space, while this thread calls Stop. A request whose Submit
+  // returned before Stop began must be answered, one submitted after Stop
+  // returned is rejected, every future resolves and no client stays
+  // blocked in Submit. Every request is traced, and every trace is
+  // finished, whether its request was answered or rejected.
+  const auto map = MakeServingMap(10, 8, 8);
+  Rng rng(41);
+  MapSnapshotStore store(BuildSnapshot(
+      map, std::make_unique<positioning::KnnEstimator>(3, true), rng));
+  const obs::Counter& completed_total =
+      obs::GetCounter("rmi_server_requests_total", "");
+  const obs::Counter& rejected_total =
+      obs::GetCounter("rmi_server_rejected_total", "");
+  const uint64_t completed_before = completed_total.Total();
+  const uint64_t rejected_before = rejected_total.Total();
+  obs::Tracer& tracer = obs::Tracer::Global();
+  const uint64_t sample_every = tracer.sample_every();
+  tracer.SetSampleEvery(1);
+  const uint64_t sampled_before = tracer.sampled_total();
+  const uint64_t finished_before = tracer.finished_total();
+  ServerOptions opt;
+  opt.max_batch = 4;
+  opt.max_wait_us = 50.0;
+  opt.num_workers = 1;
+  opt.queue_capacity = 2;
+  LocalizationServer server(&store, opt);
+
+  struct Sent {
+    std::future<geom::Point> future;
+    bool returned_before_stop;  ///< Submit returned before Stop began
+    bool began_after_stop;      ///< Submit began after Stop returned
+  };
+  const la::Matrix queries = MakeQueries(map, 16, 0.1, 89);
+  const size_t kClients = 4, kBeforeStop = 64;
+  std::atomic<bool> stop_begins{false};
+  std::atomic<bool> stop_returned{false};
+  std::atomic<size_t> submitted{0};
+  std::vector<std::vector<Sent>> sent(kClients);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t i = 0;; ++i) {
+        const bool after = stop_returned.load();
+        std::future<geom::Point> f =
+            server.Submit(RowOf(queries, (c + i) % queries.rows()));
+        sent[c].push_back({std::move(f), !stop_begins.load(), after});
+        submitted.fetch_add(1);
+        if (after) break;
+      }
+    });
+  }
+  while (submitted.load() < kBeforeStop) std::this_thread::yield();
+  stop_begins.store(true);
+  server.Stop();
+  stop_returned.store(true);
+  for (auto& t : clients) t.join();
+  tracer.SetSampleEvery(sample_every);
+
+  size_t total = 0, answered = 0, rejected = 0;
+  for (std::vector<Sent>& client : sent) {
+    for (Sent& s : client) {
+      ++total;
+      ASSERT_EQ(s.future.wait_for(std::chrono::seconds(0)),
+                std::future_status::ready);
+      try {
+        s.future.get();
+        ++answered;
+        EXPECT_FALSE(s.began_after_stop);
+      } catch (const std::runtime_error&) {
+        ++rejected;
+        EXPECT_FALSE(s.returned_before_stop);
+      }
+    }
+  }
+  EXPECT_GE(answered, kBeforeStop);
+  EXPECT_GE(rejected, kClients);
+  EXPECT_EQ(answered + rejected, total);
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.completed, answered);
+  EXPECT_EQ(stats.rejected, rejected);
+  EXPECT_EQ(completed_total.Total() - completed_before, answered);
+  EXPECT_EQ(rejected_total.Total() - rejected_before, rejected);
+  EXPECT_EQ(tracer.sampled_total() - sampled_before, total);
+  EXPECT_EQ(tracer.finished_total() - finished_before, total);
 }
 
 }  // namespace
